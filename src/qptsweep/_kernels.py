@@ -1,38 +1,18 @@
-"""Hot numeric kernels: oscillatory quadrature and the two-level mode integrator.
+"""Hot numeric kernels: oscillatory quadrature and the two-level mode propagators.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy fallback.
-Set ``QPTSWEEP_DISABLE_NUMBA=1`` in the environment (before import) to force
-the fallback path; ``using_numba()`` reports which path is active.
+Every kernel is plain numpy.  ``magnus4_modes`` propagates the mode
+equations of motion; ``rk4_mode`` is the brute-force integrator the tests
+use as its oracle.
 """
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("QPTSWEEP_DISABLE_NUMBA", "0") not in ("0", "", "false")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-
-def using_numba():
-    """True when the jitted kernel path is active."""
-    return _HAVE_NUMBA
-
 
 # Taylor switch-over for the Filon moments; below this |dphase| the closed
 # form loses digits to cancellation.
 _SMALL_PHASE = 1e-3
 
 
-def _filon_numpy(env, phase, dt):
+def filon_integral(env, phase, dt):
     """Integral of env(t) * exp(i*phase(t)) on a uniform grid.
 
     Per interval the envelope is taken linear and the phase linear, so each
@@ -61,35 +41,13 @@ def _filon_numpy(env, phase, dt):
     return complex(np.sum(seg))
 
 
-def _make_filon_numba():
-    @njit(cache=True)
-    def _filon(env, phase, dt):
-        total = 0.0 + 0.0j
-        n = env.shape[0] - 1
-        for i in range(n):
-            a0 = env[i]
-            da = env[i + 1] - env[i]
-            c = phase[i + 1] - phase[i]
-            ic = 1j * c
-            if abs(c) < _SMALL_PHASE:
-                e0 = 1.0 + ic / 2.0 + ic**2 / 6.0 + ic**3 / 24.0 + ic**4 / 120.0
-                e1 = 0.5 + ic / 3.0 + ic**2 / 8.0 + ic**3 / 30.0 + ic**4 / 144.0
-            else:
-                eic = np.exp(ic)
-                e0 = (eic - 1.0) / ic
-                e1 = (eic * (ic - 1.0) + 1.0) / (ic * ic)
-            total += dt * np.exp(1j * phase[i]) * (a0 * e0 + da * e1)
-        return total
-
-    return _filon
-
-
-def _rk4_mode_numpy(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):
+def rk4_mode(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):
     """RK4 for i u' = a u + b v, i v' = -a v + b u with a, b functions of g.
 
     ``g2`` holds g at the step points and midpoints (length 2n+1).  Returns
     the full (u, v) trajectory at the n+1 step points, starting from
-    (u0, v0).
+    (u0, v0).  A step-by-step Python loop: the brute-force oracle the tests
+    check ``magnus4_modes`` against.
     """
     n = (g2.shape[0] - 1) // 2
     chalf = np.cos(ka / 2.0) ** 2
@@ -132,63 +90,94 @@ def _rk4_mode_numpy(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):
     return u, v
 
 
-def _make_rk4_numba():
-    @njit(cache=True)
-    def _rk4(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):
-        n = (g2.shape[0] - 1) // 2
-        chalf = np.cos(ka / 2.0) ** 2
-        ska = np.sin(ka)
-        u = np.empty(n + 1, dtype=np.complex128)
-        v = np.empty(n + 1, dtype=np.complex128)
-        u[0] = u0
-        v[0] = v0
-        uc = u0 + 0.0j
-        vc = v0 + 0.0j
-        for i in range(n):
-            g0 = g2[2 * i]
-            gm = g2[2 * i + 1]
-            g1 = g2[2 * i + 2]
-            a0 = 2.0 - 4.0 * g0 * chalf
-            b0 = 2.0 * g0 * ska
-            am = 2.0 - 4.0 * gm * chalf
-            bm = 2.0 * gm * ska
-            a1 = 2.0 - 4.0 * g1 * chalf
-            b1 = 2.0 * g1 * ska
-
-            k1u = -1j * (a0 * uc + b0 * vc)
-            k1v = -1j * (-a0 * vc + b0 * uc)
-            u2 = uc + 0.5 * dt * k1u
-            v2 = vc + 0.5 * dt * k1v
-            k2u = -1j * (am * u2 + bm * v2)
-            k2v = -1j * (-am * v2 + bm * u2)
-            u3 = uc + 0.5 * dt * k2u
-            v3 = vc + 0.5 * dt * k2v
-            k3u = -1j * (am * u3 + bm * v3)
-            k3v = -1j * (-am * v3 + bm * u3)
-            u4 = uc + dt * k3u
-            v4 = vc + dt * k3v
-            k4u = -1j * (a1 * u4 + b1 * v4)
-            k4v = -1j * (-a1 * v4 + b1 * u4)
-
-            uc = uc + dt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-            vc = vc + dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-            u[i + 1] = uc
-            v[i + 1] = vc
-        return u, v
-
-    return _rk4
+# The Gauss-Legendre nodes of a step sit at (1/2 -+ sqrt(3)/6) dt, and the
+# same sqrt(3)/6 weighs the commutator term of the fourth-order exponent.
+_GL_OFFSET = np.sqrt(3.0) / 6.0
+# Steps per block of the streamed prefix product; a block's states are the
+# only per-step values the propagator holds at any time.
+MAGNUS_BLOCK = 2048
 
 
-if _HAVE_NUMBA:
-    filon_integral = _make_filon_numba()
-    rk4_mode = _make_rk4_numba()
-else:
-    filon_integral = _filon_numpy
-    rk4_mode = _rk4_mode_numpy
+def gauss_legendre_times(total_time, steps):
+    """Both Gauss-Legendre nodes of each of ``steps`` equal steps on [0, T].
 
-# Always-importable references for benchmarking / cross-checking the paths.
-filon_integral_numpy = _filon_numpy
-rk4_mode_numpy = _rk4_mode_numpy
+    Shape (steps, 2); sample g there to feed ``magnus4_modes``.
+    """
+    offsets = np.array([0.5 - _GL_OFFSET, 0.5 + _GL_OFFSET])
+    return (total_time / steps) * (np.arange(steps)[:, None] + offsets)
+
+
+def _quat_mul(a, b):
+    """Hamilton product of quaternions stacked on axis 0.
+
+    With U(q) = q0 - i(q1 sx + q2 sy + q3 sz) this is the matrix product:
+    U(a*b) = U(a) U(b).
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack((
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
+        a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
+        a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
+    ))
+
+
+def _apply(q, u, v):
+    """U(q) applied to the state (u, v)."""
+    q0, q1, q2, q3 = q
+    return (q0 - 1j * q3) * u - (q2 + 1j * q1) * v, (q2 - 1j * q1) * u + (q0 + 1j * q3) * v
+
+
+def magnus4_modes(g_nodes, ka, dt, u0, v0):
+    """Fourth-order Magnus propagation of i u' = a u + b v, i v' = -a v + b u.
+
+    a = 2 - 4 g cos^2(ka/2) and b = 2 g sin(ka), for every mode of the 1-D
+    ``ka`` at once.  ``g_nodes`` holds g at both Gauss-Legendre nodes of each
+    step, shape (steps, 2) (see ``gauss_legendre_times``); ``u0`` and ``v0``
+    hold one start state per mode.  Each step applies the exact SU(2)
+    exponential, kept as a unit quaternion, of
+
+        -i [ (dt/2)(a1+a2) sz + (dt/2)(b1+b2) sx + (sqrt(3)/6) dt^2 (a2 b1 - a1 b2) sy ],
+
+    so the norm changes only by rounding.  The step products are formed in
+    blocks of ``MAGNUS_BLOCK`` steps, by a log-depth scan within a block and
+    one quaternion per mode carried across blocks, so memory does not grow
+    with the number of steps.
+
+    Returns (u_T, v_T, norm_defect), each of shape (K,): the endpoint and
+    the largest | |u|^2 + |v|^2 - 1 | over the start state and every step.
+    """
+    g_nodes = np.asarray(g_nodes, dtype=float)
+    ka = np.asarray(ka, dtype=float)[:, None]
+    u0 = np.asarray(u0, dtype=complex)
+    v0 = np.asarray(v0, dtype=complex)
+    c = 4.0 * np.cos(ka / 2.0) ** 2
+    s = 2.0 * np.sin(ka)
+    carry = np.zeros((4, ka.shape[0]))
+    carry[0] = 1.0
+    defect = np.abs(np.abs(u0) ** 2 + np.abs(v0) ** 2 - 1.0)
+    for start in range(0, g_nodes.shape[0], MAGNUS_BLOCK):
+        g1, g2 = g_nodes[start:start + MAGNUS_BLOCK].T
+        a1, a2 = 2.0 - c * g1, 2.0 - c * g2
+        b1, b2 = s * g1, s * g2
+        # exponent as -i w.(sx, sy, sz); exp(-i w.sigma) = cos|w| - i sin|w| w.sigma/|w|
+        w = np.stack((
+            0.5 * dt * (b1 + b2), _GL_OFFSET * dt * dt * (a2 * b1 - a1 * b2), 0.5 * dt * (a1 + a2),
+        ))
+        theta = np.sqrt(np.sum(w * w, axis=0))
+        q = np.concatenate((np.cos(theta)[None], np.sinc(theta / np.pi) * w))
+        # inclusive scan, later steps multiplying from the left
+        d = 1
+        while d < q.shape[2]:
+            q[:, :, d:] = _quat_mul(q[:, :, d:], q[:, :, :-d])
+            d *= 2
+        q = _quat_mul(q, carry[:, :, None])
+        u, v = _apply(q, u0[:, None], v0[:, None])
+        defect = np.maximum(defect, np.max(np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0), axis=1))
+        carry = q[:, :, -1]
+    u_end, v_end = _apply(carry, u0, v0)
+    return u_end, v_end, defect
 
 
 def cumulative_simpson_uniform(y, dt):

@@ -90,13 +90,15 @@ def _require(params, *keys):
             raise ConfigError(f"config key {k!r} must be a nonempty list")
 
 
-def _make_schedule(params, n_spins=None):
+def _make_schedule(params, n_spins=None, T=None):
     kind = params.get("schedule", "linear")
     if kind not in schedules.KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    _require(params, "T")
+    if T is None:
+        _require(params, "T")
+        T = params["T"]
     return schedules.make_schedule(
-        kind, float(params["T"]), n_spins=n_spins, g_frozen=params.get("g_frozen")
+        kind, float(T), n_spins=n_spins, g_frozen=params.get("g_frozen")
     )
 
 
@@ -152,27 +154,34 @@ def _run_ed(cfg):
     )
 
 
+# Certificates a sweep row must pass: the criterion 05 bound on the norm
+# defect and a bound on the Richardson endpoint estimate.
+NORM_DEFECT_MAX = 1e-9
+ENDPOINT_ERROR_MAX = 1e-6
+
+
 def _run_sweep(cfg):
     p = cfg.params
     _require(p, "n_spins", "T_list")
     n = int(p["n_spins"])
     ka_list = p.get("ka_list")
-    if ka_list is None:
-        ka_list = [np.pi / n]
-    rows = []
+    ka_list = np.asarray([np.pi / n] if ka_list is None else ka_list, dtype=float)
+    rows, bad = [], 0
     for T in p["T_list"]:
-        sched = schedules.make_schedule(p.get("schedule", "linear"), float(T), n_spins=n)
-
-        def one(ka, sched=sched, T=T):
-            traj = ising.integrate_bogoliubov(float(ka), sched)
-            pexc = ising.excitation_probability_mode(float(ka), sched)
-            mis = ising.adiabatic_mismatch(float(ka), sched)
-            return [
-                n, float(ka), float(T), sched.kind, pexc,
-                traj.norm_defect, traj.endpoint_error, mis,
-            ]
-
-        rows.extend(_pmap(one, ka_list, cfg.threads))
+        sched = _make_schedule(p, n_spins=n, T=T)
+        end = ising.integrate_bogoliubov(ka_list, sched)
+        # written so that NaN fails the comparison and counts as bad
+        ok = (end.norm_defect <= NORM_DEFECT_MAX) & (end.endpoint_error <= ENDPOINT_ERROR_MAX)
+        bad += int(np.count_nonzero(~ok))
+        per_mode = zip(
+            ka_list, end.excitation_probability(), end.norm_defect, end.endpoint_error,
+            end.adiabatic_mismatch(),
+        )
+        for ka, pexc, defect, err, mis in per_mode:
+            rows.append([
+                n, float(ka), float(T), sched.kind,
+                float(pexc), float(defect), float(err), float(mis),
+            ])
     return ResultBundle(
         name="sweep",
         columns=[
@@ -180,6 +189,7 @@ def _run_sweep(cfg):
             "norm_defect", "endpoint_error", "adiabatic_mismatch",
         ],
         rows=rows,
+        nonconverged=bad,
     )
 
 

@@ -1,16 +1,19 @@
 """Analytic machinery for the transverse Ising ring.
 
 Momentum grid, quasi-particle dispersion, Bogoliubov coefficients (adiabatic
-closed form and exactly integrated equations of motion), ground-state energy
-and gap.  Units: lattice spacing a=1, hbar=1, energies in units of the
-coupling, so momenta appear as the dimensionless combination ``ka``.
+closed form, and the equations of motion integrated for many modes at once),
+ground-state energy and gap.  Units: lattice spacing a=1, hbar=1, energies
+in units of the coupling, so momenta appear as the dimensionless combination
+``ka``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import cumulative_simpson_uniform, rk4_mode
+from ._kernels import gauss_legendre_times, magnus4_modes
+# unused here, but the traced benchmark (perfbench/layers.py) looks them up in this module
+from ._kernels import cumulative_simpson_uniform, rk4_mode  # noqa: F401
 
 DEGENERATE_NORM_THRESHOLD = 1e-10
 
@@ -53,15 +56,41 @@ class ModeCoefficients:
 
 
 @dataclass
-class ModeTrajectory:
-    """Sampled solution of the mode equations of motion."""
+class ModeEndpoint:
+    """State at t=T of modes integrated from the t=0 ground state.
 
-    ka: float
-    times: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    norm_defect: float  # max |(|u|^2+|v|^2) - 1| along the trajectory
-    endpoint_error: float  # step-halving estimate at t=T
+    Fields are floats for a scalar ``ka`` and arrays of shape (K,) for a
+    1-D ``ka``.
+    """
+
+    ka: float | np.ndarray
+    schedule: object
+    u: complex | np.ndarray
+    v: complex | np.ndarray
+    norm_defect: float | np.ndarray  # max |(|u|^2+|v|^2) - 1| along the path
+    endpoint_error: float | np.ndarray  # step-halving estimate at t=T
+
+    def _ground_at_end(self):
+        g_end = self.schedule.g_of(self.schedule.T)
+        pairs = [instantaneous_bogoliubov(ka, g_end) for ka in np.atleast_1d(self.ka)]
+        u_inst, v_inst = np.array(pairs).T
+        return (u_inst, v_inst) if np.ndim(self.ka) else (u_inst[0], v_inst[0])
+
+    def excitation_probability(self):
+        """Overlap of the endpoint with the instantaneous excited state at t=T."""
+        u_inst, v_inst = self._ground_at_end()
+        p = np.abs(self.u * np.conj(v_inst) - self.v * np.conj(u_inst)) ** 2
+        return p if np.ndim(p) else float(p)
+
+    def adiabatic_mismatch(self):
+        """max(| |u|-|u_ad| |, | |v|-|v_ad| |) at t=T.
+
+        The adiabatic pair differs from the instantaneous ground pair only by
+        the phase exp(-i Phi), which the magnitudes drop.
+        """
+        u_ad, v_ad = self._ground_at_end()
+        m = np.maximum(np.abs(np.abs(self.u) - np.abs(u_ad)), np.abs(np.abs(self.v) - np.abs(v_ad)))
+        return m if np.ndim(m) else float(m)
 
 
 def _check_g(g):
@@ -123,37 +152,43 @@ def adiabatic_bogoliubov(ka, schedule, t):
 
 
 def _default_steps(total_time):
-    # norm drift of RK4 on the fastest mode (rate <= 4) stays below 1e-9
+    # sets the accuracy only: the Magnus step is unitary, so the norm defect
+    # is rounding (<= 3e-13) at any step count; this rule gives Richardson
+    # endpoint estimates <= 3e-12 on the perfbench sweeps (bound 1e-6)
     return max(8192, int(np.ceil(256.0 * max(total_time, 1.0))))
 
 
-def _integrate(ka, schedule, steps):
-    total_time = schedule.T
-    dt = total_time / steps
-    t2 = np.linspace(0.0, total_time, 2 * steps + 1)
-    g2 = schedule.g_of(t2)
-    u0, v0 = instantaneous_bogoliubov(ka, float(g2[0]))
-    u, v = rk4_mode(np.asarray(g2, dtype=float), float(ka), dt, complex(u0), complex(v0))
-    return np.linspace(0.0, total_time, steps + 1), u, v
+def _propagate(ka, schedule, steps):
+    times = gauss_legendre_times(schedule.T, steps)
+    g_nodes = np.asarray(schedule.g_of(times), dtype=float)
+    g_start = float(schedule.g_of(0.0))
+    u0, v0 = np.array([instantaneous_bogoliubov(k, g_start) for k in ka], dtype=complex).T
+    return magnus4_modes(g_nodes, ka, schedule.T / steps, u0, v0)
 
 
 def integrate_bogoliubov(ka, schedule, steps=None):
     """Integrate the mode equations of motion from the t=0 ground state.
 
-    Fixed-step RK4; the endpoint error estimate comes from a half-resolution
-    rerun (Richardson comparison).
+    ``ka`` is a scalar or a 1-D array; all modes share one fourth-order
+    Magnus propagation.  The endpoint error estimate compares it with a
+    rerun at half the steps (Richardson comparison).
     """
-    ka = float(_check_ka(ka))
+    ka = _check_ka(ka)
+    if ka.ndim > 1:
+        raise ValueError(f"ka must be a scalar or 1-D, got shape {ka.shape}")
     if steps is None:
         steps = _default_steps(schedule.T)
     if steps < 16:
         raise ValueError(f"steps must be at least 16, got {steps}")
-    times, u, v = _integrate(ka, schedule, steps)
-    _, u_half, v_half = _integrate(ka, schedule, max(steps // 2, 8))
-    endpoint_error = float(abs(u[-1] - u_half[-1]) + abs(v[-1] - v_half[-1]))
-    norm_defect = float(np.max(np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0)))
-    return ModeTrajectory(
-        ka=ka, times=times, u=u, v=v, norm_defect=norm_defect, endpoint_error=endpoint_error
+    modes = np.atleast_1d(ka)
+    u, v, norm_defect = _propagate(modes, schedule, steps)
+    u_half, v_half, _ = _propagate(modes, schedule, max(steps // 2, 8))
+    endpoint_error = np.abs(u - u_half) + np.abs(v - v_half)
+    if ka.ndim:
+        return ModeEndpoint(ka, schedule, u, v, norm_defect, endpoint_error)
+    return ModeEndpoint(
+        float(ka), schedule, complex(u[0]), complex(v[0]),
+        float(norm_defect[0]), float(endpoint_error[0]),
     )
 
 
@@ -166,11 +201,7 @@ def adiabatic_mismatch(ka, schedule, steps=None):
     the meaningful convergence measure; they are also what the response
     amplitudes consume.
     """
-    traj = integrate_bogoliubov(ka, schedule, steps=steps)
-    u_ad, v_ad = adiabatic_bogoliubov(ka, schedule, schedule.T)
-    return float(
-        max(abs(abs(traj.u[-1]) - abs(u_ad)), abs(abs(traj.v[-1]) - abs(v_ad)))
-    )
+    return integrate_bogoliubov(ka, schedule, steps=steps).adiabatic_mismatch()
 
 
 def ground_energy_analytic(params, g):
@@ -204,14 +235,4 @@ def excitation_probability_mode(ka, schedule, steps=None):
     Overlap of the integrated (u, v) with the instantaneous excited state at
     t=T; vanishes for a frozen schedule and decreases with slower sweeps.
     """
-    traj = integrate_bogoliubov(ka, schedule, steps=steps)
-    g_end, _ = schedule.evaluate(schedule.T)
-    u_inst, v_inst = instantaneous_bogoliubov(ka, g_end)
-    amp = traj.u[-1] * np.conj(v_inst) - traj.v[-1] * np.conj(u_inst)
-    return float(abs(amp) ** 2)
-
-
-def phase_integral_on_grid(ka, g_grid, dt):
-    """Cumulative int_0^t E_k dt' for g sampled on a uniform time grid."""
-    energies = 2.0 * np.sqrt(1.0 - 4.0 * g_grid * (1.0 - g_grid) * np.cos(ka / 2.0) ** 2)
-    return cumulative_simpson_uniform(energies, dt)
+    return integrate_bogoliubov(ka, schedule, steps=steps).excitation_probability()

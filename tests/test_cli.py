@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qptsweep import cli
+from qptsweep import cli, ising
 
 
 def write_config(tmp_path, name, doc):
@@ -77,6 +77,34 @@ def test_sweep_run(tmp_path):
     assert len(rows) == 3
     p20, p40 = float(rows[1][4]), float(rows[2][4])
     assert p40 < p20
+
+
+def test_sweep_flags_rows_failing_certificates(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 16, "T_list": [20.0], "ka_list": [0.19634954084936207, 0.5890486225480862],
+    })
+    monkeypatch.setattr(ising, "_default_steps", lambda total_time: 16)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "coarse")]) == 2
+    doc = json.loads((tmp_path / "coarse" / "sweep.json").read_text())
+    assert doc["nonconverged"] == 2
+
+    # a non-finite certificate is a failure too
+    monkeypatch.undo()
+    magnus = ising.magnus4_modes
+
+    def nan_defect(*args):
+        u, v, defect = magnus(*args)
+        return u, v, np.full_like(defect, np.nan)
+
+    monkeypatch.setattr(ising, "magnus4_modes", nan_defect)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "nan")]) == 2
+
+
+def test_sweep_unknown_schedule_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"n_spins": 16, "T_list": [20.0], "schedule": "cubic"})
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "cubic" in err and "\n" not in err
 
 
 def test_response_run(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qptsweep import ising, schedules
+from qptsweep._kernels import rk4_mode
 
 
 def test_chain_params_validation():
@@ -80,10 +81,32 @@ def test_gap_formulas():
 
 def test_integrate_bogoliubov_norm_and_error_certificates():
     sched = schedules.make_schedule("linear", 40.0)
-    traj = ising.integrate_bogoliubov(np.pi / 8, sched)
-    assert traj.norm_defect < 1e-9
-    assert traj.endpoint_error < 1e-6
-    assert traj.u[0] == 1.0 and traj.v[0] == 0.0
+    end = ising.integrate_bogoliubov(np.pi / 8, sched)
+    assert end.norm_defect < 1e-9
+    assert end.endpoint_error < 1e-6
+    # the g=0 ground state is (1, 0): the RK4 oracle started there lands on the same endpoint
+    steps = 40000
+    u, v = rk4_mode(np.linspace(0.0, 1.0, 2 * steps + 1), np.pi / 8, 40.0 / steps)
+    assert abs(end.u - u[-1]) + abs(end.v - v[-1]) < 1e-8
+
+
+def test_vector_ka_matches_scalar_calls():
+    sched = schedules.make_schedule("gap_adapted", 30.0, n_spins=16)
+    ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16])
+    end = ising.integrate_bogoliubov(ka, sched, steps=4096)
+    assert end.u.shape == end.norm_defect.shape == end.endpoint_error.shape == (3,)
+    pexc = end.excitation_probability()
+    mis = end.adiabatic_mismatch()
+    for i, k in enumerate(ka):
+        one = ising.integrate_bogoliubov(k, sched, steps=4096)
+        assert isinstance(one.norm_defect, float) and isinstance(one.u, complex)
+        assert abs(end.u[i] - one.u) < 1e-14 and abs(end.v[i] - one.v) < 1e-14
+        assert abs(end.endpoint_error[i] - one.endpoint_error) < 1e-14
+        want_p = ising.excitation_probability_mode(k, sched, steps=4096)
+        assert pexc[i] == pytest.approx(want_p, abs=1e-14)
+        assert mis[i] == pytest.approx(ising.adiabatic_mismatch(k, sched, steps=4096), abs=1e-14)
+    with pytest.raises(ValueError):
+        ising.integrate_bogoliubov(ka[None, :], sched)
 
 
 def test_frozen_schedule_no_excitation():
