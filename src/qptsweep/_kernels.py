@@ -10,6 +10,11 @@ import numpy as np
 # Taylor switch-over for the Filon moments; below this |dphase| the closed
 # form loses digits to cancellation.
 _SMALL_PHASE = 1e-3
+_ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
+
+
+class QuadratureError(RuntimeError):
+    """Oscillatory quadrature failed its grid-doubling certificate."""
 
 
 def filon_integral(env, phase, dt):
@@ -39,6 +44,24 @@ def filon_integral(env, phase, dt):
         e1[small] = e1s
     seg = dt * np.exp(1j * phase[:-1]) * (a0 * e0 + da * e1)
     return complex(np.sum(seg))
+
+
+def refine(eval_at, n0, rel_tol, n_max):
+    """Grid-doubling driver; returns (value, error_estimate, converged).
+
+    ``eval_at(n)`` evaluates the quadrature on n intervals, n = n0, 2*n0, ... <= n_max.
+    """
+    n = n0
+    prev = eval_at(n)
+    while n < n_max:
+        n *= 2
+        cur = eval_at(n)
+        diff = abs(cur - prev)
+        scale = max(abs(cur), _ABS_FLOOR)
+        if diff / scale < rel_tol or (abs(cur) < _ABS_FLOOR and diff < _ABS_FLOOR):
+            return cur, diff / scale, True
+        prev = cur
+    return prev, abs(prev), False
 
 
 def rk4_mode(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):

@@ -10,9 +10,9 @@ recording the config hash.  Exit codes: 0 full success, 2 partial
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +33,6 @@ class ExperimentConfig:
     experiment: str
     params: dict
     seed: int = 0
-    threads: int = 1
 
     @classmethod
     def load(cls, path, experiment):
@@ -91,22 +90,13 @@ def _require(params, *keys):
 
 
 def _make_schedule(params, n_spins=None, T=None):
-    kind = params.get("schedule", "linear")
-    if kind not in schedules.KINDS:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
     if T is None:
         _require(params, "T")
         T = params["T"]
     return schedules.make_schedule(
-        kind, float(T), n_spins=n_spins, g_frozen=params.get("g_frozen")
+        params.get("schedule", "linear"), float(T), n_spins=n_spins,
+        g_frozen=params.get("g_frozen"),
     )
-
-
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _run_spectrum(cfg):
@@ -201,10 +191,8 @@ def _run_response(cfg):
     sched = _make_schedule(p, n_spins=n)
     omega_grid = _grid(p["omega_grid"], "omega_grid")
     ka_list = p.get("ka_list") or [np.pi / n]
-    rows, bad = [], 0
 
-    def one(item):
-        ka, w = item
+    def one(ka, w):
         if channel.kind == "single_site_z":
             b = response.amplitude_bitflip(float(ka), float(w), sched)
             val = b.a1 + b.a2
@@ -226,11 +214,8 @@ def _run_response(cfg):
             r.method, r.value.real, r.value.imag, r.modulus, r.quad_error, int(r.converged),
         ]
 
-    items = [(ka, w) for ka in ka_list for w in omega_grid]
-    for row in _pmap(one, items, cfg.threads):
-        rows.append(row)
-        if not row[-1]:
-            bad += 1
+    rows = [one(ka, w) for ka in ka_list for w in omega_grid]
+    bad = sum(not row[-1] for row in rows)
     return ResultBundle(
         name="response",
         columns=[
@@ -357,6 +342,16 @@ def _fmt(x):
     return str(x)
 
 
+def _json_value(x):
+    """Strict-JSON form of a cell: str and int as they are, non-finite floats as null."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def emit(bundle, out_dir, config, walltime):
     """Write CSV + JSON mirror + manifest; returns the CSV path."""
     out = Path(out_dir)
@@ -369,16 +364,16 @@ def emit(bundle, out_dir, config, walltime):
 
     json_doc = {
         "columns": bundle.columns,
-        "rows": [[x if isinstance(x, str) else float(x) if not isinstance(x, (int, np.integer)) else int(x) for x in row] for row in bundle.rows],
-        "fits": bundle.fits,
+        "rows": [[_json_value(x) for x in row] for row in bundle.rows],
+        "fits": {k: {kk: _json_value(v) for kk, v in fit.items()} for k, fit in bundle.fits.items()},
         "nonconverged": bundle.nonconverged,
     }
-    (out / f"{bundle.name}.json").write_text(json.dumps(json_doc, indent=1, sort_keys=True))
+    text = json.dumps(json_doc, indent=1, sort_keys=True, allow_nan=False)
+    (out / f"{bundle.name}.json").write_text(text)
     manifest = {
         "config_sha256": config.sha256(),
         "experiment": config.experiment,
         "seed": config.seed,
-        "threads": config.threads,
         "qptsweep_version": __version__,
         "numpy_version": np.__version__,
         "walltime_s": walltime,
@@ -402,15 +397,14 @@ def main(argv=None):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)  # accepted, ignored
         sp.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.load(args.config, args.experiment)
         config.seed = args.seed
-        config.threads = max(1, args.threads)
         _, code = run(config, args.out)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

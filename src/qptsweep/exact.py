@@ -11,7 +11,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .fitting import fit_exponential, fit_power_law
+# fit_power_law is unused here, but the traced benchmark (perfbench/layers.py) looks it up here
+from .fitting import fit_exponential, fit_power_law  # noqa: F401
 
 MODELS = ("ising_ring", "grover", "mixed_grover_ising")
 DENSE_MAX = 10
@@ -368,9 +369,3 @@ def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     )
     return float(min(res.fun, vals[i]))
 
-
-def ising_gap_scaling(n_list):
-    """Power-law fit of the minimal even-sector ising gap (contrast oracle)."""
-    n_list = sorted(int(n) for n in n_list)
-    gaps = np.array([minimal_even_gap("ising_ring", n) for n in n_list])
-    return fit_power_law(np.asarray(n_list, dtype=float), gaps), dict(zip(n_list, gaps))

@@ -10,15 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import cumulative_simpson_uniform, filon_integral
+from ._kernels import QuadratureError, cumulative_simpson_uniform, filon_integral, refine
 from .bath import SpectralFunction, evaluate as bath_evaluate
 
 _SOFT_LAMBDA = 0.1
 _LARGE_D = 16
-
-
-class QuadratureError(RuntimeError):
-    """Oscillatory quadrature failed its grid-doubling certificate."""
 
 
 @dataclass
@@ -87,8 +83,8 @@ def matrix_element_x(g, t, dim, schedule, n_points=8193):
     return -(1.0 - g) / (np.sqrt(dim) * gap) * np.exp(-1j * phi)
 
 
-def _amplitude_fixed_grid(params, omega, n_points):
-    t, g, gap, cum = _phase_on_grid(params.schedule, params.dim, n_points)
+def _amplitude_fixed_grid(params, omega, n):
+    t, g, gap, cum = _phase_on_grid(params.schedule, params.dim, n + 1)
     env = -(1.0 - g) / (np.sqrt(params.dim) * gap)
     phase = omega * t + cum
     return filon_integral(env, phase, t[1] - t[0])
@@ -99,16 +95,10 @@ def amplitude_omega(params, omega, rel_tol=1e-4, n0=None, n_max=2**21):
     if n0 is None:
         cycles = params.schedule.T * (abs(omega) + 1.0) / (2.0 * np.pi)
         n0 = int(max(4096, 16 * cycles))
-    n = n0
-    prev = _amplitude_fixed_grid(params, omega, n + 1)
-    while n < n_max:
-        n *= 2
-        cur = _amplitude_fixed_grid(params, omega, n + 1)
-        scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) / scale < rel_tol:
-            return cur, abs(cur - prev) / scale
-        prev = cur
-    raise QuadratureError(f"amplitude at omega={omega} not converged by n={n_max}")
+    value, err, ok = refine(lambda n: _amplitude_fixed_grid(params, omega, n), n0, rel_tol, n_max)
+    if not ok:
+        raise QuadratureError(f"amplitude at omega={omega} not converged by n={n_max}")
+    return value, err
 
 
 def error_probability(params, omega_grid=None, rel_tol=1e-4):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cumulative_simpson_uniform, filon_integral
+from ._kernels import QuadratureError, cumulative_simpson_uniform, filon_integral, refine
 from .bath import integrate_abs
 from .ising import dispersion
 
@@ -18,12 +18,8 @@ CHANNEL_KINDS = ("uniform_x", "nonuniform_x", "single_site_z")
 REGIMES = ("intermediate", "near_gap", "sub_gap", "negative")
 
 DEFAULT_RHO = 3.0  # quantifies the ">>" separating the frequency regimes
-_ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
 _INITIAL_ENERGY = 2.0  # single-particle energy at g=0; "cold bath" cutoff
-
-
-class QuadratureError(RuntimeError):
-    """Oscillatory quadrature failed its grid-doubling certificate."""
+_BOUND_POINTS = 16385  # uniform grid of the phase-free bounds; odd for Simpson
 
 
 class SaddleCollisionError(ArithmeticError):
@@ -131,21 +127,6 @@ def _default_n0(schedule, omega):
     return int(max(4096, 16 * cycles))
 
 
-def _refine(eval_at, n0, rel_tol, n_max):
-    """Grid-doubling driver; returns (value, error_estimate, converged)."""
-    n = n0
-    prev = eval_at(n)
-    while n < n_max:
-        n *= 2
-        cur = eval_at(n)
-        diff = abs(cur - prev)
-        scale = max(abs(cur), _ABS_FLOOR)
-        if diff / scale < rel_tol or (abs(cur) < _ABS_FLOOR and diff < _ABS_FLOOR):
-            return cur, diff / scale, True
-        prev = cur
-    return prev, abs(prev), False
-
-
 def _uniform_env(ka, g):
     return 2.0 * g * np.sin(ka) / dispersion(ka, g)
 
@@ -193,7 +174,7 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=1e-3, n_max=2**21, end
         env = 2.0 * g * np.sin(ka) / energy
         return filon_integral(env, phase, t[1] - t[0])
 
-    value, err, ok = _refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
+    value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
     if endpoint_order > 0:
         value = value - _endpoint_correction(_uniform_env, ka, omega, schedule, endpoint_order)
     return AmplitudeResult(
@@ -276,7 +257,7 @@ def amplitude_saddle_uniform(omega, ka, schedule, collision_tol=1e-6):
     )
 
 
-def amplitude_bound_near_gap(ka, schedule, n_points=16385):
+def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_POINTS):
     """Phase-free bound int_0^T 2*g|sin(ka)|/E_k dt, per unit coupling."""
     t = np.linspace(0.0, schedule.T, n_points)
     g = np.asarray(schedule.g_of(t), dtype=float)
@@ -323,7 +304,7 @@ def amplitude_direct_nonuniform(
         phase = -omega * t + cumulative_simpson_uniform(gap, t[1] - t[0])
         return filon_integral(env, phase, t[1] - t[0]) / n_spins
 
-    value, err, ok = _refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
+    value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
     return AmplitudeResult(
         value=value,
         method="quadrature",
@@ -334,11 +315,19 @@ def amplitude_direct_nonuniform(
     )
 
 
-def bitflip_xi(ka, g):
-    """Envelope Xi = 2g / sqrt(2E^2 + 4(1 - 2g cos^2(ka/2))E) of the first
-    bitflip term (denominator equals the Bogoliubov normalization)."""
-    energy = dispersion(ka, g)
-    return 2.0 * g / _bogoliubov_norm(ka, g, energy)
+def _bound_grid(schedule):
+    """g tabulated for the phase-free bounds, and the grid spacing."""
+    t = np.linspace(0.0, schedule.T, _BOUND_POINTS)
+    return np.asarray(schedule.g_of(t), dtype=float), t[1] - t[0]
+
+
+def _bitflip_bounds(ka, g, dt):
+    """Phase-free bounds on |a1| and |a2| of ``amplitude_bitflip`` for mode ka,
+    from g sampled with spacing ``dt`` (see ``_bound_grid``)."""
+    energy = dispersion(np.full(g.shape[0], float(ka)), g)
+    xi = cumulative_simpson_uniform(2.0 * g / _bogoliubov_norm(ka, g, energy), dt)[-1]
+    b2 = cumulative_simpson_uniform(_pair_envelope(ka, g, energy), dt)[-1]
+    return abs(np.sin(ka)) * float(xi), float(b2)
 
 
 def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
@@ -363,18 +352,13 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
         return filon_integral(env, phase, t[1] - t[0])
 
     n0 = _default_n0(schedule, omega)
-    raw1, err1, ok1 = _refine(eval_a1, n0, rel_tol, n_max)
-    raw2, err2, ok2 = _refine(eval_a2, n0, rel_tol, n_max)
+    raw1, err1, ok1 = refine(eval_a1, n0, rel_tol, n_max)
+    raw2, err2, ok2 = refine(eval_a2, n0, rel_tol, n_max)
     if not (ok1 and ok2):
         raise QuadratureError(f"bitflip quadrature at ka={ka}, omega={omega} not converged")
     a1 = 1j * np.exp(-1j * ka) * np.sin(ka) * raw1
     a2 = np.exp(1j * ka) * raw2
-
-    n_pts = 16385
-    t = np.linspace(0.0, schedule.T, n_pts)
-    g = np.asarray(schedule.g_of(t), dtype=float)
-    energy = dispersion(np.full(n_pts, float(ka)), g)
-    bound = float(cumulative_simpson_uniform(_pair_envelope(ka, g, energy), t[1] - t[0])[-1])
+    _, bound = _bitflip_bounds(ka, *_bound_grid(schedule))
     return BitflipAmplitudes(a1=a1, a2=a2, a2_bound=bound, quad_error=max(err1, err2))
 
 
@@ -436,16 +420,9 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
     if channel.kind == "single_site_z":
         # phase-free bound per single-particle mode; both momentum signs
         weight = integrate_abs(spectral_function, omega_floor, _INITIAL_ENERGY)
-        n_pts = 16385
-        t = np.linspace(0.0, schedule.T, n_pts)
-        g = np.asarray(schedule.g_of(t), dtype=float)
-        dt = t[1] - t[0]
+        g, dt = _bound_grid(schedule)
         for ka in ka_positive:
-            energy = dispersion(np.full(n_pts, float(ka)), g)
-            b1 = abs(np.sin(ka)) * float(
-                cumulative_simpson_uniform(2.0 * g / _bogoliubov_norm(ka, g, energy), dt)[-1]
-            )
-            b2 = float(cumulative_simpson_uniform(_pair_envelope(ka, g, energy), dt)[-1])
+            b1, b2 = _bitflip_bounds(ka, g, dt)
             # each |ka| appears for both momentum signs
             breakdown["near_gap"] += 2.0 * lam / np.sqrt(n_spins) * (b1 + b2) * weight
         total = sum(breakdown.values())

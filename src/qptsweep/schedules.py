@@ -11,17 +11,12 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from ._kernels import cumulative_simpson_uniform
-from .ising import dispersion
+from .ising import ChainParams, dispersion, global_min_gap, min_gap
 
 KINDS = ("linear", "gap_adapted", "gap_squared_adapted", "frozen")
 
 _TAB_POINTS = 8193  # >= 4096 per contract; odd for Simpson
 _PHASE_POINTS = 16385
-
-
-def fundamental_gap(n_spins, g):
-    """Gap 2*E_{ka=pi/N}(g) between the ground state and the first pair state."""
-    return 2.0 * dispersion(np.pi / n_spins, g)
 
 
 @dataclass
@@ -66,7 +61,7 @@ class Schedule:
         elif self.kind == "linear":
             out = np.full_like(t, 1.0 / self.T)
         else:
-            out = self._c * fundamental_gap(self.n_spins, self.g_of(t)) ** self._p
+            out = self._c * min_gap(ChainParams(self.n_spins), self.g_of(t)) ** self._p
         return out if out.ndim else float(out)
 
     def evaluate(self, t):
@@ -122,7 +117,7 @@ def make_schedule(kind, T, n_spins=None, g_frozen=None):
         raise ValueError(f"{kind} schedule needs n_spins")
     p = 1 if kind == "gap_adapted" else 2
     g_grid = np.linspace(0.0, 1.0, _TAB_POINTS)
-    gap = fundamental_gap(n_spins, g_grid)
+    gap = min_gap(ChainParams(int(n_spins)), g_grid)
     inv = gap ** (-p)
     cum = cumulative_simpson_uniform(inv, g_grid[1] - g_grid[0])
     c = cum[-1] / T  # boundary condition g(T) = 1
@@ -145,7 +140,7 @@ def make_schedule(kind, T, n_spins=None, g_frozen=None):
 def runtime_estimate(model, n_spins):
     """Required run-time max|<1|dH/dg|0>| / min(gap)^2 with unit numerator."""
     if model == "ising":
-        gap_min = 4.0 * np.sin(np.pi / (2.0 * n_spins))
+        gap_min = global_min_gap(ChainParams(n_spins))
     elif model == "grover":
         gap_min = 2.0 ** (-n_spins / 2.0)
     else:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qptsweep import cli, ising
+from qptsweep import cli, grover, ising
 
 
 def write_config(tmp_path, name, doc):
@@ -147,3 +147,52 @@ def test_json_mirror_roundtrip(tmp_path):
     for jrow, crow in zip(doc["rows"], rows[1:]):
         assert float(crow[1]) == jrow[1]
     assert doc["fits"]["gap_law"]["exponent"] == pytest.approx(-1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": [4.0]}),
+    ("sweep", {"n_spins": 16, "T_list": [20.0], "schedule": "frozen"}),
+    ("spectrum", {"n_spins": 15}),
+    ("ed", {"model": "ising_ring", "n_list": [16]}),
+], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large"])
+def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_threads_flag_accepted_and_ignored(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"study": "gap_law", "n_list": [8, 16, 32, 64]})
+    assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "4"]) == 0
+    manifest = json.loads((tmp_path / "out" / "scaling_gap_law.manifest.json").read_text())
+    assert "threads" not in manifest
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def test_json_mirror_is_strict_with_nan_cells(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_list": [4, 6], "T": 50.0, "bath": {"kind": "thermal_bosonic"},
+    })
+    assert cli.main(["grover", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "grover.csv")
+    assert rows[1][3] == "nan"  # the CSV keeps nan
+    text = (tmp_path / "out" / "grover.json").read_text()
+    doc = json.loads(text, parse_constant=_reject_constant)
+    col = doc["columns"].index("error_probability")
+    assert [row[col] for row in doc["rows"]] == [None, None]
+
+
+def test_grover_nonconverged_rows_exit_2(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_list": [4, 6, 8], "T": 50.0,
+        "bath": {"kind": "dirac_comb", "omega0": [0.5], "weight": [1.0]},
+    })
+    # every grid gives a new value, so no doubling ever agrees
+    monkeypatch.setattr(grover, "_amplitude_fixed_grid", lambda params, omega, n: float(n))
+    assert cli.main(["grover", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    doc = json.loads((tmp_path / "out" / "grover.json").read_text())
+    assert doc["nonconverged"] == len(doc["rows"]) == 3

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from qptsweep import grover, response
 from qptsweep._kernels import (
     MAGNUS_BLOCK,
     cumulative_simpson_uniform,
     filon_integral,
     gauss_legendre_times,
     magnus4_modes,
+    refine,
     rk4_mode,
 )
 
@@ -178,3 +180,43 @@ def test_cumulative_simpson_monotone_for_positive(n):
     y = np.abs(np.sin(np.linspace(0.0, 3.0, n))) + 0.1
     out = cumulative_simpson_uniform(y, 0.01)
     assert np.all(np.diff(out) > 0.0)
+
+
+def test_refine_converges_on_settling_sequence():
+    # 1 + 1/n: successive values differ by about 1/(2n) relative, first below 1e-3 at 512 -> 1024
+    grids = []
+
+    def eval_at(n):
+        grids.append(n)
+        return 1.0 + 1.0 / n
+
+    value, err, ok = refine(eval_at, 16, 1e-3, 2**21)
+    assert ok
+    assert grids == [16, 32, 64, 128, 256, 512, 1024]
+    assert value == 1.0 + 1.0 / 1024
+    assert err == (1.0 / 512 - 1.0 / 1024) / value
+
+
+def test_refine_reports_nonconvergence_at_n_max():
+    grids = []
+
+    def eval_at(n):
+        grids.append(n)
+        return float(n)
+
+    value, err, ok = refine(eval_at, 4, 1e-3, 64)
+    assert not ok
+    assert grids == [4, 8, 16, 32, 64]
+    # the last value comes back, with its own modulus as the error
+    assert (value, err) == (64.0, 64.0)
+
+
+def test_refine_accepts_values_below_roundoff_floor():
+    vals = iter([3e-14, -4e-14])
+    value, err, ok = refine(lambda n: next(vals), 8, 1e-6, 2**10)
+    assert ok and value == -4e-14
+    assert err == pytest.approx(7e-14 / 1e-13)
+
+
+def test_one_quadrature_error():
+    assert grover.QuadratureError is response.QuadratureError

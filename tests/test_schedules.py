@@ -39,7 +39,7 @@ def test_gap_squared_adapted_min_rate_at_midpoint():
     t = np.linspace(0.0, 30.0, 2001)
     gdot = np.asarray(sched.gdot_of(t))
     assert abs(t[np.argmin(gdot)] - 15.0) < 0.1
-    gap_min = schedules.fundamental_gap(16, 0.5)
+    gap_min = ising.min_gap(ising.ChainParams(16), 0.5)
     assert gdot.min() == pytest.approx(sched._c * gap_min**2, rel=1e-6)
 
 
@@ -47,7 +47,7 @@ def test_gap_squared_adapted_min_rate_at_midpoint():
 def test_adapted_defining_relation(kind, p):
     sched = schedules.make_schedule(kind, 12.0, n_spins=32)
     t = np.linspace(0.0, 12.0, 4096)
-    ratio = np.asarray(sched.gdot_of(t)) / schedules.fundamental_gap(32, sched.g_of(t)) ** p
+    ratio = np.asarray(sched.gdot_of(t)) / ising.min_gap(ising.ChainParams(32), sched.g_of(t)) ** p
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-6
 
 
