@@ -10,6 +10,7 @@ recording the config hash.  Exit codes: 0 full success, 2 partial
 import argparse
 import hashlib
 import json
+import logging
 import math
 import sys
 import time
@@ -22,6 +23,8 @@ from . import __version__, bath, exact, grover, ising, response, schedules
 from .fitting import fit_exponential, fit_power_law
 
 EXPERIMENTS = ("spectrum", "ed", "sweep", "response", "grover", "scaling")
+
+log = logging.getLogger("qptsweep")
 
 
 class ConfigError(ValueError):
@@ -256,6 +259,11 @@ def _run_grover(cfg):
     sf = _bath_from_config(p)
     coupling = float(p.get("coupling", 0.01))
     sched = _make_schedule(p)
+    if sf is not None and sf.kind != "dirac_comb":
+        log.warning(
+            "grover: error_probability is computed only for dirac_comb baths; "
+            "it is left as nan for the %s bath", sf.kind,
+        )
     rows, bad = [], 0
     for n in p["n_list"]:
         params = grover.GroverParams(

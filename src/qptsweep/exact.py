@@ -1,13 +1,21 @@
-"""Brute-force oracle: diagonalization of the three model Hamiltonians.
+"""Exact diagonalization of the three model Hamiltonians.
 
-Dense full solves up to N=10 (dimension 1024), matrix-free Lanczos-type
-iteration (ARPACK with a fixed start vector) up to N=14.  Includes
-bitflip-parity resolution and ground-energy derivative diagnostics.
+Dense subset solves (lowest m levels only) up to N=10 (dimension 1024),
+matrix-free Lanczos-type iteration (ARPACK with a fixed start vector) up to
+N=14.  Bitflip-parity sectors are solved separately: dense as the two
+half-dimension blocks H[x,x] ± H[x,x̄], iterative through
+symmetry-projected operators.  The even sector of the mixed
+search/ferromagnet model is computed exactly from its wall-class
+reduction, which the minimal-gap scaling study uses; ``parity_resolve``
+and the full solves stay as test oracles.  Also ground-energy derivative
+diagnostics.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -141,84 +149,90 @@ def bitflip_parity_operator_indices(n_qubits):
     return np.arange(2**n_qubits) ^ (2**n_qubits - 1)
 
 
+def _dense_sector(ham, sign, m):
+    """Lowest min(m, dim/2) levels of the sector with bitflip parity ``sign``.
+
+    With representatives x (top bit 0) and their flips x̄ the sector is the
+    block H[x,x] + sign*H[x,x̄] of half the dimension; each of its vectors v
+    is lifted back as (v at x, sign*v at x̄)/√2.
+    """
+    dim = ham.dim
+    half = dim // 2
+    reps = np.arange(half)
+    flips = reps ^ (dim - 1)
+    top = ham.matrix[:half]
+    vals, v = eigh(top[:, reps] + sign * top[:, flips], subset_by_index=[0, min(m, half) - 1])
+    vecs = np.empty((dim, len(vals)))
+    vecs[reps] = v / np.sqrt(2.0)
+    vecs[flips] = sign * vecs[reps]
+    return vals, vecs
+
+
+def _lanczos_sector(ham, sign, m):
+    """Lowest levels of the sector with bitflip parity ``sign``, matrix-free.
+
+    Lanczos recovers only one vector per degenerate cluster, so a multiplet
+    spanning both parity sectors would surface as a single parity-mixed
+    vector.  The symmetry-projected operator shifts the other sector out of
+    the search window instead.
+    """
+    dim = ham.dim
+    perm = bitflip_parity_operator_indices(ham.n_qubits)
+    shift = 4.0 * ham.n_qubits + 8.0
+
+    def matvec(x):
+        xs = 0.5 * (x + sign * x[perm])
+        y = ham.apply(xs)
+        y = 0.5 * (y + sign * y[perm])
+        return y + shift * (x - xs)
+
+    k = min(m + 8, dim // 2 - 2)
+    v0 = np.ones(dim) if sign > 0 else np.arange(dim, dtype=float)
+    v0 = 0.5 * (v0 + sign * v0[perm])
+    v0 /= np.linalg.norm(v0)
+    try:
+        return eigsh(
+            LinearOperator((dim, dim), matvec=matvec, dtype=float), k=k, which="SA", v0=v0,
+            maxiter=20000, tol=1e-10, ncv=min(dim, max(4 * k, 40)),
+        )
+    except Exception as exc:  # ArpackNoConvergence and friends
+        raise NonConvergenceError(f"eigsh failed: {exc}") from exc
+
+
 def low_spectrum(ham, m, want_vectors=True, resolve_parity=False):
     """Lowest m eigenpairs with residual certificates.
 
-    With ``resolve_parity`` a few extra states are solved for and the window
-    is trimmed to spectrally complete degenerate blocks, since parity labels
-    are only well defined on a whole multiplet.
+    With ``resolve_parity`` each bitflip-parity sector is solved on its own
+    and the two are merged, even states first on exact ties, so every level
+    carries an exact parity label, even inside a multiplet that spans both
+    sectors.
     """
     dim = ham.dim
     if not (1 <= m <= dim):
         raise ValueError(f"m must lie in [1, {dim}], got {m}")
-    m_req = min(m + 8, dim) if resolve_parity else m
-    precomputed_labels = None
-    if ham.matrix is not None:
-        vals, vecs = np.linalg.eigh(ham.matrix)
-        if resolve_parity:
-            # extend the window to the end of any degenerate block it cuts
-            while m_req < dim and vals[m_req] - vals[m_req - 1] < 1e-8:
-                m_req += 1
-        vals = vals[:m_req]
-        vecs = vecs[:, :m_req]
-    elif resolve_parity:
-        # Lanczos recovers only one vector per degenerate cluster, so a
-        # multiplet spanning both parity sectors surfaces as a single
-        # parity-mixed vector.  Diagonalize each sector separately instead,
-        # via symmetry-projected operators that shift the other sector out
-        # of the search window.
+    labels = None
+    if resolve_parity:
         if ham.model == "grover":
             raise ValueError("grover with a generic marked state is not bitflip symmetric")
-        perm = bitflip_parity_operator_indices(ham.n_qubits)
-        shift = 4.0 * ham.n_qubits + 8.0
-
-        def sector_op(sign):
-            def matvec(x):
-                xs = 0.5 * (x + sign * x[perm])
-                y = ham.apply(xs)
-                y = 0.5 * (y + sign * y[perm])
-                return y + shift * (x - xs)
-
-            return LinearOperator((dim, dim), matvec=matvec, dtype=float)
-
-        k = min(m_req, dim // 2 - 2)
-        sector_vals, sector_vecs, sector_labels = [], [], []
-        for sign in (1.0, -1.0):
-            v0 = np.ones(dim)
-            if sign < 0:
-                v0 = np.arange(dim, dtype=float)
-            v0 = 0.5 * (v0 + sign * v0[perm])
-            v0 /= np.linalg.norm(v0)
-            try:
-                sv, svec = eigsh(
-                    sector_op(sign), k=k, which="SA", v0=v0,
-                    maxiter=20000, tol=1e-10, ncv=min(dim, max(4 * k, 40)),
-                )
-            except Exception as exc:  # ArpackNoConvergence and friends
-                raise NonConvergenceError(f"eigsh failed: {exc}") from exc
-            sector_vals.append(sv)
-            sector_vecs.append(svec)
-            sector_labels.append(np.full(len(sv), sign))
-        vals = np.concatenate(sector_vals)
-        vecs = np.concatenate(sector_vecs, axis=1)
-        labels = np.concatenate(sector_labels)
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order][:m]
-        vecs = vecs[:, order][:, :m]
-        precomputed_labels = labels[order][:m]
+        solve = _dense_sector if ham.matrix is not None else _lanczos_sector
+        sectors = [(sign, *solve(ham, sign, m)) for sign in (1.0, -1.0)]
+        vals = np.concatenate([sv for _, sv, _ in sectors])
+        order = np.argsort(vals, kind="stable")[:m]
+        vals = vals[order]
+        vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
+        labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])[order]
+    elif ham.matrix is not None:
+        vals, vecs = eigh(ham.matrix, subset_by_index=[0, m - 1])
     else:
-        k = min(m_req, dim - 2)
+        k = min(m, dim - 2)
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
         try:
             vals, vecs = eigsh(ham._op, k=k, which="SA", v0=v0, maxiter=5000)
         except Exception as exc:  # ArpackNoConvergence and friends
             raise NonConvergenceError(f"eigsh failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals = vals[order][:m]
-        vecs = vecs[:, order][:, :m]
-    if not resolve_parity:
-        vals = vals[:m]
-        vecs = vecs[:, :m]
+        order = np.argsort(vals)[:m]
+        vals = vals[order]
+        vecs = vecs[:, order]
     residuals = np.array(
         [np.linalg.norm(ham.apply(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(len(vals))]
     )
@@ -226,24 +240,15 @@ def low_spectrum(ham, m, want_vectors=True, resolve_parity=False):
         raise NonConvergenceError(
             f"residuals above contract: {residuals.max():.3e}", achieved_residual=float(residuals.max())
         )
-    spec = LowSpectrum(
+    return LowSpectrum(
         eigenvalues=vals,
         eigenvectors=vecs if want_vectors else None,
-        parity_labels=None,
+        parity_labels=labels,
         residuals=residuals,
     )
-    if resolve_parity:
-        if precomputed_labels is not None:
-            spec.parity_labels = precomputed_labels
-        else:
-            spec.parity_labels = parity_resolve(ham, spec)
-        spec.eigenvalues = spec.eigenvalues[:m]
-        spec.eigenvectors = spec.eigenvectors[:, :m]
-        spec.parity_labels = spec.parity_labels[:m]
-        spec.residuals = spec.residuals[:m]
-    return spec
 
 
+# Test oracle for the sector solve; the traced benchmark (perfbench/layers.py) looks it up here
 def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
     """Label each eigenvector by the global-bitflip expectation value +-1.
 
@@ -268,8 +273,7 @@ def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
         small = block.T @ pblock
         small = 0.5 * (small + small.T)
         pvals, pvecs = np.linalg.eigh(small)
-        # even states first within the block, so a later trim of the window
-        # cannot discard the even member of a multiplet
+        # even states first within the block, as the sector solve orders ties
         order = np.argsort(-pvals)
         pvals = pvals[order]
         rotated = block @ pvecs[:, order]
@@ -354,18 +358,53 @@ def mixed_gap_scaling(n_list, coarse_points=41):
     return fit, dict(zip(n_list, gaps))
 
 
+def mixed_even_levels(n_qubits, g, m):
+    """Lowest m even-sector levels of ``mixed_grover_ising``, from its wall-class reduction.
+
+    H = (1-g)(1 - |s><s|) + g*W, with W the domain-wall count.  The
+    normalized class states |c_d> (all 2*C(N,d) states with d walls, d even)
+    span an invariant space of dimension floor(N/2)+1 on which
+    H_r = (1-g)(1 - a a^T) + g*diag(d), a_d = sqrt(2*C(N,d)/2^N).  Its
+    orthogonal complement is diagonal: within class d it holds C(N,d)-1
+    even states at energy 1-g+g*d.  Returns the levels in ascending order;
+    all 2^(N-1) of them when m is at least that.
+    """
+    n = int(n_qubits)
+    if n < 2:
+        raise ValueError(f"n_qubits must be at least 2, got {n_qubits}")
+    if not (0.0 <= g <= 1.0):
+        raise ValueError(f"g must lie in [0, 1], got {g}")
+    d = np.arange(0, n + 1, 2)
+    counts = [math.comb(n, int(k)) for k in d]
+    a = np.sqrt(2.0 * np.array(counts, dtype=float) / 2.0**n)
+    h_r = (1.0 - g) * (np.eye(len(d)) - np.outer(a, a)) + g * np.diag(d.astype(float))
+    # C(N,d) grows like 2^N, so each closed-form level is repeated at most m times
+    rest = np.repeat(1.0 - g + g * d, [min(c - 1, m) for c in counts])
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h_r), rest]))[:m]
+
+
+def _even_gap(model, n_qubits, g):
+    if model == "mixed_grover_ising":
+        e0, e1 = mixed_even_levels(n_qubits, g, 2)
+        return float(e1 - e0)
+    return gap(model, n_qubits, g, even_sector=True)
+
+
 def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
-    """Minimum over g of the even-sector gap, with local refinement."""
+    """Minimum over g of the even-sector gap, with local refinement.
+
+    The mixed model takes its gap from the exact reduction
+    (``mixed_even_levels``); the other models from ``gap(..., even_sector=True)``.
+    """
     g_coarse = np.linspace(0.02, 0.98, coarse_points)
-    vals = np.array([gap(model, n_qubits, g, even_sector=True) for g in g_coarse])
+    vals = np.array([_even_gap(model, n_qubits, g) for g in g_coarse])
     i = int(np.argmin(vals))
     lo = g_coarse[max(i - 1, 0)]
     hi = g_coarse[min(i + 1, coarse_points - 1)]
     res = minimize_scalar(
-        lambda g: gap(model, n_qubits, float(g), even_sector=True),
+        lambda g: _even_gap(model, n_qubits, float(g)),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": refine_tol},
     )
     return float(min(res.fun, vals[i]))
-

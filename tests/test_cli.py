@@ -186,6 +186,25 @@ def test_json_mirror_is_strict_with_nan_cells(tmp_path):
     assert [row[col] for row in doc["rows"]] == [None, None]
 
 
+def test_grover_warns_why_error_probability_is_nan(tmp_path, caplog):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "c.json", {
+        "n_list": [4, 6], "T": 50.0, "bath": {"kind": "thermal_bosonic"},
+    })
+    with caplog.at_level("WARNING", logger="qptsweep"):
+        assert cli.main(["grover", "--config", cfg, "--out", out]) == 0
+    warnings = [r for r in caplog.records if r.name == "qptsweep" and r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "only for dirac_comb" in warnings[0].getMessage()
+    caplog.clear()
+    cfg = write_config(tmp_path, "d.json", {
+        "n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": [0.5], "weight": [1.0]},
+    })
+    with caplog.at_level("WARNING", logger="qptsweep"):
+        assert cli.main(["grover", "--config", cfg, "--out", out]) == 0
+    assert not [r for r in caplog.records if r.name == "qptsweep"]
+
+
 def test_grover_nonconverged_rows_exit_2(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "c.json", {
         "n_list": [4, 6, 8], "T": 50.0,

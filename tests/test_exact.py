@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qptsweep import exact, ising
@@ -132,6 +134,90 @@ def test_mixed_gap_scaling_exponential():
     assert np.all(np.diff(vals) < 0.0)
 
 
+@pytest.mark.parametrize("model", ["ising_ring", "mixed_grover_ising"])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("g", [0.0, 0.3, 0.5, 1.0])
+def test_sector_solve_matches_full_oracle(model, n, g):
+    h = exact.build_hamiltonian(model, n, g)
+    dim = h.dim
+    vals, vecs = np.linalg.eigh(h.matrix)
+    oracle = exact.LowSpectrum(vals.copy(), vecs, None, np.zeros(dim))
+    oracle_labels = exact.parity_resolve(h, oracle)
+    # a level is outside a degenerate multiplet if both neighbours are 1e-6 away
+    gaps = np.diff(vals)
+    isolated = np.ones(dim, dtype=bool)
+    isolated[1:] &= gaps > 1e-6
+    isolated[:-1] &= gaps > 1e-6
+    perm = exact.bitflip_parity_operator_indices(n)
+    for m in sorted({1, 4, dim // 2 + 1, dim}):
+        spec = exact.low_spectrum(h, m, resolve_parity=True)
+        assert len(spec.eigenvalues) == m
+        assert_allclose(spec.eigenvalues, vals[:m], rtol=0, atol=1e-12)
+        assert np.all(spec.residuals <= 1e-8)
+        assert np.max(np.abs(spec.eigenvectors[perm] - spec.parity_labels * spec.eigenvectors)) < 1e-12
+        keep = isolated[:m]
+        assert np.array_equal(spec.parity_labels[keep], oracle_labels[:m][keep])
+
+
+def test_subset_solve_matches_full_oracle():
+    for model in exact.MODELS:
+        h = exact.build_hamiltonian(model, 8, 0.45)
+        vals = np.linalg.eigvalsh(h.matrix)
+        for m in (1, 3, h.dim):
+            spec = exact.low_spectrum(h, m)
+            assert spec.parity_labels is None
+            assert_allclose(spec.eigenvalues, vals[:m], rtol=0, atol=1e-12)
+            assert np.all(spec.residuals <= 1e-8)
+
+
+def test_grover_rejects_parity_resolution():
+    for n in (4, 12):
+        h = exact.build_hamiltonian("grover", n, 0.5)
+        with pytest.raises(ValueError):
+            exact.low_spectrum(h, 2, resolve_parity=True)
+
+
+def _brute_even_levels(n, g, m):
+    h = exact.build_hamiltonian("mixed_grover_ising", n, g)
+    spec = exact.low_spectrum(h, min(m, h.dim), resolve_parity=True)
+    return spec.eigenvalues[spec.parity_labels > 0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_mixed_reduction_is_the_whole_even_sector(n):
+    # dense: the full spectrum, so every even level is compared
+    for g in (0.0, 0.25, 0.5, 0.8, 1.0):
+        levels = exact.mixed_even_levels(n, g, 2**n)
+        assert len(levels) == 2 ** (n - 1)
+        assert_allclose(levels, _brute_even_levels(n, g, 2**n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_mixed_reduction_matches_iterative_path(n):
+    for g in (0.3, 0.7):
+        brute = _brute_even_levels(n, g, 8)
+        assert len(brute) >= 2
+        assert_allclose(exact.mixed_even_levels(n, g, len(brute)), brute, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), g=st.floats(min_value=0.02, max_value=0.98))
+def test_mixed_reduction_property(n, g):
+    brute = _brute_even_levels(n, g, 12)
+    assert_allclose(exact.mixed_even_levels(n, g, len(brute)), brute, rtol=0, atol=1e-12)
+
+
+def test_mixed_gap_scaling_matches_brute_force(monkeypatch):
+    _, reduced = exact.mixed_gap_scaling([4, 6, 8, 10], coarse_points=13)
+    # the same coarse scan and refinement, with every gap from the full sector solve
+    monkeypatch.setattr(
+        exact, "_even_gap", lambda model, n, g: exact.gap(model, n, g, even_sector=True)
+    )
+    _, brute = exact.mixed_gap_scaling([4, 6, 8, 10], coarse_points=13)
+    for n, want in brute.items():
+        assert reduced[n] == pytest.approx(want, rel=1e-10)
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         exact.build_hamiltonian("xy_model", 4, 0.5)
@@ -141,3 +227,7 @@ def test_build_validation():
         exact.build_hamiltonian("ising_ring", 4, 1.5)
     with pytest.raises(ValueError):
         exact.build_hamiltonian("grover", 4, 0.5, marked_state="012")
+    with pytest.raises(ValueError):
+        exact.mixed_even_levels(1, 0.5, 2)
+    with pytest.raises(ValueError):
+        exact.mixed_even_levels(6, 1.5, 2)
