@@ -69,15 +69,17 @@ class ResultBundle:
 
 
 def _grid(spec, name):
-    """Accept an explicit list or a {start, stop, num} linspace description."""
+    """Accept an explicit list or a {start, stop, num} linspace description;
+    either must give a nonempty ascending grid."""
     if isinstance(spec, dict):
         try:
-            return np.linspace(spec["start"], spec["stop"], int(spec["num"]))
+            arr = np.linspace(spec["start"], spec["stop"], int(spec["num"]))
         except KeyError as exc:
             raise ConfigError(f"{name} needs start/stop/num, got {spec}") from exc
-    arr = np.asarray(spec, dtype=float)
+    else:
+        arr = np.asarray(spec, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
-        raise ConfigError(f"{name} must be a nonempty list")
+        raise ConfigError(f"{name} must be nonempty")
     if np.any(np.diff(arr) < 0):
         raise ConfigError(f"{name} must be sorted ascending")
     return arr
@@ -342,17 +344,9 @@ _RUNNERS = {
 }
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return "%.17g" % x
-    if isinstance(x, (np.floating,)):
-        return "%.17g" % float(x)
-    return str(x)
-
-
 def _json_value(x):
-    """Strict-JSON form of a cell: str and int as they are, non-finite floats as null."""
-    if isinstance(x, str):
+    """Strict-JSON form of a cell: str, bool and int as they are, non-finite floats as null."""
+    if isinstance(x, (str, bool)):
         return x
     if isinstance(x, (int, np.integer)):
         return int(x)
@@ -360,24 +354,58 @@ def _json_value(x):
     return x if math.isfinite(x) else None
 
 
+def _write_csv(path, columns, rows):
+    """Floats (17 significant digits) as %.17g, every other cell as str().
+
+    One %-format per row type signature, so each row is formatted by a
+    single C-level call.
+    """
+    formats = {}
+
+    def line(row):
+        key = tuple(map(type, row))
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = ",".join(
+                "%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in key
+            ) + "\n"
+        return fmt % tuple(row)
+
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(line, rows))
+
+
+def _json_mirror(bundle):
+    """Compact strict JSON of the rows and fits.
+
+    The cells go to the C encoder as they are; only when it refuses one (a
+    non-finite float, or a numpy integer or bool) are the cells mapped
+    through ``_json_value`` and encoded once more.
+    """
+    def dumps(rows, fits):
+        doc = {
+            "columns": bundle.columns, "rows": rows, "fits": fits,
+            "nonconverged": bundle.nonconverged,
+        }
+        return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+    try:
+        return dumps(bundle.rows, bundle.fits)
+    except (ValueError, TypeError):
+        return dumps(
+            [[_json_value(x) for x in row] for row in bundle.rows],
+            {k: {kk: _json_value(v) for kk, v in fit.items()} for k, fit in bundle.fits.items()},
+        )
+
+
 def emit(bundle, out_dir, config, walltime):
     """Write CSV + JSON mirror + manifest; returns the CSV path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{bundle.name}.csv"
-    lines = [",".join(bundle.columns)]
-    for row in bundle.rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    csv_path.write_text("\n".join(lines) + "\n")
-
-    json_doc = {
-        "columns": bundle.columns,
-        "rows": [[_json_value(x) for x in row] for row in bundle.rows],
-        "fits": {k: {kk: _json_value(v) for kk, v in fit.items()} for k, fit in bundle.fits.items()},
-        "nonconverged": bundle.nonconverged,
-    }
-    text = json.dumps(json_doc, indent=1, sort_keys=True, allow_nan=False)
-    (out / f"{bundle.name}.json").write_text(text)
+    _write_csv(csv_path, bundle.columns, bundle.rows)
+    (out / f"{bundle.name}.json").write_text(_json_mirror(bundle))
     manifest = {
         "config_sha256": config.sha256(),
         "experiment": config.experiment,

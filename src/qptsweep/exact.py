@@ -79,6 +79,12 @@ def _ising_diag(n, g):
     return -g * (n - 2.0 * d)
 
 
+def _along_rows(v, x):
+    """The per-state vector ``v`` shaped to scale ``x``, a 1-D vector or a
+    (dim, k) block, row by row."""
+    return v if x.ndim == 1 else v[:, None]
+
+
 def build_hamiltonian(model, n_qubits, g, marked_state=None):
     """H(g) for one of the three models; dense for N <= 10, matrix-free above."""
     if model not in MODELS:
@@ -105,13 +111,13 @@ def build_hamiltonian(model, n_qubits, g, marked_state=None):
                 mat[np.arange(dim), flip] += -(1.0 - g)
             ham.matrix = mat
         else:
-            def matvec(x, diag=diag, flips=flips, g=g):
-                y = diag * x
+            def apply(x, diag=diag, flips=flips, g=g):
+                y = _along_rows(diag, x) * x
                 for flip in flips:
                     y = y - (1.0 - g) * x[flip]
                 return y
 
-            ham._op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+            ham._op = LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
         return ham
 
     if model == "grover":
@@ -122,12 +128,12 @@ def build_hamiltonian(model, n_qubits, g, marked_state=None):
             mat[w_index, w_index] -= g
             ham.matrix = mat
         else:
-            def matvec(x, g=g, dim=dim, w=w_index):
-                y = x - (1.0 - g) * np.full(dim, np.sum(x) / dim)
+            def apply(x, g=g, dim=dim, w=w_index):
+                y = x - (1.0 - g) * (np.sum(x, axis=0) / dim)
                 y[w] -= g * x[w]
                 return y
 
-            ham._op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+            ham._op = LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
         return ham
 
     # mixed_grover_ising: H0 from the search problem, ferromagnetic projector H_f
@@ -137,10 +143,12 @@ def build_hamiltonian(model, n_qubits, g, marked_state=None):
         np.fill_diagonal(mat, np.diag(mat) + 1.0 - g + g * walls)
         ham.matrix = mat
     else:
-        def matvec(x, g=g, dim=dim, walls=walls):
-            return (1.0 - g) * x - (1.0 - g) * np.full(dim, np.sum(x) / dim) + g * walls * x
+        def apply(x, g=g, dim=dim, walls=walls):
+            return (
+                (1.0 - g) * x - (1.0 - g) * (np.sum(x, axis=0) / dim) + g * _along_rows(walls, x) * x
+            )
 
-        ham._op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+        ham._op = LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
     return ham
 
 

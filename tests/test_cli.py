@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,3 +216,123 @@ def test_grover_nonconverged_rows_exit_2(tmp_path, monkeypatch):
     assert cli.main(["grover", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     doc = json.loads((tmp_path / "out" / "grover.json").read_text())
     assert doc["nonconverged"] == len(doc["rows"]) == 3
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": 1.0, "num": 0}}),
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": 1.0, "stop": 0.0, "num": 5}}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
+                  "omega_grid": {"start": 0.5, "stop": 0.5, "num": 0}}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
+                  "omega_grid": {"start": 0.6, "stop": 0.4, "num": 3}}),
+], ids=["spectrum_num_0", "spectrum_descending", "response_num_0", "response_descending"])
+def test_linspace_grid_checked_like_list_grid(tmp_path, capsys, subcommand, doc):
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# The emit oracle: the per-cell CSV formatter and the indented JSON mirror
+# that cli.emit wrote before it formatted rows with one %-format each.
+def _oracle_fmt(x):
+    if isinstance(x, float):
+        return "%.17g" % x
+    if isinstance(x, (np.floating,)):
+        return "%.17g" % float(x)
+    return str(x)
+
+
+def _oracle_json_value(x):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def _oracle_csv(bundle):
+    lines = [",".join(bundle.columns)]
+    for row in bundle.rows:
+        lines.append(",".join(_oracle_fmt(x) for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _oracle_json(bundle):
+    doc = {
+        "columns": bundle.columns,
+        "rows": [[_oracle_json_value(x) for x in row] for row in bundle.rows],
+        "fits": {k: {kk: _oracle_json_value(v) for kk, v in fit.items()}
+                 for k, fit in bundle.fits.items()},
+        "nonconverged": bundle.nonconverged,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+
+
+def _loaded(text):
+    """The document in ``text`` as canonical JSON, so that 1 and 1.0, or 0.0
+    and -0.0, differ; a bool reads as the int the oracle wrote for it."""
+    def norm(x):
+        if isinstance(x, bool):
+            return int(x)
+        if isinstance(x, list):
+            return [norm(v) for v in x]
+        if isinstance(x, dict):
+            return {k: norm(v) for k, v in x.items()}
+        return x
+
+    return json.dumps(norm(json.loads(text, parse_constant=_reject_constant)), sort_keys=True)
+
+
+MIXED_ROWS = [
+    [3, np.int64(-7), 0.1, np.float64(2.0 / 3.0), "a b", True, False],
+    [0, np.int64(2**40), -0.0, np.float64(5e-324), "x", False, True],
+    [-1, np.int64(0), float("nan"), np.float64("inf"), "", True, True],
+    [2**70, np.int64(1), float("-inf"), np.float64(-0.0), "nan", False, False],
+    [1, 2, 1e300, np.float64(-1e-300), "y", True, False],
+    ["mixed", 1.5, 2, np.float64(3.0), np.int64(4), 5e-324, float("nan")],
+    [np.float32(0.1), np.bool_(True), np.int32(-3), 1, 2.0, "z", np.float64("-inf")],
+]
+MIXED_COLUMNS = ["c0", "c1", "c2", "c3", "c4", "c5", "c6"]
+
+
+@pytest.mark.parametrize("rows,fits", [
+    (MIXED_ROWS, {"fit": {"exponent": -1.0, "prefactor": float("nan")},
+                  "other": {"rate": np.float64("inf"), "r_squared": np.float64(0.5)}}),
+    (MIXED_ROWS[:2] + MIXED_ROWS[4:5], {"fit": {"exponent": np.float64(-1.25)}}),
+    ([[1, 0.5, "s"], [2, -0.0, "t"], [3, 5e-324, "u"]], {"fit": {"exponent": -0.0}}),
+    ([[1, float("nan"), "s"], [2, float("inf"), "t"]], {"fit": {"r_squared": float("nan")}}),
+    ([], {"fit": {"exponent": float("-inf")}}),
+], ids=["non_finite_cells_and_fits", "finite_numpy_ints", "finite_plain", "plain_non_finite",
+        "no_rows"])
+def test_emit_matches_oracle(tmp_path, rows, fits):
+    columns = MIXED_COLUMNS[:len(rows[0])] if rows else ["only"]
+    bundle = cli.ResultBundle(name="t", columns=columns, rows=rows, fits=fits, nonconverged=3)
+    config = cli.ExperimentConfig(experiment="spectrum", params={})
+    csv_path = cli.emit(bundle, tmp_path, config, walltime=0.0)
+    assert csv_path.read_bytes() == _oracle_csv(bundle)
+    text = (tmp_path / "t.json").read_text()
+    assert "\n" not in text
+    assert _loaded(text) == _loaded(_oracle_json(bundle))
+    manifest = (tmp_path / "t.manifest.json").read_text()
+    assert json.loads(manifest)["experiment"] == "spectrum" and "\n" in manifest
+
+
+def test_spectrum_csv_matches_oracle_writer(tmp_path, monkeypatch):
+    bundles = []
+    real_emit = cli.emit
+
+    def keep(bundle, *args, **kwargs):
+        bundles.append(bundle)
+        return real_emit(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit", keep)
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 16, "g_grid": {"start": 0.0, "stop": 1.0, "num": 11},
+    })
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    (bundle,) = bundles
+    assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(bundle)
+    assert _loaded((tmp_path / "out" / "spectrum.json").read_text()) == _loaded(_oracle_json(bundle))

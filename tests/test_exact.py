@@ -87,6 +87,22 @@ def test_iterative_path_matches_dense():
     assert e0 == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("model", exact.MODELS)
+@pytest.mark.parametrize("n", [8, 11, 12])
+def test_block_apply_matches_column_applies(model, n):
+    # N=8 is the dense path, N=11 and 12 the matrix-free one
+    h = exact.build_hamiltonian(model, n, 0.37)
+    assert (h.matrix is None) == (n > exact.DENSE_MAX)
+    block = np.random.default_rng(n).standard_normal((h.dim, 3))
+    cols = np.column_stack([h.apply(block[:, i]) for i in range(3)])
+    got = h.apply(block)
+    assert got.shape == (h.dim, 3)
+    assert_allclose(got, cols, rtol=0.0, atol=1e-13 * np.max(np.abs(cols)))
+    one = h.apply(block[:, :1])
+    assert one.shape == (h.dim, 1)
+    assert_allclose(one[:, 0], cols[:, 0], rtol=0.0, atol=1e-13 * np.max(np.abs(cols)))
+
+
 def test_variational_stability():
     h = exact.build_hamiltonian("mixed_grover_ising", 6, 0.4)
     e3 = exact.low_spectrum(h, 3).eigenvalues
