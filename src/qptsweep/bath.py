@@ -9,7 +9,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 KINDS = ("thermal_bosonic", "tabulated", "dirac_comb")
 
@@ -136,6 +135,9 @@ def load_tabulated(samples):
         raise ValueError("omega samples must be strictly ascending")
     if np.any(f < 0.0):
         raise ValueError("f samples must be nonnegative")
+    # imported here: the only user of scipy.interpolate, which is slow to import
+    from scipy.interpolate import PchipInterpolator
+
     sf = SpectralFunction(kind="tabulated", table=(w, f))
     sf._interp = PchipInterpolator(w, f)
     return sf

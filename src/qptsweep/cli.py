@@ -12,12 +12,14 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, bath, exact, grover, ising, response, schedules
 from .fitting import fit_exponential, fit_power_law
@@ -412,6 +414,9 @@ def emit(bundle, out_dir, config, walltime):
         "seed": config.seed,
         "qptsweep_version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "nproc": os.cpu_count(),
         "walltime_s": walltime,
     }
     (out / f"{bundle.name}.manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))

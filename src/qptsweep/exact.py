@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 # fit_power_law is unused here, but the traced benchmark (perfbench/layers.py) looks it up here
@@ -25,6 +24,7 @@ from .fitting import fit_exponential, fit_power_law  # noqa: F401
 MODELS = ("ising_ring", "grover", "mixed_grover_ising")
 DENSE_MAX = 10
 ITER_MAX = 14
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -350,7 +350,7 @@ def mixed_gap_scaling(n_list, coarse_points=41):
     """Fit ln(min even-sector gap) = c0 - c1*N for the mixed model.
 
     The avoided-crossing location moves with N, so the minimum is located
-    by a coarse scan refined with a bounded scalar minimization.
+    by a coarse scan refined with a golden-section search.
     """
     n_list = sorted(int(n) for n in n_list)
     if any(n % 2 or n < 4 or n > ITER_MAX for n in n_list):
@@ -401,18 +401,31 @@ def _even_gap(model, n_qubits, g):
 def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     """Minimum over g of the even-sector gap, with local refinement.
 
-    The mixed model takes its gap from the exact reduction
+    A coarse scan brackets the minimum between the neighbours of its lowest
+    point; a golden-section search then shrinks the bracket until its width
+    is below ``refine_tol`` * min(1, gap), so the sharp avoided crossing of
+    a large system is resolved relative to its own width.  Every evaluated
+    gap bounds the minimum from above, so the lowest one is returned.  The
+    mixed model takes its gap from the exact reduction
     (``mixed_even_levels``); the other models from ``gap(..., even_sector=True)``.
     """
     g_coarse = np.linspace(0.02, 0.98, coarse_points)
     vals = np.array([_even_gap(model, n_qubits, g) for g in g_coarse])
     i = int(np.argmin(vals))
-    lo = g_coarse[max(i - 1, 0)]
-    hi = g_coarse[min(i + 1, coarse_points - 1)]
-    res = minimize_scalar(
-        lambda g: _even_gap(model, n_qubits, float(g)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": refine_tol},
-    )
-    return float(min(res.fun, vals[i]))
+    a = float(g_coarse[max(i - 1, 0)])
+    b = float(g_coarse[min(i + 1, coarse_points - 1)])
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = _even_gap(model, n_qubits, c), _even_gap(model, n_qubits, d)
+    best = min(float(vals[i]), fc, fd)
+    # the rounding floor ends the search where the bracket cannot shrink further
+    while b - a > max(refine_tol * min(1.0, best), 8.0 * np.finfo(float).eps * b):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = _even_gap(model, n_qubits, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = _even_gap(model, n_qubits, d)
+        best = min(best, fc, fd)
+    return best

@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +143,61 @@ def test_manifest_hash_tracks_config(tmp_path):
     ma = json.loads((tmp_path / "a" / "scaling_gap_law.manifest.json").read_text())
     mb = json.loads((tmp_path / "b" / "scaling_gap_law.manifest.json").read_text())
     assert ma["config_sha256"] != mb["config_sha256"]
+
+
+def test_manifest_records_machine_facts(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"study": "gap_law", "n_list": [8, 16, 32, 64]})
+    assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "scaling_gap_law.manifest.json").read_text())
+    assert manifest["nproc"] >= 1
+    assert manifest["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+    assert manifest["scipy_version"] and manifest["numpy_version"] == np.__version__
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import qptsweep.cli as cli
+
+    def slow():
+        return sorted(m for m in sys.modules if m.startswith(("scipy.interpolate", "scipy.optimize")))
+
+    loaded = {"import": slow()}
+    tmp = Path(sys.argv[1])
+    runs = {
+        "spectrum": {"n_spins": 8, "g_grid": [0.0, 0.5, 1.0]},
+        "sweep": {"n_spins": 8, "schedule": "linear", "T_list": [5.0], "ka_list": [0.39269908169872414]},
+        "sweep_adapted": {"n_spins": 8, "schedule": "gap_adapted", "T_list": [5.0],
+                          "ka_list": [0.39269908169872414]},
+        "response": {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "endpoint_order": 2,
+                     "omega_grid": [0.5], "ka_list": [0.19634954084936207]},
+        "scaling": {"study": "mixed_gap", "n_list": [4, 6, 8, 10], "coarse_points": 9},
+    }
+    for name, doc in runs.items():
+        cfg = tmp / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        code = cli.main([name.split("_")[0], "--config", str(cfg), "--out", str(tmp / name)])
+        loaded[name] = slow() if code == 0 else f"exit {code}"
+    # the tabulated bath still interpolates; it imports scipy.interpolate itself
+    tabulated = cli.bath.load_tabulated([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
+    print(json.dumps(loaded), tabulated(0.5))
+""")
+
+
+def test_slow_scipy_modules_stay_off_the_import_path(tmp_path):
+    # a fresh interpreter: pytest itself (and other tests) may import scipy.optimize
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    doc, tabulated = out.rsplit(" ", 1)
+    assert float(tabulated) == pytest.approx(2.0)
+    loaded = json.loads(doc)
+    assert set(loaded) == {"import", "spectrum", "sweep", "sweep_adapted", "response", "scaling"}
+    assert all(mods == [] for mods in loaded.values()), loaded
 
 
 def test_json_mirror_roundtrip(tmp_path):

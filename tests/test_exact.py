@@ -234,6 +234,33 @@ def test_mixed_gap_scaling_matches_brute_force(monkeypatch):
         assert reduced[n] == pytest.approx(want, rel=1e-10)
 
 
+def _bounded_brent_oracle(n, coarse_points=41):
+    """The same coarse scan, refined by scipy's bounded Brent search at xatol 1e-6."""
+    from scipy.optimize import minimize_scalar
+
+    g_coarse = np.linspace(0.02, 0.98, coarse_points)
+    vals = np.array([exact._even_gap("mixed_grover_ising", n, g) for g in g_coarse])
+    i = int(np.argmin(vals))
+    res = minimize_scalar(
+        lambda g: exact._even_gap("mixed_grover_ising", n, float(g)),
+        bounds=(g_coarse[max(i - 1, 0)], g_coarse[min(i + 1, coarse_points - 1)]),
+        method="bounded", options={"xatol": 1e-6},
+    )
+    return float(min(res.fun, vals[i]))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 20, 30])
+def test_golden_section_matches_bounded_brent(n):
+    got = exact.minimal_even_gap("mixed_grover_ising", n)
+    want = _bounded_brent_oracle(n)
+    if n <= 14:
+        assert got == pytest.approx(want, rel=1e-9)
+    else:
+        # the avoided crossing is narrower than xatol there; every evaluated
+        # gap bounds the minimum from above, so the lower value is the better one
+        assert got <= want * (1.0 + 1e-12)
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         exact.build_hamiltonian("xy_model", 4, 0.5)
