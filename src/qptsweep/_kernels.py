@@ -1,16 +1,22 @@
 """Hot numeric kernels: oscillatory quadrature and the two-level mode propagators.
 
-Every kernel is plain numpy.  ``magnus4_modes`` propagates the mode
-equations of motion; ``rk4_mode`` is the brute-force integrator the tests
-use as its oracle.
+Every kernel is plain numpy.  ``stream_filon`` evaluates an oscillatory
+amplitude block by block on a uniform grid; ``magnus4_modes`` propagates
+the mode equations of motion; ``rk4_mode`` is the brute-force integrator
+the tests use as its oracle.
 """
 
 import numpy as np
 
-# Taylor switch-over for the Filon moments; below this |dphase| the closed
-# form loses digits to cancellation.
-_SMALL_PHASE = 1e-3
+# Taylor switch-over for the Filon moments.  The closed form's e1 is a
+# cancellation divided by c^2 (rounding ~eps/c^2, 2e-12 here); the series
+# below, through c^6, is truncated at ~c^7/40320 (2.5e-19 here).
+_SMALL_PHASE = 1e-2
 _ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
+# Segments per block of ``stream_filon``: a block's twenty-odd node arrays
+# fit in a 2 MB L2 cache, a whole grid of 1e5-1e6 nodes does not.  Blocks of
+# 2048-16384 segments measured the same.
+_QUAD_BLOCK = 8192
 
 
 class QuadratureError(RuntimeError):
@@ -30,10 +36,10 @@ def filon_integral(env, phase, dt):
 
     that is dt E0 (a0 e0 + da e1) with e0 = (e^{ic} - 1)/(ic) and
     e1 = (e^{ic}(ic - 1) + 1)/(ic)^2.  Below ``_SMALL_PHASE`` the difference
-    quotients cancel, and e0, e1 come from their Taylor series instead.  All
-    in real arithmetic, with cos and sin taken once per node; written in
-    node differences, the rounding of each E enters neighbouring segments
-    with opposite signs and largely cancels in the sum.
+    quotients cancel, and e0, e1 come from their Taylor series (through c^6)
+    instead.  All in real arithmetic, with cos and sin taken once per node;
+    written in node differences, the rounding of each E enters neighbouring
+    segments with opposite signs and largely cancels in the sum.
     """
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
@@ -43,21 +49,130 @@ def filon_integral(env, phase, dt):
     a0 = env[:-1]
     da = env[1:] - a0
 
+    # the arithmetic is done in place where it can be: at a few thousand
+    # segments a fresh temporary costs about as much as the operation
     small = np.abs(c) < _SMALL_PHASE
-    inv = 1.0 / np.where(small, 1.0, c)
+    inv = np.where(small, 1.0, c)
+    np.divide(1.0, inv, out=inv)
     f = da * inv
-    re = (a0 * dsin + f * dcos) * inv + f * sin_p[1:]
-    im = (f * dsin - a0 * dcos) * inv - f * cos_p[1:]
-    if np.any(small):
+    # re = (a0 dsin + f dcos)/c + f sin1, im = (f dsin - a0 dcos)/c - f cos1
+    re = a0 * dsin
+    tmp = f * dcos
+    re += tmp
+    re *= inv
+    np.multiply(f, sin_p[1:], out=tmp)
+    re += tmp
+    im = f * dsin
+    np.multiply(a0, dcos, out=tmp)
+    im -= tmp
+    im *= inv
+    np.multiply(f, cos_p[1:], out=tmp)
+    im -= tmp
+    # integer indices: a third or more of the segments can be small, and
+    # gathering by a boolean mask costs several times more
+    small = np.flatnonzero(small)
+    if small.size:
         cs = c[small]
         c2 = cs * cs
         a0s, das = a0[small], da[small]
-        wr = a0s * (1.0 - c2 / 6.0 + c2 * c2 / 120.0) + das * (0.5 - c2 / 8.0 + c2 * c2 / 144.0)
-        wi = a0s * (cs / 2.0 - cs * c2 / 24.0) + das * (cs / 3.0 - cs * c2 / 30.0)
-        c0, s0 = cos_p[:-1][small], sin_p[:-1][small]
+        # e0 = 1 + ic/2 - c^2/6 - ..., e1 = 1/2 + ic/3 - c^2/8 - ...: real parts
+        # and imaginary parts over c as series in c^2, through c^6
+        wr = _series(c2, _E0_REAL)
+        wr *= a0s
+        tmp = _series(c2, _E1_REAL)
+        tmp *= das
+        wr += tmp
+        wi = _series(c2, _E0_IMAG)
+        wi *= a0s
+        tmp = _series(c2, _E1_IMAG)
+        tmp *= das
+        wi += tmp
+        wi *= cs
+        c0, s0 = cos_p[small], sin_p[small]
         re[small] = c0 * wr - s0 * wi
         im[small] = c0 * wi + s0 * wr
     return complex(dt * np.sum(re), dt * np.sum(im))
+
+
+# Taylor coefficients in c^2 of e0 = sum (ic)^k/(k+1)! and
+# e1 = sum (ic)^k/(k!(k+2)): real parts, and imaginary parts divided by c
+_E0_REAL = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)
+_E1_REAL = (0.5, -1.0 / 8.0, 1.0 / 144.0, -1.0 / 5760.0)
+_E0_IMAG = (0.5, -1.0 / 24.0, 1.0 / 720.0)
+_E1_IMAG = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0)
+
+
+def _series(x, coefs):
+    """sum_k coefs[k] x^k by Horner's rule, in one buffer."""
+    out = x * coefs[-1]
+    for coef in coefs[-2:0:-1]:
+        out += coef
+        out *= x
+    out += coefs[0]
+    return out
+
+
+def stream_filon(total_time, n, freq, nodes, filon):
+    """Filon quadrature on n uniform intervals of [0, total_time], in blocks.
+
+    The integrand is env(t) e^{i phase(t)}, phase = freq*t + the cumulative
+    Simpson integral of a rate (the rule of ``cumulative_simpson_uniform``).
+    ``nodes(t)`` returns (env, rate) at the node times t, or (env, None) for
+    phase = freq*t.  The grid is walked in blocks of ``_QUAD_BLOCK``
+    segments (a remainder of one segment joins the last block); per block
+    this takes the node times (the values of np.linspace, the last
+    one exactly total_time), the Simpson increments with one node of
+    look-ahead, and the phase from a cumulative sum seeded with the value
+    carried over from the previous block, so that the phase equals the
+    whole-grid one bit for bit.  Returns the sum over blocks of
+    ``filon(env, phase, dt)``; only the association of the segment sum
+    differs from one call on the whole grid.
+    """
+    dt = total_time / n
+    scale = dt / 12.0
+    total = 0j
+    carry = 0.0
+    start = 0
+    while start < n:
+        stop = n if n - start <= _QUAD_BLOCK + 1 else start + _QUAD_BLOCK
+        ahead = min(stop + 1, n)
+        t = np.arange(start, ahead + 1, dtype=float)
+        t *= dt
+        if ahead == n:
+            t[-1] = total_time
+        env, rate = nodes(t)
+        m = stop - start
+        phase = freq * t[:m + 1]
+        if rate is not None:
+            cum = np.empty(m + 1)
+            cum[0] = carry
+            inc = cum[1:]
+            # interval [i, i+1] by the parabola through (i, i+1, i+2),
+            # scale*(5 y0 + 8 y1 - y2) ...
+            body = inc[:rate.shape[0] - 2]
+            np.multiply(rate[:-2], 5.0, out=body)
+            body += 8.0 * rate[1:-1]
+            body -= rate[2:]
+            body *= scale
+            if stop == n:
+                # ... and the last one through the final three nodes (the
+                # trapezoid when it is the only one)
+                inc[-1] = (scale * (-rate[-3] + 8.0 * rate[-2] + 5.0 * rate[-1]) if n > 1
+                           else 0.5 * dt * (rate[0] + rate[1]))
+            inc[0] += carry
+            np.cumsum(inc, out=inc)
+            carry = cum[-1]
+            phase += cum
+        total += filon(env[:m + 1], phase, dt)
+        start = stop
+    return total
+
+
+def default_n0(total_time, phase_rate):
+    """First grid of the doubling sequence: 16 intervals per cycle of a phase
+    advancing at ``phase_rate`` (a bound on |phase'|), and at least 4096."""
+    cycles = total_time * phase_rate / (2.0 * np.pi)
+    return int(max(4096, 16 * cycles))
 
 
 def refine(eval_at, n0, rel_tol, n_max):
@@ -238,3 +353,17 @@ def cumulative_simpson_uniform(y, dt):
     inc[-1] = dt / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
     out[1:] = np.cumsum(inc)
     return out
+
+
+def simpson_weights(n_nodes, dt):
+    """Weights w with w @ y equal to ``cumulative_simpson_uniform(y, dt)[-1]``
+    up to rounding: the total of the same rule as one weighted sum."""
+    w = np.zeros(n_nodes)
+    if n_nodes == 2:
+        w[:] = 6.0
+    elif n_nodes > 2:
+        w[:-2] += 5.0
+        w[1:-1] += 8.0
+        w[2:] -= 1.0
+        w[-3:] += (-1.0, 8.0, 5.0)
+    return dt / 12.0 * w

@@ -401,19 +401,22 @@ def _even_gap(model, n_qubits, g):
 def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     """Minimum over g of the even-sector gap, with local refinement.
 
-    A coarse scan brackets the minimum between the neighbours of its lowest
-    point; a golden-section search then shrinks the bracket until its width
-    is below ``refine_tol`` * min(1, gap), so the sharp avoided crossing of
-    a large system is resolved relative to its own width.  Every evaluated
-    gap bounds the minimum from above, so the lowest one is returned.  The
-    mixed model takes its gap from the exact reduction
-    (``mixed_even_levels``); the other models from ``gap(..., even_sector=True)``.
+    A coarse scan on [0.02, 0.98] brackets the minimum between the
+    neighbours of its lowest point; when that point is the first (last) of
+    the scan, the bracket reaches out to g = 0 (g = 1), since the avoided
+    crossing of a large system can lie outside the scan.  A golden-section
+    search then shrinks the bracket until its width is below ``refine_tol``
+    * min(1, gap), so the sharp avoided crossing of a large system is
+    resolved relative to its own width.  Every evaluated gap bounds the
+    minimum from above, so the lowest one is returned.  The mixed model
+    takes its gap from the exact reduction (``mixed_even_levels``); the
+    other models from ``gap(..., even_sector=True)``.
     """
     g_coarse = np.linspace(0.02, 0.98, coarse_points)
     vals = np.array([_even_gap(model, n_qubits, g) for g in g_coarse])
     i = int(np.argmin(vals))
-    a = float(g_coarse[max(i - 1, 0)])
-    b = float(g_coarse[min(i + 1, coarse_points - 1)])
+    a = float(g_coarse[i - 1]) if i > 0 else 0.0
+    b = float(g_coarse[i + 1]) if i < coarse_points - 1 else 1.0
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
     fc, fd = _even_gap(model, n_qubits, c), _even_gap(model, n_qubits, d)
     best = min(float(vals[i]), fc, fd)

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import QuadratureError, cumulative_simpson_uniform, filon_integral, refine
+from ._kernels import (
+    QuadratureError, cumulative_simpson_uniform, default_n0, filon_integral, refine, stream_filon,
+)
 from .bath import SpectralFunction, evaluate as bath_evaluate
 
 _SOFT_LAMBDA = 0.1
@@ -84,17 +86,18 @@ def matrix_element_x(g, t, dim, schedule, n_points=8193):
 
 
 def _amplitude_fixed_grid(params, omega, n):
-    t, g, gap, cum = _phase_on_grid(params.schedule, params.dim, n + 1)
-    env = -(1.0 - g) / (np.sqrt(params.dim) * gap)
-    phase = omega * t + cum
-    return filon_integral(env, phase, t[1] - t[0])
+    def nodes(t):
+        g = np.asarray(params.schedule.g_of(t), dtype=float)
+        gap = grover_gap(g, params.dim)
+        return -(1.0 - g) / (np.sqrt(params.dim) * gap), gap
+
+    return stream_filon(params.schedule.T, n, omega, nodes, filon_integral)
 
 
 def amplitude_omega(params, omega, rel_tol=1e-4, n0=None, n_max=2**21):
     """Per-frequency amplitude integral with a grid-doubling certificate."""
     if n0 is None:
-        cycles = params.schedule.T * (abs(omega) + 1.0) / (2.0 * np.pi)
-        n0 = int(max(4096, 16 * cycles))
+        n0 = default_n0(params.schedule.T, abs(omega) + 1.0)
     value, err, ok = refine(lambda n: _amplitude_fixed_grid(params, omega, n), n0, rel_tol, n_max)
     if not ok:
         raise QuadratureError(f"amplitude at omega={omega} not converged by n={n_max}")

@@ -10,7 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import QuadratureError, cumulative_simpson_uniform, filon_integral, refine
+from ._kernels import (
+    QuadratureError, default_n0, filon_integral, refine, simpson_weights, stream_filon,
+)
+# unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
+from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .bath import integrate_abs
 from .ising import dispersion
 
@@ -114,17 +118,20 @@ def matrix_element_uniform(ka, g):
     return 2.0j * g * np.sin(ka) / dispersion(ka, g)
 
 
-def _time_grid(schedule, ka, omega, n):
-    t = np.linspace(0.0, schedule.T, n + 1)
-    g = np.asarray(schedule.g_of(t), dtype=float)
-    energy = dispersion(np.full(n + 1, float(ka)), g)
-    phase = -omega * t + 2.0 * cumulative_simpson_uniform(energy, t[1] - t[0])
-    return t, g, energy, phase
+def _mode_nodes(schedule, ka, envelope):
+    """``stream_filon`` nodes of a single-mode integrand: envelope(g, E_k)
+    and the pair phase rate 2 E_k."""
+
+    def nodes(t):
+        g = np.asarray(schedule.g_of(t), dtype=float)
+        energy = dispersion(ka, g)
+        return envelope(g, energy), 2.0 * energy
+
+    return nodes
 
 
 def _default_n0(schedule, omega):
-    cycles = schedule.T * (abs(omega) + 2.0 * _INITIAL_ENERGY) / (2.0 * np.pi)
-    return int(max(4096, 16 * cycles))
+    return default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
 
 
 def _uniform_env(ka, g):
@@ -169,10 +176,10 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=1e-3, n_max=2**21, end
     that carries the adiabatic suppression.
     """
 
+    nodes = _mode_nodes(schedule, ka, lambda g, energy: 2.0 * g * np.sin(ka) / energy)
+
     def eval_at(n):
-        t, g, energy, phase = _time_grid(schedule, ka, omega, n)
-        env = 2.0 * g * np.sin(ka) / energy
-        return filon_integral(env, phase, t[1] - t[0])
+        return stream_filon(schedule.T, n, -omega, nodes, filon_integral)
 
     value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
     if endpoint_order > 0:
@@ -257,12 +264,22 @@ def amplitude_saddle_uniform(omega, ka, schedule, collision_tol=1e-6):
     )
 
 
-def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_POINTS):
+def _bound_grid(schedule):
+    """g tabulated for the phase-free bounds, and the Simpson weights w of
+    that grid (``w @ y`` integrates samples y over [0, T])."""
+    t = np.linspace(0.0, schedule.T, _BOUND_POINTS)
+    return np.asarray(schedule.g_of(t), dtype=float), simpson_weights(_BOUND_POINTS, t[1] - t[0])
+
+
+def _near_gap_bound(ka, g, w):
+    """int_0^T 2*g|sin(ka)|/E_k dt on the grid of ``_bound_grid``."""
+    env = 2.0 * g * np.abs(np.sin(ka)) / dispersion(ka, g)
+    return float(w @ env)
+
+
+def amplitude_bound_near_gap(ka, schedule):
     """Phase-free bound int_0^T 2*g|sin(ka)|/E_k dt, per unit coupling."""
-    t = np.linspace(0.0, schedule.T, n_points)
-    g = np.asarray(schedule.g_of(t), dtype=float)
-    env = 2.0 * g * np.abs(np.sin(ka)) / dispersion(np.full(n_points, float(ka)), g)
-    bound = float(cumulative_simpson_uniform(env, t[1] - t[0])[-1])
+    bound = _near_gap_bound(ka, *_bound_grid(schedule))
     return AmplitudeResult(
         value=complex(bound),
         method="phase_free_bound",
@@ -294,15 +311,15 @@ def amplitude_direct_nonuniform(
     the alternative reading of the pair gap E_s0 = E_k + E_k'.
     """
 
-    def eval_at(n):
-        t = np.linspace(0.0, schedule.T, n + 1)
+    def nodes(t):
         g = np.asarray(schedule.g_of(t), dtype=float)
-        e_k = dispersion(np.full(n + 1, float(ka)), g)
-        e_kp = dispersion(np.full(n + 1, float(kpa)), g)
+        e_k = dispersion(ka, g)
+        e_kp = dispersion(kpa, g)
         env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _bogoliubov_norm(kpa, g, e_kp)
-        gap = e_k + e_kp if pair_gap_phase else 2.0 * e_k
-        phase = -omega * t + cumulative_simpson_uniform(gap, t[1] - t[0])
-        return filon_integral(env, phase, t[1] - t[0]) / n_spins
+        return env, e_k + e_kp if pair_gap_phase else 2.0 * e_k
+
+    def eval_at(n):
+        return stream_filon(schedule.T, n, -omega, nodes, filon_integral) / n_spins
 
     value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
     return AmplitudeResult(
@@ -315,18 +332,12 @@ def amplitude_direct_nonuniform(
     )
 
 
-def _bound_grid(schedule):
-    """g tabulated for the phase-free bounds, and the grid spacing."""
-    t = np.linspace(0.0, schedule.T, _BOUND_POINTS)
-    return np.asarray(schedule.g_of(t), dtype=float), t[1] - t[0]
-
-
-def _bitflip_bounds(ka, g, dt):
+def _bitflip_bounds(ka, g, w):
     """Phase-free bounds on |a1| and |a2| of ``amplitude_bitflip`` for mode ka,
-    from g sampled with spacing ``dt`` (see ``_bound_grid``)."""
-    energy = dispersion(np.full(g.shape[0], float(ka)), g)
-    xi = cumulative_simpson_uniform(2.0 * g / _bogoliubov_norm(ka, g, energy), dt)[-1]
-    b2 = cumulative_simpson_uniform(_pair_envelope(ka, g, energy), dt)[-1]
+    on the grid of ``_bound_grid`` (g and its Simpson weights w)."""
+    energy = dispersion(ka, g)
+    xi = w @ (2.0 * g / _bogoliubov_norm(ka, g, energy))
+    b2 = w @ _pair_envelope(ka, g, energy)
     return abs(np.sin(ka)) * float(xi), float(b2)
 
 
@@ -339,17 +350,18 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
     exactly linearly in T for schedules with fixed g-profile.
     """
 
-    def eval_a1(n):
-        t = np.linspace(0.0, schedule.T, n + 1)
+    def a1_nodes(t):
         g = np.asarray(schedule.g_of(t), dtype=float)
-        energy = dispersion(np.full(n + 1, float(ka)), g)
-        env = 2.0 * g / _bogoliubov_norm(ka, g, energy)
-        return filon_integral(env, -omega * t, t[1] - t[0])
+        energy = dispersion(ka, g)
+        return 2.0 * g / _bogoliubov_norm(ka, g, energy), None  # no dynamical phase
+
+    a2_nodes = _mode_nodes(schedule, ka, lambda g, energy: _pair_envelope(ka, g, energy))
+
+    def eval_a1(n):
+        return stream_filon(schedule.T, n, -omega, a1_nodes, filon_integral)
 
     def eval_a2(n):
-        t, g, energy, phase = _time_grid(schedule, ka, omega, n)
-        env = _pair_envelope(ka, g, energy)
-        return filon_integral(env, phase, t[1] - t[0])
+        return stream_filon(schedule.T, n, -omega, a2_nodes, filon_integral)
 
     n0 = _default_n0(schedule, omega)
     raw1, err1, ok1 = refine(eval_a1, n0, rel_tol, n_max)
@@ -362,8 +374,9 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
     return BitflipAmplitudes(a1=a1, a2=a2, a2_bound=bound, quad_error=max(err1, err2))
 
 
-def _uniform_regime_estimate(regime, ka, schedule, window, n_omega=9):
-    """Per-regime modulus estimate for one uniform-channel mode."""
+def _uniform_regime_estimate(regime, ka, schedule, window, grid, n_omega=9):
+    """Per-regime modulus estimate for one uniform-channel mode; ``grid`` is
+    the schedule's ``_bound_grid``."""
     T = schedule.T
     if regime == "negative":
         # contour-deformation suppression rate pi*T*(ka)^2/16
@@ -371,7 +384,7 @@ def _uniform_regime_estimate(regime, ka, schedule, window, n_omega=9):
     if regime == "sub_gap":
         return np.exp(-T * ka**2 / 2.0), "contour_estimate"
     if regime == "near_gap":
-        return amplitude_bound_near_gap(ka, schedule).modulus, "phase_free_bound"
+        return _near_gap_bound(ka, *grid), "phase_free_bound"
     # intermediate: max saddle modulus over the window, bound as fallback
     lo, hi = window
     best = 0.0
@@ -384,7 +397,7 @@ def _uniform_regime_estimate(regime, ka, schedule, window, n_omega=9):
         best = max(best, res.modulus)
         used_saddle = True
     if not used_saddle:
-        best = amplitude_bound_near_gap(ka, schedule).modulus
+        best = _near_gap_bound(ka, *grid)
     return best, "saddle_point" if used_saddle else "phase_free_bound"
 
 
@@ -402,6 +415,7 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
     ka_positive = (2 * np.arange(n_spins // 2) + 1) * np.pi / n_spins
 
     if channel.kind == "uniform_x":
+        grid = _bound_grid(schedule)
         for ka in ka_positive:
             bounds = regime_bounds(ka, rho)
             for regime in REGIMES:
@@ -412,7 +426,7 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
                 weight = integrate_abs(spectral_function, lo, hi)
                 if weight == 0.0:
                     continue
-                amp, _ = _uniform_regime_estimate(regime, ka, schedule, (lo, hi))
+                amp, _ = _uniform_regime_estimate(regime, ka, schedule, (lo, hi), grid)
                 breakdown[regime] += lam * amp * weight
         total = sum(breakdown.values())
         return total, breakdown
@@ -420,9 +434,9 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
     if channel.kind == "single_site_z":
         # phase-free bound per single-particle mode; both momentum signs
         weight = integrate_abs(spectral_function, omega_floor, _INITIAL_ENERGY)
-        g, dt = _bound_grid(schedule)
+        g, w = _bound_grid(schedule)
         for ka in ka_positive:
-            b1, b2 = _bitflip_bounds(ka, g, dt)
+            b1, b2 = _bitflip_bounds(ka, g, w)
             # each |ka| appears for both momentum signs
             breakdown["near_gap"] += 2.0 * lam / np.sqrt(n_spins) * (b1 + b2) * weight
         total = sum(breakdown.values())

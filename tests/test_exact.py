@@ -261,6 +261,16 @@ def test_golden_section_matches_bounded_brent(n):
         assert got <= want * (1.0 + 1e-12)
 
 
+def test_minimal_gap_left_of_the_scan():
+    # at N=100 the avoided crossing (g ~ 0.0198) lies left of the coarse
+    # scan's first point 0.02, which was returned as 9.7e-3; a plain scan of
+    # the exact reduction already finds 3.0e-4 there
+    g = np.linspace(1e-4, 0.03, 300)
+    scan = min(float(np.diff(exact.mixed_even_levels(100, x, 2))[0]) for x in g)
+    assert scan < 4e-4
+    assert exact.minimal_even_gap("mixed_grover_ising", 100) <= scan
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         exact.build_hamiltonian("xy_model", 4, 0.5)

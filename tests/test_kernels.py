@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,18 @@ from scipy.linalg import expm
 
 from qptsweep import grover, response
 from qptsweep._kernels import (
+    _QUAD_BLOCK,
     _SMALL_PHASE,
     MAGNUS_BLOCK,
     cumulative_simpson_uniform,
+    default_n0,
     filon_integral,
     gauss_legendre_times,
     magnus4_modes,
     refine,
     rk4_mode,
+    simpson_weights,
+    stream_filon,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -76,11 +82,12 @@ def filon_oracle(env, phase, dt):
         e0 = np.where(small, 1.0, (eic - 1.0) / np.where(small, 1.0, ic))
         e1 = np.where(small, 0.5, (eic * (ic - 1.0) + 1.0) / np.where(small, 1.0, ic * ic))
     if np.any(small):
+        # e0 = sum (ic)^k/(k+1)!, e1 = sum (ic)^k/(k!(k+2)), through k = 7
         ics = ic[small]
         e0 = e0.astype(complex)
         e1 = e1.astype(complex)
-        e0[small] = 1.0 + ics / 2.0 + ics**2 / 6.0 + ics**3 / 24.0 + ics**4 / 120.0
-        e1[small] = 0.5 + ics / 3.0 + ics**2 / 8.0 + ics**3 / 30.0 + ics**4 / 144.0
+        e0[small] = sum(ics**k / math.factorial(k + 1) for k in range(8))
+        e1[small] = sum(ics**k / (math.factorial(k) * (k + 2)) for k in range(8))
     return complex(np.sum(dt * np.exp(1j * phase[:-1]) * (a0 * e0 + da * e1)))
 
 
@@ -96,7 +103,7 @@ def closed_form_rounding(env, phase, dt):
     """Rounding bound of the Filon closed form: e0 and e1 come out of a
     cancellation of O(1) terms, divided by c and by c^2 respectively, so any
     two ways of evaluating them may differ by eps/|c| and eps/c^2 per
-    segment.  Just above _SMALL_PHASE that is about 1e-10 in e1."""
+    segment.  Just above _SMALL_PHASE that is about 2e-12 in e1."""
     c = np.abs(np.diff(phase))
     a0 = np.abs(env[:-1])
     da = np.abs(np.diff(env))
@@ -106,7 +113,9 @@ def closed_form_rounding(env, phase, dt):
 
 
 @pytest.mark.parametrize("lo,hi,taylor", [
-    (1e-6, 9e-4, "all"), (1.1e-3, 2.0, "none"), (1e-5, 5e-3, "some"),
+    (1e-3 * _SMALL_PHASE, 0.9 * _SMALL_PHASE, "all"),
+    (1.1 * _SMALL_PHASE, 2.0, "none"),
+    (1e-2 * _SMALL_PHASE, 5.0 * _SMALL_PHASE, "some"),
 ], ids=["all_small", "none_small", "mixed"])
 @pytest.mark.parametrize("seed", range(8))
 def test_filon_matches_complex_exponential_oracle(lo, hi, taylor, seed):
@@ -146,6 +155,108 @@ def test_filon_rounding_no_worse_than_oracle():
         got_err += abs(filon_integral(env, phase, dt) - exact)
         oracle_err += abs(filon_oracle(env, phase, dt) - exact)
     assert got_err <= oracle_err
+
+    # every step near the old switch (1e-3) or the present one, with a rough
+    # envelope so that da = O(1) and e1's cancellation would show.  The
+    # kernel stays within the rule's own rounding allowance, and around 1e-3,
+    # where every segment now takes the series, within one ulp of int |env|.
+    eps = np.finfo(float).eps
+    for lo, hi in ((9e-4, 1.2e-3), (9e-3, 1.1e-2)):
+        got_err = allowance = ulp = 0.0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n = 5000
+            t = np.linspace(0.0, 1.0, n + 1)
+            dt = t[1] - t[0]
+            env = 1.0 + 0.5 * smooth_random(rng, t) + 0.3 * rng.normal(size=n + 1)
+            c = rng.uniform(lo, hi, n) * np.sign(smooth_random(rng, t[:-1], 2))
+            phase = 300.0 + np.concatenate(([0.0], np.cumsum(c)))
+            wide = np.longdouble
+            exact = filon_oracle(env.astype(wide), phase.astype(wide), wide(dt))
+            got_err += abs(filon_integral(env, phase, dt) - exact)
+            allowance += closed_form_rounding(env, phase, dt)
+            ulp += eps * dt * np.sum(np.abs(env))
+        assert got_err <= allowance
+        if hi < 2e-3:
+            assert got_err <= ulp
+
+
+def smooth_nodes(total_time, with_rate=True):
+    """``stream_filon`` nodes of a smooth test integrand on [0, total_time]."""
+
+    def nodes(t):
+        x = t / total_time
+        env = 1.0 + 0.5 * np.sin(3.0 * x) - x**2
+        return env, (20.0 + 5.0 * np.cos(7.0 * x) if with_rate else None)
+
+    return nodes
+
+
+def whole_grid_filon(total_time, n, freq, nodes):
+    """One Filon call on the whole grid, the oracle of ``stream_filon``;
+    returns the value, the node times, the envelope and the phase."""
+    t = np.linspace(0.0, total_time, n + 1)
+    env, rate = nodes(t)
+    phase = freq * t
+    if rate is not None:
+        phase = phase + cumulative_simpson_uniform(rate, t[1] - t[0])
+    return filon_integral(env, phase, t[1] - t[0]), t, env, phase
+
+
+@pytest.mark.parametrize("with_rate", [True, False], ids=["phase_rate", "linear_phase"])
+@pytest.mark.parametrize("n", [
+    1, 2, 3, 100, _QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1, _QUAD_BLOCK + 2,
+    2 * _QUAD_BLOCK + 1, 3 * _QUAD_BLOCK + 517,
+])
+def test_stream_filon_matches_whole_grid(n, with_rate):
+    # the blocks see the whole grid's node times, envelope and phase bit for
+    # bit; the shared node of two blocks is the same, and one block gives the
+    # whole-grid value exactly
+    total_time, freq = 50.0, -0.7
+    nodes = smooth_nodes(total_time, with_rate)
+    blocks = []
+
+    def record(env, phase, dt):
+        blocks.append((env.copy(), phase.copy(), dt))
+        return filon_integral(env, phase, dt)
+
+    got = stream_filon(total_time, n, freq, nodes, record)
+    want, t, env, phase = whole_grid_filon(total_time, n, freq, nodes)
+    assert all(dt == t[1] - t[0] for _, _, dt in blocks)
+    assert all(len(b_env) <= _QUAD_BLOCK + 2 for b_env, _, _ in blocks)
+    assert len(blocks) == max(1, -(-(n - 1) // _QUAD_BLOCK))
+    for (prev_env, prev_phase, _), (next_env, next_phase, _) in zip(blocks, blocks[1:]):
+        assert prev_phase[-1] == next_phase[0] and prev_env[-1] == next_env[0]
+    streamed_phase = np.concatenate([blocks[0][1]] + [p[1:] for _, p, _ in blocks[1:]])
+    streamed_env = np.concatenate([blocks[0][0]] + [e[1:] for e, _, _ in blocks[1:]])
+    assert np.array_equal(streamed_phase, phase)
+    assert np.array_equal(streamed_env, env)
+    if len(blocks) == 1:
+        assert got == want
+    else:
+        # only the association of the segment sum differs
+        scale = (t[1] - t[0]) * np.sum(np.abs(env))
+        assert abs(got - want) <= 8.0 * len(blocks) * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 6, 17, 16385])
+def test_simpson_weights_total_the_cumulative_rule(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    y = rng.normal(size=n_nodes)
+    w = simpson_weights(n_nodes, 0.37)
+    want = cumulative_simpson_uniform(y, 0.37)[-1]
+    assert abs(w @ y - want) <= 1e-14 * 0.37 * np.sum(np.abs(y)) * 12.0
+    assert w.sum() == pytest.approx(0.37 * (n_nodes - 1), rel=1e-14)
+
+
+def test_default_n0_matches_both_former_rules():
+    # the response rule (rate |w| + 4) and the grover rule (rate |w| + 1)
+    for total_time in (50.0, 2000.0, 5000.0):
+        for omega in (-0.4, 0.01, 1.0, 2.6):
+            cycles = total_time * (abs(omega) + 2.0 * 2.0) / (2.0 * np.pi)
+            assert default_n0(total_time, abs(omega) + 2.0 * 2.0) == int(max(4096, 16 * cycles))
+            cycles = total_time * (abs(omega) + 1.0) / (2.0 * np.pi)
+            assert default_n0(total_time, abs(omega) + 1.0) == int(max(4096, 16 * cycles))
 
 
 def test_cumulative_simpson_quartic_accuracy():
