@@ -10,8 +10,11 @@ import numpy as np
 
 # Taylor switch-over for the Filon moments.  The closed form's e1 is a
 # cancellation divided by c^2 (rounding ~eps/c^2, 2e-12 here); the series
-# below, through c^6, is truncated at ~c^7/40320 (2.5e-19 here).
+# of ``_series_segments``, through c^6, is truncated at ~c^7/40320 (2.5e-19 here).
 _SMALL_PHASE = 1e-2
+# Above this many runs of small and large phase steps, ``filon_integral``
+# gathers each kind by index instead of taking each run as a slice.
+_MAX_RUNS = 8
 _ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
 # Segments per block of ``stream_filon``: a block's twenty-odd node arrays
 # fit in a 2 MB L2 cache, a whole grid of 1e5-1e6 nodes does not.  Blocks of
@@ -37,61 +40,85 @@ def filon_integral(env, phase, dt):
     that is dt E0 (a0 e0 + da e1) with e0 = (e^{ic} - 1)/(ic) and
     e1 = (e^{ic}(ic - 1) + 1)/(ic)^2.  Below ``_SMALL_PHASE`` the difference
     quotients cancel, and e0, e1 come from their Taylor series (through c^6)
-    instead.  All in real arithmetic, with cos and sin taken once per node;
-    written in node differences, the rounding of each E enters neighbouring
-    segments with opposite signs and largely cancels in the sum.
+    instead; each segment goes through one of the two forms only.  All in
+    real arithmetic, with cos and sin taken once per node; written in node
+    differences, the rounding of each E enters neighbouring segments with
+    opposite signs and largely cancels in the sum.
     """
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
-    dcos = cos_p[1:] - cos_p[:-1]
-    dsin = sin_p[1:] - sin_p[:-1]
     c = phase[1:] - phase[:-1]
-    a0 = env[:-1]
-    da = env[1:] - a0
+    small = np.abs(c) < _SMALL_PHASE
+    # on a smooth phase the small steps come in a few runs, each taken as a
+    # slice; otherwise each form gathers its segments by integer index
+    flips = np.flatnonzero(small[1:] != small[:-1]) + 1
+    if flips.size < _MAX_RUNS:
+        bounds = [0, *flips.tolist(), c.shape[0]]
+        parts = [(slice(lo, hi), slice(lo + 1, hi + 1), small[lo])
+                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    else:
+        big, small = np.flatnonzero(~small), np.flatnonzero(small)
+        parts = [(big, big + 1, False), (small, small + 1, True)]
+    total = 0j
+    for left, right, is_small in parts:
+        args = c[left], env[left], env[right], cos_p[left], sin_p[left]
+        if is_small:
+            total += _series_segments(*args)
+        else:
+            total += _closed_segments(*args, cos_p[right], sin_p[right])
+    return dt * total
 
+
+def _closed_segments(c, a0, a1, cos0, sin0, cos1, sin1):
+    """Sum of the closed-form segments of ``filon_integral``, over dt."""
     # the arithmetic is done in place where it can be: at a few thousand
     # segments a fresh temporary costs about as much as the operation
-    small = np.abs(c) < _SMALL_PHASE
-    inv = np.where(small, 1.0, c)
-    np.divide(1.0, inv, out=inv)
-    f = da * inv
+    dcos = cos1 - cos0
+    dsin = sin1 - sin0
+    inv = 1.0 / c
+    f = a1 - a0
+    f *= inv
     # re = (a0 dsin + f dcos)/c + f sin1, im = (f dsin - a0 dcos)/c - f cos1
     re = a0 * dsin
     tmp = f * dcos
     re += tmp
     re *= inv
-    np.multiply(f, sin_p[1:], out=tmp)
+    np.multiply(f, sin1, out=tmp)
     re += tmp
     im = f * dsin
     np.multiply(a0, dcos, out=tmp)
     im -= tmp
     im *= inv
-    np.multiply(f, cos_p[1:], out=tmp)
+    np.multiply(f, cos1, out=tmp)
     im -= tmp
-    # integer indices: a third or more of the segments can be small, and
-    # gathering by a boolean mask costs several times more
-    small = np.flatnonzero(small)
-    if small.size:
-        cs = c[small]
-        c2 = cs * cs
-        a0s, das = a0[small], da[small]
-        # e0 = 1 + ic/2 - c^2/6 - ..., e1 = 1/2 + ic/3 - c^2/8 - ...: real parts
-        # and imaginary parts over c as series in c^2, through c^6
-        wr = _series(c2, _E0_REAL)
-        wr *= a0s
-        tmp = _series(c2, _E1_REAL)
-        tmp *= das
-        wr += tmp
-        wi = _series(c2, _E0_IMAG)
-        wi *= a0s
-        tmp = _series(c2, _E1_IMAG)
-        tmp *= das
-        wi += tmp
-        wi *= cs
-        c0, s0 = cos_p[small], sin_p[small]
-        re[small] = c0 * wr - s0 * wi
-        im[small] = c0 * wi + s0 * wr
-    return complex(dt * np.sum(re), dt * np.sum(im))
+    return complex(np.sum(re), np.sum(im))
+
+
+def _series_segments(c, a0, a1, cos0, sin0):
+    """Sum of the small-phase segments of ``filon_integral``, over dt."""
+    c2 = c * c
+    da = a1 - a0
+    # e0 = 1 + ic/2 - c^2/6 - ..., e1 = 1/2 + ic/3 - c^2/8 - ...: real parts
+    # and imaginary parts over c as series in c^2, through c^6
+    wr = _series(c2, _E0_REAL)
+    wr *= a0
+    tmp = _series(c2, _E1_REAL)
+    tmp *= da
+    wr += tmp
+    wi = _series(c2, _E0_IMAG)
+    wi *= a0
+    tmp = _series(c2, _E1_IMAG)
+    tmp *= da
+    wi += tmp
+    wi *= c
+    # E0 (wr + i wi)
+    re = cos0 * wr
+    np.multiply(sin0, wi, out=tmp)
+    re -= tmp
+    wi *= cos0
+    wr *= sin0
+    wi += wr
+    return complex(np.sum(re), np.sum(wi))
 
 
 # Taylor coefficients in c^2 of e0 = sum (ic)^k/(k+1)! and
@@ -129,7 +156,6 @@ def stream_filon(total_time, n, freq, nodes, filon):
     differs from one call on the whole grid.
     """
     dt = total_time / n
-    scale = dt / 12.0
     total = 0j
     carry = 0.0
     start = 0
@@ -147,18 +173,8 @@ def stream_filon(total_time, n, freq, nodes, filon):
             cum = np.empty(m + 1)
             cum[0] = carry
             inc = cum[1:]
-            # interval [i, i+1] by the parabola through (i, i+1, i+2),
-            # scale*(5 y0 + 8 y1 - y2) ...
-            body = inc[:rate.shape[0] - 2]
-            np.multiply(rate[:-2], 5.0, out=body)
-            body += 8.0 * rate[1:-1]
-            body -= rate[2:]
-            body *= scale
-            if stop == n:
-                # ... and the last one through the final three nodes (the
-                # trapezoid when it is the only one)
-                inc[-1] = (scale * (-rate[-3] + 8.0 * rate[-2] + 5.0 * rate[-1]) if n > 1
-                           else 0.5 * dt * (rate[0] + rate[1]))
+            # the node after the block is the look-ahead of its last interval
+            _simpson_increments(rate, dt, inc, last=stop == n)
             inc[0] += carry
             np.cumsum(inc, out=inc)
             carry = cum[-1]
@@ -332,6 +348,33 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
     return u_end, v_end, defect
 
 
+# The rule of ``cumulative_simpson_uniform``, in units of dt/12: interval
+# [i, i+1] by the parabola through nodes (i, i+1, i+2), and the last interval
+# by the parabola through the final three nodes.
+_SIMPSON_BODY = (5.0, 8.0, -1.0)
+_SIMPSON_LAST = (-1.0, 8.0, 5.0)
+
+
+def _simpson_increments(y, dt, out, last):
+    """Increments of the Simpson rule over the intervals of the nodes y.
+
+    Writes the len(y) - 2 intervals that have a node after them to the start
+    of ``out`` and, with ``last``, the final interval to out[-1] (the
+    trapezoid when y has only two nodes).
+    """
+    scale = dt / 12.0
+    b0, b1, b2 = _SIMPSON_BODY
+    body = out[:y.shape[0] - 2]
+    np.multiply(y[:-2], b0, out=body)
+    body += b1 * y[1:-1]
+    body += b2 * y[2:]
+    body *= scale
+    if last:
+        l0, l1, l2 = _SIMPSON_LAST
+        out[-1] = (scale * (l0 * y[-3] + l1 * y[-2] + l2 * y[-1]) if y.shape[0] > 2
+                   else 0.5 * dt * (y[0] + y[1]))
+
+
 def cumulative_simpson_uniform(y, dt):
     """Cumulative integral of samples on a uniform grid, 4th order.
 
@@ -339,19 +382,10 @@ def cumulative_simpson_uniform(y, dt):
     (matches scipy's cumulative_simpson for uniform spacing).
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    out = np.zeros(n)
-    if n < 2:
-        return out
-    if n == 2:
-        out[1] = 0.5 * dt * (y[0] + y[1])
-        return out
-    inc = np.empty(n - 1)
-    # interval [i, i+1] integrated with the parabola through (i, i+1, i+2)
-    inc[:-1] = dt / 12.0 * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])
-    # last interval uses the parabola through the final three nodes
-    inc[-1] = dt / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
-    out[1:] = np.cumsum(inc)
+    out = np.zeros(y.shape[0])
+    if y.shape[0] > 1:
+        _simpson_increments(y, dt, out[1:], last=True)
+        np.cumsum(out[1:], out=out[1:])
     return out
 
 
@@ -360,10 +394,9 @@ def simpson_weights(n_nodes, dt):
     up to rounding: the total of the same rule as one weighted sum."""
     w = np.zeros(n_nodes)
     if n_nodes == 2:
-        w[:] = 6.0
+        w[:] = 6.0  # the trapezoid
     elif n_nodes > 2:
-        w[:-2] += 5.0
-        w[1:-1] += 8.0
-        w[2:] -= 1.0
-        w[-3:] += (-1.0, 8.0, 5.0)
+        for j, coef in enumerate(_SIMPSON_BODY):
+            w[j:n_nodes - 2 + j] += coef
+        w[-3:] += _SIMPSON_LAST
     return dt / 12.0 * w

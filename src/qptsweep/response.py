@@ -264,11 +264,11 @@ def amplitude_saddle_uniform(omega, ka, schedule, collision_tol=1e-6):
     )
 
 
-def _bound_grid(schedule):
+def _bound_grid(schedule, n_points=_BOUND_POINTS):
     """g tabulated for the phase-free bounds, and the Simpson weights w of
     that grid (``w @ y`` integrates samples y over [0, T])."""
-    t = np.linspace(0.0, schedule.T, _BOUND_POINTS)
-    return np.asarray(schedule.g_of(t), dtype=float), simpson_weights(_BOUND_POINTS, t[1] - t[0])
+    t = np.linspace(0.0, schedule.T, n_points)
+    return np.asarray(schedule.g_of(t), dtype=float), simpson_weights(n_points, t[1] - t[0])
 
 
 def _near_gap_bound(ka, g, w):
@@ -277,9 +277,9 @@ def _near_gap_bound(ka, g, w):
     return float(w @ env)
 
 
-def amplitude_bound_near_gap(ka, schedule):
+def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_POINTS):
     """Phase-free bound int_0^T 2*g|sin(ka)|/E_k dt, per unit coupling."""
-    bound = _near_gap_bound(ka, *_bound_grid(schedule))
+    bound = _near_gap_bound(ka, *_bound_grid(schedule, n_points))
     return AmplitudeResult(
         value=complex(bound),
         method="phase_free_bound",

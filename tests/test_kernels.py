@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from qptsweep import grover, response
 from qptsweep._kernels import (
+    _MAX_RUNS,
     _QUAD_BLOCK,
     _SMALL_PHASE,
     MAGNUS_BLOCK,
@@ -130,6 +131,26 @@ def test_filon_matches_complex_exponential_oracle(lo, hi, taylor, seed):
     phase = 40.0 * rng.normal() + np.concatenate(([0.0], np.cumsum(c)))
     n_small = np.count_nonzero(np.abs(np.diff(phase)) < _SMALL_PHASE)
     assert {"all": n_small == n, "none": n_small == 0, "some": 0 < n_small < n}[taylor]
+    got = filon_integral(env, phase, dt)
+    want = filon_oracle(env, phase, dt)
+    assert abs(got - want) <= 1e-13 * abs(want) + closed_form_rounding(env, phase, dt)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_filon_runs_of_small_steps_match_oracle(seed):
+    # |phase step| swings smoothly across _SMALL_PHASE a few times, as on a
+    # response grid near a stationary point, so the kernel takes each run of
+    # small or large steps as a slice rather than gathering them by index
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1000, 5000))
+    t = np.linspace(0.0, 1.0, n + 1)
+    dt = t[1] - t[0]
+    env = 1.0 + 0.5 * smooth_random(rng, t)
+    swing = np.sin(2.0 * np.pi * rng.uniform(0.5, 3.0) * t[:-1] + rng.uniform(0.0, 6.0))
+    phase = 40.0 * rng.normal() + np.concatenate(([0.0], np.cumsum(_SMALL_PHASE * (1.0 + 0.9 * swing))))
+    small = np.abs(np.diff(phase)) < _SMALL_PHASE
+    runs = 1 + np.count_nonzero(small[1:] != small[:-1])
+    assert 1 < runs <= _MAX_RUNS
     got = filon_integral(env, phase, dt)
     want = filon_oracle(env, phase, dt)
     assert abs(got - want) <= 1e-13 * abs(want) + closed_form_rounding(env, phase, dt)

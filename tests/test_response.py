@@ -113,6 +113,14 @@ def test_near_gap_bound_symmetry_and_linearity_in_t():
     assert b4 == pytest.approx(4.0 * b1, rel=1e-9)
 
 
+def test_near_gap_bound_grid_size():
+    # the benchmark's reference tables ask for a finer grid than the default
+    ka = np.pi / 16
+    coarse = response.amplitude_bound_near_gap(ka, linear(100.0)).modulus
+    fine = response.amplitude_bound_near_gap(ka, linear(100.0), n_points=4 * 16384 + 1).modulus
+    assert fine == pytest.approx(coarse, rel=1e-9)
+
+
 def test_nonuniform_reduces_to_uniform_shape_at_equal_momenta():
     # C_{k,k}/norm_k equals the uniform envelope 2g sin(ka)/E up to a
     # constant: the ratio of integrands must be constant in g
