@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,27 +61,45 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-@dataclass
 class ResultBundle:
-    name: str
-    columns: list
-    rows: list
-    fits: dict = field(default_factory=dict)
-    nonconverged: int = 0
+    """One result table and its fits, held column by column.
+
+    Give the table either as ``rows`` (a list of row lists) or as ``data``:
+    one list or 1-d numpy array per column, in the order of ``columns``.  A
+    numpy column must be float64 or int64.
+    """
+
+    def __init__(self, name, columns, rows=None, fits=None, nonconverged=0, data=None):
+        self.name = name
+        self.columns = columns
+        if rows is not None:
+            data = [list(col) for col in zip(*rows)] if rows else [[] for _ in columns]
+        self.data = data
+        self.fits = {} if fits is None else fits
+        self.nonconverged = nonconverged
+
+    @property
+    def rows(self):
+        return [list(row) for row in zip(*self.data)]
 
 
 def _grid(spec, name):
     """Accept an explicit list or a {start, stop, num} linspace description;
-    either must give a nonempty ascending grid."""
+    either must give a nonempty ascending grid of finite values."""
     if isinstance(spec, dict):
         try:
-            arr = np.linspace(spec["start"], spec["stop"], int(spec["num"]))
+            start, stop, num = float(spec["start"]), float(spec["stop"]), int(spec["num"])
         except KeyError as exc:
             raise ConfigError(f"{name} needs start/stop/num, got {spec}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"{name} start and stop must be finite, got {spec}")
+        arr = np.linspace(start, stop, num)
     else:
         arr = np.asarray(spec, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise ConfigError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} entries must be finite, got {spec}")
     if np.any(np.diff(arr) < 0):
         raise ConfigError(f"{name} must be sorted ascending")
     return arr
@@ -111,14 +129,13 @@ def _run_spectrum(cfg):
     _require(p, "n_spins")
     n = int(p["n_spins"])
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 101}), "g_grid")
-    chain = ising.ChainParams(n)
-    momenta = ising.momentum_grid(chain)
-    rows = []
-    for g in g_grid:
-        energies = ising.dispersion(momenta, float(g))
-        for ka, e in zip(momenta, energies):
-            rows.append([n, float(ka), float(g), float(e)])
-    return ResultBundle(name="spectrum", columns=["n_spins", "ka", "g", "energy"], rows=rows)
+    momenta = ising.momentum_grid(ising.ChainParams(n))
+    energies = ising.dispersion(momenta, g_grid[:, None])  # one row of momenta per g
+    data = [
+        np.full(energies.size, n), np.tile(momenta, len(g_grid)),
+        np.repeat(g_grid, len(momenta)), energies.ravel(),
+    ]
+    return ResultBundle(name="spectrum", columns=["n_spins", "ka", "g", "energy"], data=data)
 
 
 def _run_ed(cfg):
@@ -356,58 +373,91 @@ def _json_value(x):
     return x if math.isfinite(x) else None
 
 
-def _write_csv(path, columns, rows):
-    """Floats (17 significant digits) as %.17g, every other cell as str().
+def _csv_text(x):
+    """A cell as CSV text: floats with 17 significant digits, others as str()."""
+    return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
 
-    One %-format per row type signature, so each row is formatted by a
-    single C-level call.
+
+def _json_text(x):
+    """A cell as strict JSON text."""
+    return json.dumps(_json_value(x))
+
+
+def _array_json_text(x):
+    """``_json_text`` of a Python float or int taken from a numpy column."""
+    if isinstance(x, float):
+        return repr(x) if math.isfinite(x) else "null"
+    return str(x)
+
+
+def _texts(col, cell, array_cell):
+    """The text of every cell of one column.
+
+    A list column goes through ``cell`` cell by cell.  A numpy column is
+    formatted once per distinct bit pattern by ``array_cell`` and gathered
+    back; keying on bits keeps -0.0 apart from 0.0.
     """
-    formats = {}
+    if not isinstance(col, np.ndarray):
+        return list(map(cell, col))
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    distinct = np.array(list(map(array_cell, keys.view(col.dtype).tolist())), dtype=object)
+    return distinct[inverse]
 
-    def line(row):
-        key = tuple(map(type, row))
-        fmt = formats.get(key)
-        if fmt is None:
-            fmt = formats[key] = ",".join(
-                "%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in key
-            ) + "\n"
-        return fmt % tuple(row)
 
+_BLOCK = 8192  # rows joined into one string per write
+
+
+def _write_rows(fh, row, texts, sep):
+    """Write the rows of the column ``texts``, each through the %-format
+    ``row`` and separated by ``sep``, one block of rows per write."""
+    n = len(texts[0]) if texts else 0
+    for lo in range(0, n, _BLOCK):
+        block = sep.join(map(row.__mod__, zip(*(t[lo:lo + _BLOCK] for t in texts))))
+        fh.write(block if lo == 0 else sep + block)
+
+
+def _write_csv(path, bundle):
+    """CSV of the bundle: floats with 17 significant digits (%.17g), every
+    other cell as str().  Each column becomes its cell texts once (see
+    ``_texts``), then each row is joined by one %-format."""
+    texts = [_texts(col, _csv_text, _csv_text) for col in bundle.data]
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(map(line, rows))
+        fh.write(",".join(bundle.columns) + "\n")
+        _write_rows(fh, ",".join(["%s"] * len(texts)) + "\n", texts, "")
 
 
-def _json_mirror(bundle):
-    """Compact strict JSON of the rows and fits.
+def _write_json(path, bundle):
+    """Compact strict JSON mirror with sorted keys; non-finite floats are null.
 
-    The cells go to the C encoder as they are; only when it refuses one (a
-    non-finite float, or a numpy integer or bool) are the cells mapped
-    through ``_json_value`` and encoded once more.
+    ``columns``, ``fits`` and ``nonconverged`` sort before ``rows``, so the
+    document is their encoding followed by the rows, written like the CSV.
     """
-    def dumps(rows, fits):
-        doc = {
-            "columns": bundle.columns, "rows": rows, "fits": fits,
+    head = json.dumps(
+        {
+            "columns": bundle.columns,
+            "fits": {k: {kk: _json_value(v) for kk, v in fit.items()} for k, fit in bundle.fits.items()},
             "nonconverged": bundle.nonconverged,
-        }
-        return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
-
-    try:
-        return dumps(bundle.rows, bundle.fits)
-    except (ValueError, TypeError):
-        return dumps(
-            [[_json_value(x) for x in row] for row in bundle.rows],
-            {k: {kk: _json_value(v) for kk, v in fit.items()} for k, fit in bundle.fits.items()},
-        )
+        },
+        sort_keys=True, allow_nan=False, separators=(",", ":"),
+    )
+    texts = [_texts(col, _json_text, _array_json_text) for col in bundle.data]
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ',"rows":[')
+        _write_rows(fh, "[" + ",".join(["%s"] * len(texts)) + "]", texts, ",")
+        fh.write("]}")
 
 
 def emit(bundle, out_dir, config, walltime):
-    """Write CSV + JSON mirror + manifest; returns the CSV path."""
+    """Write CSV + JSON mirror + manifest; returns the CSV path.
+
+    Both tables are written column by column (see ``_texts``); the CSV
+    texts are released before the JSON texts are built.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{bundle.name}.csv"
-    _write_csv(csv_path, bundle.columns, bundle.rows)
-    (out / f"{bundle.name}.json").write_text(_json_mirror(bundle))
+    _write_csv(csv_path, bundle)
+    _write_json(out / f"{bundle.name}.json", bundle)
     manifest = {
         "config_sha256": config.sha256(),
         "experiment": config.experiment,

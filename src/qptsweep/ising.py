@@ -95,8 +95,9 @@ class ModeEndpoint:
 
 def _check_g(g):
     g = np.asarray(g, dtype=float)
-    if np.any(g < 0.0) or np.any(g > 1.0):
-        raise ValueError(f"g must lie in [0, 1], got {g!r}")
+    outside = (g < 0.0) | (g > 1.0)
+    if np.any(outside):
+        raise ValueError(f"g must lie in [0, 1], got {float(g[outside][0])!r}")
     return g
 
 

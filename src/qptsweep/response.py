@@ -416,6 +416,9 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
 
     if channel.kind == "uniform_x":
         grid = _bound_grid(schedule)
+        # modes share windows: the negative one [omega_floor, 0] always, and
+        # one mode's near_gap window can be another's intermediate window
+        weights = {}
         for ka in ka_positive:
             bounds = regime_bounds(ka, rho)
             for regime in REGIMES:
@@ -423,7 +426,9 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
                 lo = max(lo, omega_floor)
                 if hi <= lo:
                     continue
-                weight = integrate_abs(spectral_function, lo, hi)
+                if (lo, hi) not in weights:
+                    weights[lo, hi] = integrate_abs(spectral_function, lo, hi)
+                weight = weights[lo, hi]
                 if weight == 0.0:
                     continue
                 amp, _ = _uniform_regime_estimate(regime, ka, schedule, (lo, hi), grid)

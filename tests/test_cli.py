@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qptsweep import cli, grover, ising
 
@@ -215,7 +218,12 @@ def test_json_mirror_roundtrip(tmp_path):
     ("sweep", {"n_spins": 16, "T_list": [20.0], "schedule": "frozen"}),
     ("spectrum", {"n_spins": 15}),
     ("ed", {"model": "ising_ring", "n_list": [16]}),
-], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large"])
+    ("spectrum", {"n_spins": 8, "g_grid": [0.25, 0.5, 1.5]}),
+    ("spectrum", {"n_spins": 8, "g_grid": [0.0, float("nan")]}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
+                  "omega_grid": [0.4, float("nan")], "ka_list": [0.19634954084936207]}),
+], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large",
+        "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -285,7 +293,12 @@ def test_grover_nonconverged_rows_exit_2(tmp_path, monkeypatch):
                   "omega_grid": {"start": 0.5, "stop": 0.5, "num": 0}}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
                   "omega_grid": {"start": 0.6, "stop": 0.4, "num": 3}}),
-], ids=["spectrum_num_0", "spectrum_descending", "response_num_0", "response_descending"])
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": float("nan"), "stop": 1.0, "num": 5}}),
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": float("nan"), "num": 1}}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
+                  "omega_grid": {"start": 0.4, "stop": float("inf"), "num": 3}}),
+], ids=["spectrum_num_0", "spectrum_descending", "response_num_0", "response_descending",
+        "spectrum_nan_start", "spectrum_nan_stop_num_1", "response_inf_stop"])
 def test_linspace_grid_checked_like_list_grid(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -396,3 +409,58 @@ def test_spectrum_csv_matches_oracle_writer(tmp_path, monkeypatch):
     (bundle,) = bundles
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(bundle)
     assert _loaded((tmp_path / "out" / "spectrum.json").read_text()) == _loaded(_oracle_json(bundle))
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+    2.0**63, -(2.0**63), 9.2233720368547748e18, 1.7976931348623157e308, 0.1,
+]
+_EDGE_INTS = [0, -1, 1, 2**63 - 1, -(2**63), 2**63 - 2, -(2**63) + 1, 2**53 + 1]
+
+
+def _column(values, edges):
+    """Every edge value, then many repeats of a few values drawn with them."""
+    def build(drawn):
+        pool, picks = drawn[0] + edges, drawn[1]
+        return edges + [pool[i % len(pool)] for i in picks]
+
+    return st.tuples(st.lists(values, max_size=4), st.lists(st.integers(0, 15), max_size=80)).map(build)
+
+
+_FLOAT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    # any bit pattern: subnormals and NaN payloads of either sign
+    st.integers(-(2**63), 2**63 - 1).map(lambda b: float(np.int64(b).view(np.float64))),
+)
+_INT_VALUES = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(floats=_column(_FLOAT_VALUES, _EDGE_FLOATS), ints=_column(_INT_VALUES, _EDGE_INTS))
+def test_array_column_texts_match_per_cell_rule(floats, ints):
+    for col in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
+        assert list(cli._texts(col, cli._csv_text, cli._csv_text)) == [_oracle_fmt(x) for x in col]
+        assert list(cli._texts(col, cli._json_text, cli._array_json_text)) == [
+            json.dumps(_oracle_json_value(x)) for x in col
+        ]
+
+
+def test_spectrum_bytes_match_oracle(tmp_path):
+    # -0.0 and 0.0 are distinct cells: a cache keyed on values would merge them
+    grid = [-0.0, 0.0, 0.0, 0.5, 1.0]
+    cfg = write_config(tmp_path, "c.json", {"n_spins": 8, "g_grid": grid})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    momenta = ising.momentum_grid(ising.ChainParams(8))
+    rows = [
+        [8, float(ka), float(g), float(e)]
+        for g in grid for ka, e in zip(momenta, ising.dispersion(momenta, g))
+    ]
+    oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], rows=rows)
+    assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(oracle)
+    doc = {
+        "columns": oracle.columns, "fits": {}, "nonconverged": 0,
+        "rows": [[_oracle_json_value(x) for x in row] for row in rows],
+    }
+    expected = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
+    assert (tmp_path / "out" / "spectrum.json").read_text() == expected
+    assert ",-0," in (tmp_path / "out" / "spectrum.csv").read_text()
+    assert ",-0.0," in expected

@@ -217,6 +217,25 @@ def test_total_error_zero_bath():
     assert all(v == 0.0 for v in breakdown.values())
 
 
+def test_total_error_integrates_each_bath_window_once(monkeypatch):
+    # the negative window [omega_floor, 0] is shared by every mode, and at
+    # n=16 the intermediate window of ka=pi/16 is the near_gap window of 9pi/16
+    windows = []
+    integrate_abs = response.integrate_abs
+
+    def record(sf, lo, hi):
+        windows.append((lo, hi))
+        return integrate_abs(sf, lo, hi)
+
+    monkeypatch.setattr(response, "integrate_abs", record)
+    sf = bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=1.0, omega_c=2.0, beta=5.0)
+    ch = response.Channel(kind="uniform_x", coupling=0.01)
+    total, breakdown = response.total_error(ch, linear(50.0), sf, 16)
+    assert windows.count((-2.0, 0.0)) == 1
+    assert len(windows) == len(set(windows))
+    assert breakdown["negative"] > 0.0 and total > 0.0
+
+
 def test_total_error_monotone_in_n():
     beta = 1.0 / (4.0 * np.sin(np.pi / 64.0))
     sf = bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=1.0, omega_c=2.0, beta=beta)
