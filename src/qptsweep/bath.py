@@ -38,9 +38,6 @@ class SpectralFunction:
             if self.omega_c <= 0.0 or self.beta <= 0.0:
                 raise ValueError("need omega_c > 0 and beta > 0 (inf allowed)")
 
-    def __call__(self, omega):
-        return evaluate(self, omega)
-
 
 def spectral_density(sf, omega):
     """Bath spectral density J(w) = 2*theta*omega_ph^(1-eps)*w^eps*e^(-w/wc)."""

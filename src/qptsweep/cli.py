@@ -223,7 +223,7 @@ def _run_response(cfg):
             return [
                 channel.kind, n, float(ka), float(ka), float(w),
                 response.classify_regime(float(w), float(ka)), "quadrature",
-                val.real, val.imag, abs(val), b.quad_error, 1,
+                val.real, val.imag, abs(val), b.quad_error, int(b.converged),
             ]
         if channel.kind == "nonuniform_x":
             kpa = float(p.get("kpa", ka))

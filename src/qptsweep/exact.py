@@ -25,22 +25,17 @@ MODELS = ("ising_ring", "grover", "mixed_grover_ising")
 DENSE_MAX = 10
 ITER_MAX = 14
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EVEN_SEARCH_LEVELS = 6  # levels solved when looking for the lowest even ones
 
 
 class NonConvergenceError(RuntimeError):
     """Iterative eigensolver failed to reach the residual contract."""
-
-    def __init__(self, message, achieved_residual=None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
 
 
 @dataclass
 class SpinHamiltonian:
     n_qubits: int
     model: str
-    g: float
-    marked_state: str | None = None
     matrix: np.ndarray | None = None  # dense path only
     _op: LinearOperator | None = field(default=None, repr=False)
 
@@ -100,7 +95,7 @@ def build_hamiltonian(model, n_qubits, g, marked_state=None):
             raise ValueError(f"marked_state must be an {n_qubits}-bit string, got {marked_state!r}")
 
     dim = 2**n_qubits
-    ham = SpinHamiltonian(n_qubits=n_qubits, model=model, g=float(g), marked_state=marked_state)
+    ham = SpinHamiltonian(n_qubits=n_qubits, model=model)
 
     if model == "ising_ring":
         diag = _ising_diag(n_qubits, g)
@@ -245,9 +240,7 @@ def low_spectrum(ham, m, want_vectors=True, resolve_parity=False):
         [np.linalg.norm(ham.apply(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(len(vals))]
     )
     if np.any(residuals > 1e-8):
-        raise NonConvergenceError(
-            f"residuals above contract: {residuals.max():.3e}", achieved_residual=float(residuals.max())
-        )
+        raise NonConvergenceError(f"residuals above contract: {residuals.max():.3e}")
     return LowSpectrum(
         eigenvalues=vals,
         eigenvectors=vecs if want_vectors else None,
@@ -304,21 +297,21 @@ def ground_energy(model, n_qubits, g, marked_state=None):
     return float(low_spectrum(ham, 1, want_vectors=False).eigenvalues[0])
 
 
-def even_parity_ground_energy(model, n_qubits, g, m=6):
+def even_parity_ground_energy(model, n_qubits, g):
     """Lowest eigenvalue whose bitflip parity is +1."""
     ham = build_hamiltonian(model, n_qubits, g)
-    spec = low_spectrum(ham, min(m, ham.dim), resolve_parity=True)
+    spec = low_spectrum(ham, min(_EVEN_SEARCH_LEVELS, ham.dim), resolve_parity=True)
     even = spec.eigenvalues[spec.parity_labels > 0]
     if len(even) == 0:
         raise NonConvergenceError("no even-parity state among the computed eigenpairs")
     return float(even[0])
 
 
-def gap(model, n_qubits, g, marked_state=None, even_sector=False, m=6):
+def gap(model, n_qubits, g, marked_state=None, even_sector=False):
     """E1 - E0, optionally restricted to the even bitflip-parity sector."""
     ham = build_hamiltonian(model, n_qubits, g, marked_state)
     if even_sector:
-        spec = low_spectrum(ham, min(m, ham.dim), resolve_parity=True)
+        spec = low_spectrum(ham, min(_EVEN_SEARCH_LEVELS, ham.dim), resolve_parity=True)
         even = spec.eigenvalues[spec.parity_labels > 0]
         if len(even) < 2:
             raise NonConvergenceError("fewer than two even-parity states found")
@@ -327,11 +320,10 @@ def gap(model, n_qubits, g, marked_state=None, even_sector=False, m=6):
     return float(spec.eigenvalues[1] - spec.eigenvalues[0])
 
 
-def energy_derivatives(model, g_grid, n_qubits, marked_state=None, check_tol=1e-4):
+def energy_derivatives(model, g_grid, n_qubits, marked_state=None):
     """Central-difference dE0/dg and d2E0/dg2 of the ED ground energy.
 
-    The grid must be uniform; a half-step Richardson comparison guards
-    against too-coarse grids near the transition.
+    The grid must be uniform.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     h = g_grid[1] - g_grid[0]

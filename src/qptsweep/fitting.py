@@ -8,17 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODELS = ("power_law", "exponential", "linear")
-
 
 @dataclass
 class FitResult:
-    model: str
     exponent: float  # power-law exponent, exponential rate, or linear slope
     prefactor: float
     r_squared: float
-    residuals: np.ndarray
-    window: tuple
 
 
 def _check(xs, ys, positive_y=False, positive_x=False):
@@ -39,51 +34,41 @@ def _check(xs, ys, positive_y=False, positive_x=False):
 
 def _ols(x, y):
     slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    resid = y - pred
+    resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return slope, intercept, r2, resid
+    return slope, intercept, r2
 
 
 def fit_power_law(xs, ys):
     """y = prefactor * x^exponent via OLS in log-log coordinates."""
     xs, ys = _check(xs, ys, positive_y=True, positive_x=True)
-    slope, intercept, r2, resid = _ols(np.log(xs), np.log(ys))
+    slope, intercept, r2 = _ols(np.log(xs), np.log(ys))
     return FitResult(
-        model="power_law",
         exponent=float(slope),
         prefactor=float(np.exp(intercept)),
         r_squared=r2,
-        residuals=resid,
-        window=(float(xs[0]), float(xs[-1])),
     )
 
 
 def fit_exponential(xs, ys):
     """y = prefactor * exp(rate * x) via OLS in semilog coordinates."""
     xs, ys = _check(xs, ys, positive_y=True)
-    slope, intercept, r2, resid = _ols(xs, np.log(ys))
+    slope, intercept, r2 = _ols(xs, np.log(ys))
     return FitResult(
-        model="exponential",
         exponent=float(slope),
         prefactor=float(np.exp(intercept)),
         r_squared=r2,
-        residuals=resid,
-        window=(float(xs[0]), float(xs[-1])),
     )
 
 
 def fit_linear(xs, ys):
     """y = prefactor + exponent * x (slope stored in ``exponent``)."""
     xs, ys = _check(xs, ys)
-    slope, intercept, r2, resid = _ols(xs, ys)
+    slope, intercept, r2 = _ols(xs, ys)
     return FitResult(
-        model="linear",
         exponent=float(slope),
         prefactor=float(intercept),
         r_squared=r2,
-        residuals=resid,
-        window=(float(xs[0]), float(xs[-1])),
     )

@@ -6,7 +6,7 @@ estimate.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .bath import SpectralFunction, evaluate as bath_evaluate
 
 _SOFT_LAMBDA = 0.1
 _LARGE_D = 16
+_PHASE_POINTS = 8193  # uniform grid of the dynamical phase in matrix_element_x
 
 
 @dataclass
@@ -26,7 +27,6 @@ class GroverParams:
     schedule: object
     spectral_function: SpectralFunction | None = None
     marked_state: str | None = None
-    omega_grid: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -64,14 +64,7 @@ def grover_gap(g, dim):
     return val if val.ndim else float(val)
 
 
-def _phase_on_grid(schedule, dim, n_points):
-    t = np.linspace(0.0, schedule.T, n_points)
-    g = np.asarray(schedule.g_of(t), dtype=float)
-    gap = grover_gap(g, dim)
-    return t, g, gap, cumulative_simpson_uniform(gap, t[1] - t[0])
-
-
-def matrix_element_x(g, t, dim, schedule, n_points=8193):
+def matrix_element_x(g, t, dim, schedule):
     """Dominant matrix element -(1-g)/(sqrt(D)*gap) * exp(-i int gap dt').
 
     Large-D form: the O(1/sqrt(D)) corrections to the two-level reduction
@@ -80,8 +73,9 @@ def matrix_element_x(g, t, dim, schedule, n_points=8193):
     if dim < _LARGE_D:
         raise ValueError(f"large-D formula needs dim >= {_LARGE_D}, got {dim}")
     gap = grover_gap(g, dim)
-    tg, _, gapg, cum = _phase_on_grid(schedule, dim, n_points)
-    phi = float(np.interp(t, tg, cum))
+    tg = np.linspace(0.0, schedule.T, _PHASE_POINTS)
+    gap_t = grover_gap(np.asarray(schedule.g_of(tg), dtype=float), dim)
+    phi = float(np.interp(t, tg, cumulative_simpson_uniform(gap_t, tg[1] - tg[0])))
     return -(1.0 - g) / (np.sqrt(dim) * gap) * np.exp(-1j * phi)
 
 
@@ -94,10 +88,9 @@ def _amplitude_fixed_grid(params, omega, n):
     return stream_filon(params.schedule.T, n, omega, nodes, filon_integral)
 
 
-def amplitude_omega(params, omega, rel_tol=1e-4, n0=None, n_max=2**21):
+def amplitude_omega(params, omega, rel_tol=1e-4, n_max=2**21):
     """Per-frequency amplitude integral with a grid-doubling certificate."""
-    if n0 is None:
-        n0 = default_n0(params.schedule.T, abs(omega) + 1.0)
+    n0 = default_n0(params.schedule.T, abs(omega) + 1.0)
     value, err, ok = refine(lambda n: _amplitude_fixed_grid(params, omega, n), n0, rel_tol, n_max)
     if not ok:
         raise QuadratureError(f"amplitude at omega={omega} not converged by n={n_max}")
@@ -120,8 +113,6 @@ def error_probability(params, omega_grid=None, rel_tol=1e-4):
             amp, _ = amplitude_omega(params, w0, rel_tol=rel_tol)
             total += wt * abs(amp) ** 2
         return lam2 * total
-    if omega_grid is None:
-        omega_grid = params.omega_grid
     if omega_grid is None:
         raise ValueError("omega_grid is required for a continuous spectral function")
     omega_grid = np.asarray(omega_grid, dtype=float)

@@ -10,19 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    QuadratureError, default_n0, filon_integral, refine, simpson_weights, stream_filon,
-)
+from ._kernels import default_n0, filon_integral, refine, simpson_weights, stream_filon
 # unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
 from ._kernels import cumulative_simpson_uniform  # noqa: F401
+# re-exported: the one quadrature error of the package, shared with grover
+from ._kernels import QuadratureError  # noqa: F401
 from .bath import integrate_abs
 from .ising import dispersion
+from .schedules import make_schedule
 
 CHANNEL_KINDS = ("uniform_x", "nonuniform_x", "single_site_z")
 REGIMES = ("intermediate", "near_gap", "sub_gap", "negative")
 
-DEFAULT_RHO = 3.0  # quantifies the ">>" separating the frequency regimes
+RHO = 3.0  # quantifies the ">>" separating the frequency regimes
 _INITIAL_ENERGY = 2.0  # single-particle energy at g=0; "cold bath" cutoff
+_OMEGA_FLOOR = -2.0  # lower end of the negative-frequency window of total_error
+_COLLISION_TOL = 1e-6  # smallest saddle discriminant stationary phase resolves
+_SADDLE_SAMPLES = 9  # frequencies sampled per intermediate window
 _BOUND_POINTS = 16385  # uniform grid of the phase-free bounds; odd for Simpson
 
 
@@ -34,15 +38,12 @@ class SaddleCollisionError(ArithmeticError):
 class Channel:
     kind: str
     coupling: float
-    site: int | None = None
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
         if self.coupling < 0.0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
-        if self.kind == "single_site_z" and self.site is None:
-            self.site = 0
 
     @property
     def final_state_excitations(self):
@@ -71,27 +72,24 @@ class BitflipAmplitudes:
     a2: complex  # oscillatory term, grows with T
     a2_bound: float  # phase-free bound on |a2|; exactly proportional to T
     quad_error: float
+    converged: bool
 
 
 @dataclass
 class RegimeBounds:
     """Frequency windows per regime for one mode; partition of (-inf, 2)."""
 
-    ka: float
-    rho: float
     negative: tuple
     sub_gap: tuple
     near_gap: tuple
     intermediate: tuple
 
 
-def regime_bounds(ka, rho=DEFAULT_RHO):
+def regime_bounds(ka):
     k2 = 2.0 * abs(ka)
-    lo = k2 / rho
-    hi = min(rho * k2, _INITIAL_ENERGY)
+    lo = k2 / RHO
+    hi = min(RHO * k2, _INITIAL_ENERGY)
     return RegimeBounds(
-        ka=float(ka),
-        rho=float(rho),
         negative=(-np.inf, 0.0),
         sub_gap=(0.0, lo),
         near_gap=(lo, hi),
@@ -99,33 +97,38 @@ def regime_bounds(ka, rho=DEFAULT_RHO):
     )
 
 
-def classify_regime(omega, ka, rho=DEFAULT_RHO):
+def classify_regime(omega, ka):
     """Frequency regime relative to the minimal pair gap 2|ka| of mode ka."""
     if abs(ka) >= np.pi:
         raise ValueError(f"|ka| must be below pi, got {ka}")
     if omega < 0.0:
         return "negative"
     k2 = 2.0 * abs(ka)
-    if omega >= rho * k2:
+    if omega >= RHO * k2:
         return "intermediate"
-    if omega >= k2 / rho:
+    if omega >= k2 / RHO:
         return "near_gap"
     return "sub_gap"
 
 
+def _uniform_env(ka, g, energy):
+    """Real envelope 2*g*sin(ka)/E of the uniform channel at energy E."""
+    return 2.0 * g * np.sin(ka) / energy
+
+
 def matrix_element_uniform(ka, g):
     """Pair-state element of the summed sigma_x coupling: 2i*g*sin(ka)/E_k."""
-    return 2.0j * g * np.sin(ka) / dispersion(ka, g)
+    return 1j * _uniform_env(ka, g, dispersion(ka, g))
 
 
 def _mode_nodes(schedule, ka, envelope):
-    """``stream_filon`` nodes of a single-mode integrand: envelope(g, E_k)
+    """``stream_filon`` nodes of a single-mode integrand: envelope(ka, g, E_k)
     and the pair phase rate 2 E_k."""
 
     def nodes(t):
         g = np.asarray(schedule.g_of(t), dtype=float)
         energy = dispersion(ka, g)
-        return envelope(g, energy), 2.0 * energy
+        return envelope(ka, g, energy), 2.0 * energy
 
     return nodes
 
@@ -134,31 +137,30 @@ def _default_n0(schedule, omega):
     return default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
 
 
-def _uniform_env(ka, g):
-    return 2.0 * g * np.sin(ka) / dispersion(ka, g)
-
-
-def _endpoint_correction(env_of_g, ka, omega, schedule, order, h=1e-5):
-    """Asymptotic boundary contribution of the oscillatory integral.
+def _endpoint_correction(ka, omega, schedule, order):
+    """Asymptotic boundary contribution of the uniform-channel integral.
 
     Integration by parts gives, at each endpoint, e^{i phi} * [F - gdot *
     dF/dg / (i phi') + ...] with F = env/(i phi') and phi' = 2E - omega.
-    ``order`` 1 keeps F (the O(1) term), 2 adds the O(gdot) corner term.
+    ``order`` 1 keeps F (the O(1) term), 2 adds the O(gdot) corner term,
+    with dF/dg by a central difference of step 1e-5 clipped to [0, 1].
     """
+
+    def f_and_rate(g):
+        energy = dispersion(ka, g)
+        rate = 1j * (2.0 * energy - omega)
+        return _uniform_env(ka, g, energy) / rate, rate
+
     total = 0.0 + 0.0j
     for t_end, sign in ((schedule.T, 1.0), (0.0, -1.0)):
         g_end, gdot = schedule.evaluate(t_end)
         phase = -omega * t_end + 2.0 * schedule.phase_integral(ka, t_end)
-
-        def f_of(g):
-            return env_of_g(ka, g) / (1j * (2.0 * dispersion(ka, g) - omega))
-
-        term = f_of(g_end)
+        term, rate = f_and_rate(g_end)
         if order >= 2:
-            lo = max(g_end - h, 0.0)
-            hi = min(g_end + h, 1.0)
-            dfdg = (f_of(hi) - f_of(lo)) / (hi - lo)
-            term = term - gdot * dfdg / (1j * (2.0 * dispersion(ka, g_end) - omega))
+            lo = max(g_end - 1e-5, 0.0)
+            hi = min(g_end + 1e-5, 1.0)
+            dfdg = (f_and_rate(hi)[0] - f_and_rate(lo)[0]) / (hi - lo)
+            term = term - gdot * dfdg / rate
         total += sign * np.exp(1j * phase) * term
     return total
 
@@ -176,14 +178,14 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=1e-3, n_max=2**21, end
     that carries the adiabatic suppression.
     """
 
-    nodes = _mode_nodes(schedule, ka, lambda g, energy: 2.0 * g * np.sin(ka) / energy)
+    nodes = _mode_nodes(schedule, ka, _uniform_env)
 
     def eval_at(n):
         return stream_filon(schedule.T, n, -omega, nodes, filon_integral)
 
     value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
     if endpoint_order > 0:
-        value = value - _endpoint_correction(_uniform_env, ka, omega, schedule, endpoint_order)
+        value = value - _endpoint_correction(ka, omega, schedule, endpoint_order)
     return AmplitudeResult(
         value=value,
         method="quadrature",
@@ -206,8 +208,6 @@ def suppression_rate_uniform(ka, omega, t_list, rel_tol=1e-6):
         raise ValueError("need at least two run-times")
     mods = []
     for T in t_list:
-        from .schedules import make_schedule
-
         res = amplitude_direct_uniform(
             ka, omega, make_schedule("linear", float(T)), rel_tol=rel_tol, endpoint_order=2
         )
@@ -227,16 +227,16 @@ def saddle_points_uniform(omega, ka):
     return 0.5 + shift, 0.5 - shift
 
 
-def amplitude_saddle_uniform(omega, ka, schedule, collision_tol=1e-6):
+def amplitude_saddle_uniform(omega, ka, schedule):
     """Stationary-phase evaluation of the uniform amplitude, per unit coupling.
 
     Each real saddle g* (where 2*E_k = omega) contributes
     env(t*) * sqrt(2*pi/|phi''|) * exp(i*(phi(t*) + sign(phi'')*pi/4)).
     """
     disc = omega**2 - 16.0 * np.sin(ka / 2.0) ** 2
-    if disc < collision_tol:
+    if disc < _COLLISION_TOL:
         raise SaddleCollisionError(
-            f"discriminant {disc:.3e} below {collision_tol}: saddles unresolved"
+            f"discriminant {disc:.3e} below {_COLLISION_TOL}: saddles unresolved"
         )
     g_plus, g_minus = saddle_points_uniform(omega, ka)
     chalf = np.cos(ka / 2.0) ** 2
@@ -245,7 +245,7 @@ def amplitude_saddle_uniform(omega, ka, schedule, collision_tol=1e-6):
     for g_star in (g_minus, g_plus):
         t_star = schedule.invert(g_star)
         _, gdot = schedule.evaluate(t_star)
-        env = 2.0 * g_star * np.sin(ka) / (omega / 2.0)
+        env = _uniform_env(ka, g_star, omega / 2.0)
         # d(2E)/dt at the saddle; E' (in g) = 8*cos^2(ka/2)*(2g-1)/E
         ddphase = 2.0 * gdot * 8.0 * chalf * (2.0 * g_star - 1.0) / (omega / 2.0)
         phase = -omega * t_star + 2.0 * schedule.phase_integral(ka, t_star)
@@ -273,8 +273,8 @@ def _bound_grid(schedule, n_points=_BOUND_POINTS):
 
 def _near_gap_bound(ka, g, w):
     """int_0^T 2*g|sin(ka)|/E_k dt on the grid of ``_bound_grid``."""
-    env = 2.0 * g * np.abs(np.sin(ka)) / dispersion(ka, g)
-    return float(w @ env)
+    # |2g sin(ka)/E| = 2g|sin(ka)|/E exactly, as g >= 0 and E > 0
+    return float(w @ np.abs(_uniform_env(ka, g, dispersion(ka, g))))
 
 
 def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_POINTS):
@@ -355,7 +355,7 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
         energy = dispersion(ka, g)
         return 2.0 * g / _bogoliubov_norm(ka, g, energy), None  # no dynamical phase
 
-    a2_nodes = _mode_nodes(schedule, ka, lambda g, energy: _pair_envelope(ka, g, energy))
+    a2_nodes = _mode_nodes(schedule, ka, _pair_envelope)
 
     def eval_a1(n):
         return stream_filon(schedule.T, n, -omega, a1_nodes, filon_integral)
@@ -366,15 +366,15 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
     n0 = _default_n0(schedule, omega)
     raw1, err1, ok1 = refine(eval_a1, n0, rel_tol, n_max)
     raw2, err2, ok2 = refine(eval_a2, n0, rel_tol, n_max)
-    if not (ok1 and ok2):
-        raise QuadratureError(f"bitflip quadrature at ka={ka}, omega={omega} not converged")
     a1 = 1j * np.exp(-1j * ka) * np.sin(ka) * raw1
     a2 = np.exp(1j * ka) * raw2
     _, bound = _bitflip_bounds(ka, *_bound_grid(schedule))
-    return BitflipAmplitudes(a1=a1, a2=a2, a2_bound=bound, quad_error=max(err1, err2))
+    return BitflipAmplitudes(
+        a1=a1, a2=a2, a2_bound=bound, quad_error=max(err1, err2), converged=ok1 and ok2
+    )
 
 
-def _uniform_regime_estimate(regime, ka, schedule, window, grid, n_omega=9):
+def _uniform_regime_estimate(regime, ka, schedule, window, grid):
     """Per-regime modulus estimate for one uniform-channel mode; ``grid`` is
     the schedule's ``_bound_grid``."""
     T = schedule.T
@@ -389,7 +389,7 @@ def _uniform_regime_estimate(regime, ka, schedule, window, grid, n_omega=9):
     lo, hi = window
     best = 0.0
     used_saddle = False
-    for w in np.linspace(lo * 1.01, hi * 0.99, n_omega):
+    for w in np.linspace(lo * 1.01, hi * 0.99, _SADDLE_SAMPLES):
         try:
             res = amplitude_saddle_uniform(w, ka, schedule)
         except SaddleCollisionError:
@@ -401,7 +401,7 @@ def _uniform_regime_estimate(regime, ka, schedule, window, grid, n_omega=9):
     return best, "saddle_point" if used_saddle else "phase_free_bound"
 
 
-def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, omega_floor=-2.0):
+def total_error(channel, schedule, spectral_function, n_spins):
     """Regime-resolved bound on the total excitation amplitude.
 
     Sum over modes and regimes of (regime amplitude estimate) * int_regime
@@ -416,14 +416,14 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
 
     if channel.kind == "uniform_x":
         grid = _bound_grid(schedule)
-        # modes share windows: the negative one [omega_floor, 0] always, and
+        # modes share windows: the negative one [_OMEGA_FLOOR, 0] always, and
         # one mode's near_gap window can be another's intermediate window
         weights = {}
         for ka in ka_positive:
-            bounds = regime_bounds(ka, rho)
+            bounds = regime_bounds(ka)
             for regime in REGIMES:
                 lo, hi = getattr(bounds, regime)
-                lo = max(lo, omega_floor)
+                lo = max(lo, _OMEGA_FLOOR)
                 if hi <= lo:
                     continue
                 if (lo, hi) not in weights:
@@ -438,7 +438,7 @@ def total_error(channel, schedule, spectral_function, n_spins, rho=DEFAULT_RHO, 
 
     if channel.kind == "single_site_z":
         # phase-free bound per single-particle mode; both momentum signs
-        weight = integrate_abs(spectral_function, omega_floor, _INITIAL_ENERGY)
+        weight = integrate_abs(spectral_function, _OMEGA_FLOOR, _INITIAL_ENERGY)
         g, w = _bound_grid(schedule)
         for ka in ka_positive:
             b1, b2 = _bitflip_bounds(ka, g, w)

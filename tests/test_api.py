@@ -1,0 +1,50 @@
+"""Static checks on the library's interface."""
+
+import ast
+from pathlib import Path
+
+import qptsweep
+
+SRC = Path(qptsweep.__file__).resolve().parent
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for every parameter of a function or
+    lambda, other than ``self`` and ``cls``, that its body never loads.
+    A load in a nested function or lambda counts as a read."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, name, p) for p in params if p not in loaded | {"self", "cls"}]
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}:{line} {func}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for line, func, param in _unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_unread_parameter_is_reported():
+    tree = ast.parse(
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g, (lambda x, y: x), kw\n"
+    )
+    assert {(func, p) for _, func, p in _unread_parameters(tree)} == {
+        ("f", "b"), ("f", "args"), ("f", "c"), ("<lambda>", "y"),
+    }

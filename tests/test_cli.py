@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qptsweep import cli, grover, ising
+from qptsweep import cli, grover, ising, response
 
 
 def write_config(tmp_path, name, doc):
@@ -184,7 +184,7 @@ _IMPORT_GUARD = textwrap.dedent("""
         loaded[name] = slow() if code == 0 else f"exit {code}"
     # the tabulated bath still interpolates; it imports scipy.interpolate itself
     tabulated = cli.bath.load_tabulated([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
-    print(json.dumps(loaded), tabulated(0.5))
+    print(json.dumps(loaded), cli.bath.evaluate(tabulated, 0.5))
 """)
 
 
@@ -284,6 +284,19 @@ def test_grover_nonconverged_rows_exit_2(tmp_path, monkeypatch):
     assert cli.main(["grover", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     doc = json.loads((tmp_path / "out" / "grover.json").read_text())
     assert doc["nonconverged"] == len(doc["rows"]) == 3
+
+
+def test_bitflip_nonconverged_rows_exit_2(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 8, "T": 50.0, "channel": "single_site_z", "omega_grid": [0.3, 0.5],
+    })
+    monkeypatch.setattr(response, "refine", lambda *args: (0j, 1.0, False))
+    assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    with open(tmp_path / "out" / "response.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["converged"] for row in rows] == ["0", "0"]
+    doc = json.loads((tmp_path / "out" / "response.json").read_text())
+    assert doc["nonconverged"] == len(doc["rows"]) == 2
 
 
 @pytest.mark.parametrize("subcommand,doc", [
