@@ -114,6 +114,14 @@ def _require(params, *keys):
             raise ConfigError(f"config key {k!r} must be a nonempty list")
 
 
+def _ka_list(params, n_spins):
+    """The config's ``ka_list`` in its given order, or [pi/N] when it is absent."""
+    if params.get("ka_list") is None:
+        return np.array([np.pi / n_spins])
+    _require(params, "ka_list")
+    return np.asarray(params["ka_list"], dtype=float)
+
+
 def _make_schedule(params, n_spins=None, T=None):
     if T is None:
         _require(params, "T")
@@ -144,7 +152,7 @@ def _run_ed(cfg):
     model = p["model"]
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 21}), "g_grid")
     m = int(p.get("m", 4))
-    parity = model in ("ising_ring", "mixed_grover_ising") and p.get("resolve_parity", True)
+    parity = model in ("ising_ring", "mixed_grover_ising")
     rows, bad = [], 0
     for n in p["n_list"]:
         for g in g_grid:
@@ -178,8 +186,7 @@ def _run_sweep(cfg):
     p = cfg.params
     _require(p, "n_spins", "T_list")
     n = int(p["n_spins"])
-    ka_list = p.get("ka_list")
-    ka_list = np.asarray([np.pi / n] if ka_list is None else ka_list, dtype=float)
+    ka_list = _ka_list(p, n)
     rows, bad = [], 0
     for T in p["T_list"]:
         sched = _make_schedule(p, n_spins=n, T=T)
@@ -214,7 +221,7 @@ def _run_response(cfg):
     channel = response.Channel(kind=p["channel"], coupling=float(p.get("coupling", 1.0)))
     sched = _make_schedule(p, n_spins=n)
     omega_grid = _grid(p["omega_grid"], "omega_grid")
-    ka_list = p.get("ka_list") or [np.pi / n]
+    ka_list = _ka_list(p, n)
 
     def one(ka, w):
         if channel.kind == "single_site_z":
@@ -379,28 +386,26 @@ def _csv_text(x):
 
 
 def _json_text(x):
-    """A cell as strict JSON text."""
-    return json.dumps(_json_value(x))
+    """A cell as strict JSON text: the text of ``_json_value(x)``."""
+    if isinstance(x, (str, bool)):
+        return json.dumps(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    return repr(x) if math.isfinite(x) else "null"
 
 
-def _array_json_text(x):
-    """``_json_text`` of a Python float or int taken from a numpy column."""
-    if isinstance(x, float):
-        return repr(x) if math.isfinite(x) else "null"
-    return str(x)
-
-
-def _texts(col, cell, array_cell):
+def _texts(col, cell):
     """The text of every cell of one column.
 
     A list column goes through ``cell`` cell by cell.  A numpy column is
-    formatted once per distinct bit pattern by ``array_cell`` and gathered
-    back; keying on bits keeps -0.0 apart from 0.0.
+    formatted once per distinct bit pattern and gathered back; keying on
+    bits keeps -0.0 apart from 0.0.
     """
     if not isinstance(col, np.ndarray):
         return list(map(cell, col))
     keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    distinct = np.array(list(map(array_cell, keys.view(col.dtype).tolist())), dtype=object)
+    distinct = np.array(list(map(cell, keys.view(col.dtype).tolist())), dtype=object)
     return distinct[inverse]
 
 
@@ -420,7 +425,7 @@ def _write_csv(path, bundle):
     """CSV of the bundle: floats with 17 significant digits (%.17g), every
     other cell as str().  Each column becomes its cell texts once (see
     ``_texts``), then each row is joined by one %-format."""
-    texts = [_texts(col, _csv_text, _csv_text) for col in bundle.data]
+    texts = [_texts(col, _csv_text) for col in bundle.data]
     with open(path, "w") as fh:
         fh.write(",".join(bundle.columns) + "\n")
         _write_rows(fh, ",".join(["%s"] * len(texts)) + "\n", texts, "")
@@ -440,7 +445,7 @@ def _write_json(path, bundle):
         },
         sort_keys=True, allow_nan=False, separators=(",", ":"),
     )
-    texts = [_texts(col, _json_text, _array_json_text) for col in bundle.data]
+    texts = [_texts(col, _json_text) for col in bundle.data]
     with open(path, "w") as fh:
         fh.write(head[:-1] + ',"rows":[')
         _write_rows(fh, "[" + ",".join(["%s"] * len(texts)) + "]", texts, ",")

@@ -1,18 +1,21 @@
 """Exact diagonalization of the three model Hamiltonians.
 
-Dense subset solves (lowest m levels only) up to N=10 (dimension 1024),
-matrix-free Lanczos-type iteration (ARPACK with a fixed start vector) up to
-N=14.  Bitflip-parity sectors are solved separately: dense as the two
-half-dimension blocks H[x,x] ± H[x,x̄], iterative through
-symmetry-projected operators.  The even sector of the mixed
-search/ferromagnet model is computed exactly from its wall-class
-reduction, which the minimal-gap scaling study uses; ``parity_resolve``
-and the full solves stay as test oracles.  Also ground-energy derivative
-diagnostics.
+Every model is one operator form, H = diag(d) - f*sum_j X_j - r*|s><s|
+with |s> the uniform state (``SpinHamiltonian``); the dense matrix (up to
+N=10, dimension 1024) and the matrix-free product are both read off it.
+Dense subset solves (lowest m levels only) up to N=10, Lanczos-type
+iteration (ARPACK with a fixed start vector) up to N=14.  Bitflip-parity
+sectors are solved separately: dense as the two half-dimension blocks
+H[x,x] ± H[x,x̄], iterative through symmetry-projected operators.  The
+even sector of the mixed search/ferromagnet model is computed exactly
+from its wall-class reduction, which the minimal-gap scaling study uses;
+``parity_resolve`` and the full solves stay as test oracles.  Also
+ground-energy derivative diagnostics.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -26,6 +29,7 @@ DENSE_MAX = 10
 ITER_MAX = 14
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EVEN_SEARCH_LEVELS = 6  # levels solved when looking for the lowest even ones
+_TIE_TOL = 1e-12  # levels this close to a neighbour are ordered even parity first
 
 
 class NonConvergenceError(RuntimeError):
@@ -34,25 +38,49 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class SpinHamiltonian:
+    """H = diag(diag) - flip * sum_j X_j - rank_one * |s><s|, |s> the uniform state."""
+
     n_qubits: int
     model: str
-    matrix: np.ndarray | None = None  # dense path only
-    _op: LinearOperator | None = field(default=None, repr=False)
+    diag: np.ndarray
+    flip: float
+    rank_one: float
 
     @property
     def dim(self):
         return 2**self.n_qubits
 
+    @cached_property
+    def matrix(self):
+        """The dense H for N <= DENSE_MAX, else None."""
+        if self.n_qubits > DENSE_MAX:
+            return None
+        mat = np.diag(self.diag)
+        if self.flip:
+            states = np.arange(self.dim)
+            for j in range(self.n_qubits):
+                mat[states, states ^ (1 << j)] -= self.flip
+        if self.rank_one:
+            mat -= self.rank_one / self.dim
+        return mat
+
     def apply(self, x):
-        if self.matrix is not None:
-            return self.matrix @ x
-        return self._op @ x
+        """H x for a vector or a (dim, k) block, without the dense matrix."""
+        y = (self.diag if x.ndim == 1 else self.diag[:, None]) * x
+        if self.flip:
+            for j in range(self.n_qubits):
+                # X_j reverses the axis of bit j
+                xj = x.reshape((-1, 2, 2**j) + x.shape[1:])[:, ::-1].reshape(x.shape)
+                y = y - self.flip * xj
+        if self.rank_one:
+            y = y - self.rank_one * (np.sum(x, axis=0) / self.dim)
+        return y
 
 
 @dataclass
 class LowSpectrum:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     parity_labels: np.ndarray | None
     residuals: np.ndarray
 
@@ -68,88 +96,42 @@ def _domain_wall_counts(n):
     return counts
 
 
-def _ising_diag(n, g):
-    # -g * sum_j z_j z_{j+1} with z = +-1; walls d give sum = N - 2d
-    d = _domain_wall_counts(n)
-    return -g * (n - 2.0 * d)
-
-
-def _along_rows(v, x):
-    """The per-state vector ``v`` shaped to scale ``x``, a 1-D vector or a
-    (dim, k) block, row by row."""
-    return v if x.ndim == 1 else v[:, None]
-
-
 def build_hamiltonian(model, n_qubits, g, marked_state=None):
-    """H(g) for one of the three models; dense for N <= 10, matrix-free above."""
+    """H(g) of one of the three models in the operator form of ``SpinHamiltonian``."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if not (2 <= n_qubits <= ITER_MAX):
         raise ValueError(f"n_qubits must lie in [2, {ITER_MAX}], got {n_qubits}")
     if not (0.0 <= g <= 1.0):
         raise ValueError(f"g must lie in [0, 1], got {g}")
+    if model == "ising_ring":
+        # -g * sum_j z_j z_{j+1} with z = +-1; walls d give sum = N - 2d
+        walls = _domain_wall_counts(n_qubits)
+        return SpinHamiltonian(n_qubits, model, -g * (n_qubits - 2.0 * walls), 1.0 - g, 0.0)
     if model == "grover":
         if marked_state is None:
             marked_state = "0" * n_qubits
         if len(marked_state) != n_qubits or set(marked_state) - {"0", "1"}:
             raise ValueError(f"marked_state must be an {n_qubits}-bit string, got {marked_state!r}")
-
-    dim = 2**n_qubits
-    ham = SpinHamiltonian(n_qubits=n_qubits, model=model)
-
-    if model == "ising_ring":
-        diag = _ising_diag(n_qubits, g)
-        flips = [np.arange(dim) ^ (1 << j) for j in range(n_qubits)]
-        if n_qubits <= DENSE_MAX:
-            mat = np.diag(diag).astype(float)
-            for flip in flips:
-                mat[np.arange(dim), flip] += -(1.0 - g)
-            ham.matrix = mat
-        else:
-            def apply(x, diag=diag, flips=flips, g=g):
-                y = _along_rows(diag, x) * x
-                for flip in flips:
-                    y = y - (1.0 - g) * x[flip]
-                return y
-
-            ham._op = LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
-        return ham
-
-    if model == "grover":
-        w_index = int(marked_state, 2)
-        if n_qubits <= DENSE_MAX:
-            mat = np.full((dim, dim), -(1.0 - g) / dim)
-            np.fill_diagonal(mat, np.diag(mat) + 1.0)
-            mat[w_index, w_index] -= g
-            ham.matrix = mat
-        else:
-            def apply(x, g=g, dim=dim, w=w_index):
-                y = x - (1.0 - g) * (np.sum(x, axis=0) / dim)
-                y[w] -= g * x[w]
-                return y
-
-            ham._op = LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
-        return ham
-
-    # mixed_grover_ising: H0 from the search problem, ferromagnetic projector H_f
-    walls = _domain_wall_counts(n_qubits).astype(float)
-    if n_qubits <= DENSE_MAX:
-        mat = np.full((dim, dim), -(1.0 - g) / dim)
-        np.fill_diagonal(mat, np.diag(mat) + 1.0 - g + g * walls)
-        ham.matrix = mat
-    else:
-        def apply(x, g=g, dim=dim, walls=walls):
-            return (
-                (1.0 - g) * x - (1.0 - g) * (np.sum(x, axis=0) / dim) + g * _along_rows(walls, x) * x
-            )
-
-        ham._op = LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
-    return ham
+        marked = np.arange(2**n_qubits) == int(marked_state, 2)
+        return SpinHamiltonian(n_qubits, model, 1.0 - g * marked, 0.0, 1.0 - g)
+    # mixed_grover_ising: (1-g)(1 - |s><s|) + g * (domain walls)
+    walls = _domain_wall_counts(n_qubits)
+    return SpinHamiltonian(n_qubits, model, (1.0 - g) + g * walls, 0.0, 1.0 - g)
 
 
 def bitflip_parity_operator_indices(n_qubits):
     """Index permutation realizing the global bitflip X on every qubit."""
     return np.arange(2**n_qubits) ^ (2**n_qubits - 1)
+
+
+def _eigsh(matvec, dim, k, v0, **opts):
+    """Lowest k eigenpairs of the symmetric operator ``matvec`` by ARPACK from ``v0``."""
+    try:
+        op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+        return eigsh(op, k=k, which="SA", v0=v0, **opts)
+    except Exception as exc:  # ArpackNoConvergence and friends
+        raise NonConvergenceError(f"eigsh failed: {exc}") from exc
 
 
 def _dense_sector(ham, sign, m):
@@ -193,22 +175,24 @@ def _lanczos_sector(ham, sign, m):
     v0 = np.ones(dim) if sign > 0 else np.arange(dim, dtype=float)
     v0 = 0.5 * (v0 + sign * v0[perm])
     v0 /= np.linalg.norm(v0)
-    try:
-        return eigsh(
-            LinearOperator((dim, dim), matvec=matvec, dtype=float), k=k, which="SA", v0=v0,
-            maxiter=20000, tol=1e-10, ncv=min(dim, max(4 * k, 40)),
-        )
-    except Exception as exc:  # ArpackNoConvergence and friends
-        raise NonConvergenceError(f"eigsh failed: {exc}") from exc
+    return _eigsh(matvec, dim, k, v0, maxiter=20000, tol=1e-10, ncv=min(dim, max(4 * k, 40)))
 
 
-def low_spectrum(ham, m, want_vectors=True, resolve_parity=False):
+def _even_first(vals, labels):
+    """Ascending order of ``vals`` in which each run of levels, neighbours
+    within ``_TIE_TOL`` of each other, lists its even levels first."""
+    order = np.argsort(vals, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(vals[order]) > _TIE_TOL)])
+    return order[np.lexsort((-labels[order], run))]
+
+
+def low_spectrum(ham, m, resolve_parity=False):
     """Lowest m eigenpairs with residual certificates.
 
     With ``resolve_parity`` each bitflip-parity sector is solved on its own
-    and the two are merged, even states first on exact ties, so every level
-    carries an exact parity label, even inside a multiplet that spans both
-    sectors.
+    and the two are merged, even states first among levels that tie to
+    within ``_TIE_TOL``, so every level carries an exact parity label, even
+    inside a multiplet that spans both sectors.
     """
     dim = ham.dim
     if not (1 <= m <= dim):
@@ -220,33 +204,23 @@ def low_spectrum(ham, m, want_vectors=True, resolve_parity=False):
         solve = _dense_sector if ham.matrix is not None else _lanczos_sector
         sectors = [(sign, *solve(ham, sign, m)) for sign in (1.0, -1.0)]
         vals = np.concatenate([sv for _, sv, _ in sectors])
-        order = np.argsort(vals, kind="stable")[:m]
+        labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])
+        order = _even_first(vals, labels)[:m]
         vals = vals[order]
         vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
-        labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])[order]
+        labels = labels[order]
     elif ham.matrix is not None:
         vals, vecs = eigh(ham.matrix, subset_by_index=[0, m - 1])
     else:
-        k = min(m, dim - 2)
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        try:
-            vals, vecs = eigsh(ham._op, k=k, which="SA", v0=v0, maxiter=5000)
-        except Exception as exc:  # ArpackNoConvergence and friends
-            raise NonConvergenceError(f"eigsh failed: {exc}") from exc
+        vals, vecs = _eigsh(ham.apply, dim, min(m, dim - 2), v0, maxiter=5000)
         order = np.argsort(vals)[:m]
         vals = vals[order]
         vecs = vecs[:, order]
-    residuals = np.array(
-        [np.linalg.norm(ham.apply(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(len(vals))]
-    )
+    residuals = np.linalg.norm(ham.apply(vecs) - vecs * vals, axis=0)
     if np.any(residuals > 1e-8):
         raise NonConvergenceError(f"residuals above contract: {residuals.max():.3e}")
-    return LowSpectrum(
-        eigenvalues=vals,
-        eigenvectors=vecs if want_vectors else None,
-        parity_labels=labels,
-        residuals=residuals,
-    )
+    return LowSpectrum(eigenvalues=vals, eigenvectors=vecs, parity_labels=labels, residuals=residuals)
 
 
 # Test oracle for the sector solve; the traced benchmark (perfbench/layers.py) looks it up here
@@ -258,8 +232,6 @@ def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
     """
     if ham.model == "grover":
         raise ValueError("grover with a generic marked state is not bitflip symmetric")
-    if spectrum.eigenvectors is None:
-        raise ValueError("parity resolution needs eigenvectors")
     perm = bitflip_parity_operator_indices(ham.n_qubits)
     vals = spectrum.eigenvalues
     vecs = spectrum.eigenvectors
@@ -294,7 +266,7 @@ def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
 
 def ground_energy(model, n_qubits, g, marked_state=None):
     ham = build_hamiltonian(model, n_qubits, g, marked_state)
-    return float(low_spectrum(ham, 1, want_vectors=False).eigenvalues[0])
+    return float(low_spectrum(ham, 1).eigenvalues[0])
 
 
 def even_parity_ground_energy(model, n_qubits, g):
@@ -316,7 +288,7 @@ def gap(model, n_qubits, g, marked_state=None, even_sector=False):
         if len(even) < 2:
             raise NonConvergenceError("fewer than two even-parity states found")
         return float(even[1] - even[0])
-    spec = low_spectrum(ham, 2, want_vectors=False)
+    spec = low_spectrum(ham, 2)
     return float(spec.eigenvalues[1] - spec.eigenvalues[0])
 
 
@@ -347,6 +319,8 @@ def mixed_gap_scaling(n_list, coarse_points=41):
     n_list = sorted(int(n) for n in n_list)
     if any(n % 2 or n < 4 or n > ITER_MAX for n in n_list):
         raise ValueError(f"n_list must hold even values in [4, {ITER_MAX}], got {n_list}")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"n_list must not repeat a value, got {n_list}")
     gaps = []
     for n in n_list:
         gmin = minimal_even_gap("mixed_grover_ising", n, coarse_points=coarse_points)

@@ -48,3 +48,48 @@ def test_unread_parameter_is_reported():
     assert {(func, p) for _, func, p in _unread_parameters(tree)} == {
         ("f", "b"), ("f", "args"), ("f", "c"), ("<lambda>", "y"),
     }
+
+
+_ARPACK = {"eigsh", "LinearOperator"}
+
+
+def _arpack_uses(tree, home):
+    """(line, name, inside) for every load of ``eigsh`` or ``LinearOperator``,
+    by name or attribute; ``inside`` tells whether it lies in a function named
+    ``home``.  Imports are not uses."""
+    inside = {
+        id(n) for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == home for n in ast.walk(f)
+    }
+    found = []
+    for n in ast.walk(tree):
+        name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+        if name in _ARPACK:
+            found.append((n.lineno, name, id(n) in inside))
+    return found
+
+
+def test_arpack_is_reached_through_one_function():
+    # perfbench counts ARPACK matvecs by rebinding exact.eigsh, so every
+    # solve must go through exact._eigsh
+    outside, home = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for line, name, inside in _arpack_uses(ast.parse(path.read_text()), "_eigsh"):
+            if inside and path.name == "exact.py":
+                home.add(name)
+            else:
+                outside.append(f"{path.name}:{line} {name}")
+    assert not outside, "ARPACK reached outside exact._eigsh: " + ", ".join(outside)
+    assert home == _ARPACK
+
+
+def test_arpack_use_outside_is_reported():
+    tree = ast.parse(
+        "def _eigsh(A):\n"
+        "    return eigsh(LinearOperator(A))\n"
+        "def f(A):\n"
+        "    return scipy.sparse.linalg.eigsh(A)\n"
+    )
+    assert sorted((name, inside) for _, name, inside in _arpack_uses(tree, "_eigsh")) == [
+        ("LinearOperator", True), ("eigsh", False), ("eigsh", True),
+    ]

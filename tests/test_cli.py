@@ -222,8 +222,13 @@ def test_json_mirror_roundtrip(tmp_path):
     ("spectrum", {"n_spins": 8, "g_grid": [0.0, float("nan")]}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
                   "omega_grid": [0.4, float("nan")], "ka_list": [0.19634954084936207]}),
+    ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": []}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+                  "ka_list": []}),
+    ("scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10, 10], "coarse_points": 9}),
 ], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large",
-        "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega"])
+        "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
+        "response_empty_ka_list", "mixed_gap_repeated_n"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -451,8 +456,8 @@ _INT_VALUES = st.integers(-(2**63), 2**63 - 1)
 @given(floats=_column(_FLOAT_VALUES, _EDGE_FLOATS), ints=_column(_INT_VALUES, _EDGE_INTS))
 def test_array_column_texts_match_per_cell_rule(floats, ints):
     for col in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
-        assert list(cli._texts(col, cli._csv_text, cli._csv_text)) == [_oracle_fmt(x) for x in col]
-        assert list(cli._texts(col, cli._json_text, cli._array_json_text)) == [
+        assert list(cli._texts(col, cli._csv_text)) == [_oracle_fmt(x) for x in col]
+        assert list(cli._texts(col, cli._json_text)) == [
             json.dumps(_oracle_json_value(x)) for x in col
         ]
 

@@ -103,6 +103,71 @@ def test_block_apply_matches_column_applies(model, n):
     assert_allclose(one[:, 0], cols[:, 0], rtol=0.0, atol=1e-13 * np.max(np.abs(cols)))
 
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+
+
+def _on_site(op, j, n):
+    """``op`` on qubit j of n; the leftmost Kronecker factor is the highest bit."""
+    out = np.eye(1)
+    for site in reversed(range(n)):
+        out = np.kron(out, op if site == j else np.eye(2))
+    return out
+
+
+def _pauli_hamiltonian(model, n, g, marked_state):
+    """The model written out in Pauli matrices and explicit projectors."""
+    dim = 2**n
+    one = np.eye(dim)
+    bonds = sum(_on_site(_Z, j, n) @ _on_site(_Z, (j + 1) % n, n) for j in range(n))
+    if model == "ising_ring":
+        return -(1.0 - g) * sum(_on_site(_X, j, n) for j in range(n)) - g * bonds
+    s = np.full(dim, 1.0 / np.sqrt(dim))
+    search = (1.0 - g) * (one - np.outer(s, s))
+    if model == "grover":
+        w = np.ones(1)
+        for bit in marked_state:
+            w = np.kron(w, np.eye(2)[int(bit)])
+        return search + g * (one - np.outer(w, w))
+    # each bond with unequal spins is one domain wall
+    return search + g * 0.5 * (n * one - bonds)
+
+
+@pytest.mark.parametrize("model", exact.MODELS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_operator_form_matches_pauli_oracle(model, n):
+    marks = ["0" * n, "1" * n, ("10" * n)[:n], ("110" * n)[-n:]] if model == "grover" else [None]
+    for g in (0.0, 0.2, 0.5, 0.83, 1.0):
+        for mark in marks:
+            h = exact.build_hamiltonian(model, n, g, mark)
+            want = _pauli_hamiltonian(model, n, g, mark)
+            assert_allclose(h.matrix, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("model", exact.MODELS)
+@pytest.mark.parametrize("n", [2, 5, 8, 10])
+def test_apply_to_identity_is_the_matrix(model, n):
+    for g in (0.0, 0.37, 1.0):
+        h = exact.build_hamiltonian(model, n, g, "01" * (n // 2) + "1" * (n % 2))
+        assert np.array_equal(h.apply(np.eye(h.dim)), h.matrix)
+
+
+@pytest.mark.parametrize("shift,labels", [(1e-14, [1.0, -1.0]), (1e-9, [-1.0, 1.0])])
+def test_cross_sector_near_tie_lists_even_first(monkeypatch, shift, labels):
+    # at g=1 the ring's two ferromagnetic states tie exactly across the sectors;
+    # the odd one is lowered by a rounding-sized shift, then by a resolved one
+    solve = exact._dense_sector
+
+    def nudged(ham, sign, m):
+        vals, vecs = solve(ham, sign, m)
+        return (vals - shift if sign < 0 else vals), vecs
+
+    monkeypatch.setattr(exact, "_dense_sector", nudged)
+    h = exact.build_hamiltonian("ising_ring", 6, 1.0)
+    spec = exact.low_spectrum(h, 2, resolve_parity=True)
+    assert list(spec.parity_labels) == labels
+
+
 def test_variational_stability():
     h = exact.build_hamiltonian("mixed_grover_ising", 6, 0.4)
     e3 = exact.low_spectrum(h, 3).eigenvalues
