@@ -1,9 +1,11 @@
 """Hot numeric kernels: oscillatory quadrature and the two-level mode propagators.
 
 Every kernel is plain numpy.  ``stream_filon`` evaluates an oscillatory
-amplitude block by block on a uniform grid; ``magnus4_modes`` propagates
-the mode equations of motion; ``rk4_mode`` is the brute-force integrator
-the tests use as its oracle.
+amplitude block by block on a uniform grid, one frequency per call;
+``linear_fourier`` evaluates one at every frequency of an evenly spaced
+grid at once, through the chirp-z transform ``chirp_z``; ``magnus4_modes``
+propagates the mode equations of motion; ``rk4_mode`` is the brute-force
+integrator the tests use as its oracle.
 """
 
 import numpy as np
@@ -195,18 +197,112 @@ def refine(eval_at, n0, rel_tol, n_max):
     """Grid-doubling driver; returns (value, error_estimate, converged).
 
     ``eval_at(n)`` evaluates the quadrature on n intervals, n = n0, 2*n0, ... <= n_max.
+    It may return an array: each element converges on its own and keeps the
+    value and relative difference of the grid where it first did, and the
+    doubling goes on while any element has not.  An element that never
+    converges reports the value of the last grid and its last relative
+    difference, or inf when no doubling ran.  A scalar ``eval_at`` gets
+    Python scalars back.
     """
     n = n0
     prev = eval_at(n)
-    while n < n_max:
+    value = np.asarray(prev)
+    err = np.full(value.shape, np.inf)
+    done = np.zeros(value.shape, dtype=bool)
+    while n < n_max and not done.all():
         n *= 2
         cur = eval_at(n)
         diff = abs(cur - prev)
-        scale = max(abs(cur), _ABS_FLOOR)
-        if diff / scale < rel_tol or (abs(cur) < _ABS_FLOOR and diff < _ABS_FLOOR):
-            return cur, diff / scale, True
+        size = abs(cur)
+        rel = diff / np.maximum(size, _ABS_FLOOR)
+        value = np.where(done, value, cur)
+        err = np.where(done, err, rel)
+        done = done | (rel < rel_tol) | ((size < _ABS_FLOOR) & (diff < _ABS_FLOOR))
         prev = cur
-    return prev, abs(prev), False
+    if value.ndim == 0:
+        return value.item(), err.item(), bool(done)
+    return value, err, done
+
+
+def chirp_z(x, theta0, dtheta, m):
+    """X_k = sum_j x_j e^{-i(theta0 + k dtheta) j} for k < m, by Bluestein's
+    chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
+    Electroacoust. 17, 1969).
+
+    With jk = (j^2 + k^2 - (k - j)^2)/2 the sum is the chirp e^{-i dtheta k^2/2}
+    times the convolution of a_j = x_j e^{-i(theta0 j + dtheta j^2/2)} with
+    b_l = e^{i dtheta l^2/2}, -len(x) < l < m, taken by zero-padded FFTs of
+    the smallest power-of-two length that holds it without wrap-around:
+    O((n + m) log(n + m)) for n = len(x), where the direct sum is O(nm).
+    """
+    x = np.asarray(x)
+    n = x.shape[0]
+    size = 1 << (n + m - 2).bit_length()
+    j = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * dtheta * (j * j))
+    a = np.zeros(size, dtype=complex)
+    a[:n] = x * np.exp(-1j * theta0 * j[:n])
+    a[:n] *= chirp[:n]
+    b = np.zeros(size, dtype=complex)
+    b[:m] = chirp[:m].conj()
+    b[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    # in place: at n = 2^21 each of the two padded arrays holds 64 MB
+    np.fft.fft(a, out=a)
+    a *= np.fft.fft(b, out=b)
+    return np.fft.ifft(a, out=a)[:m] * chirp[:m]
+
+
+def _linear_weights(theta):
+    """p = int_0^1 (1-u) e^{-i theta u} du and q = int_0^1 u e^{-i theta u} du.
+
+    The closed forms, with x = -i theta, are p = (e^x - 1 - x)/x^2 and
+    q = (e^x (x - 1) + 1)/x^2.  They are ``filon_integral``'s e0 - e1 and e1
+    at c = -theta, so below ``_SMALL_PHASE`` they come from the same Taylor
+    series, through theta^6.
+    """
+    x = -1j * theta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.exp(x)
+        p = (e - 1.0 - x) / (x * x)
+        q = (e * (x - 1.0) + 1.0) / (x * x)
+    small = np.abs(theta) < _SMALL_PHASE
+    th = theta[small]
+    t2 = th * th
+    e0 = _series(t2, _E0_REAL) - 1j * th * _series(t2, _E0_IMAG)
+    e1 = _series(t2, _E1_REAL) - 1j * th * _series(t2, _E1_IMAG)
+    p[small] = e0 - e1
+    q[small] = e1
+    return p, q
+
+
+def linear_fourier(h, dt, omegas):
+    """int_0^T hhat(t) e^{-i w t} dt at every w of the evenly spaced ``omegas``.
+
+    hhat is the piecewise-linear interpolant of the samples h (real or
+    complex) on the uniform grid t_j = j dt, T = (len(h) - 1) dt.  On
+    [t_j, t_j+1], hhat = h_j (1 - u) + h_{j+1} u with u = t/dt - j, so with
+    theta = w dt and the exact weights p, q of ``_linear_weights`` the
+    integral is
+
+        dt [W S - p h_n e^{-i w T} - q e^{i theta} h_0],  W = p + q e^{i theta},
+
+    where S = sum_j h_j e^{-i theta j} comes for every w at once from one
+    ``chirp_z`` (Press et al., Numerical Recipes, 3rd ed., sec. 13.9).  W is
+    the attenuation factor 2(1 - cos theta)/theta^2; the two other terms
+    correct the endpoints.  The step of ``omegas`` is taken from its ends.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    m = omegas.shape[0]
+    n = h.shape[0] - 1
+    step = (omegas[-1] - omegas[0]) / (m - 1) if m > 1 else 0.0
+    s = chirp_z(h, omegas[0] * dt, step * dt, m)
+    theta = omegas * dt
+    p, q = _linear_weights(theta)
+    q *= np.exp(1j * theta)
+    s *= p + q
+    s -= p * h[-1] * np.exp(-1j * omegas * (n * dt))
+    s -= q * h[0]
+    return dt * s
 
 
 def rk4_mode(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):

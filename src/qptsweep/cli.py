@@ -105,6 +105,16 @@ def _grid(spec, name):
     return arr
 
 
+def _evenly_spaced(grid, total_time):
+    """Whether ``grid`` is ascending with one step, to within 1e-9/total_time
+    (a phase error of at most 1e-9 over [0, total_time])."""
+    if len(grid) < 2:
+        return False
+    step = (grid[-1] - grid[0]) / (len(grid) - 1)
+    even = grid[0] + step * np.arange(len(grid))
+    return step > 0.0 and np.max(np.abs(grid - even)) * total_time <= 1e-9
+
+
 def _require(params, *keys):
     missing = [k for k in keys if k not in params]
     if missing:
@@ -222,6 +232,10 @@ def _run_response(cfg):
     sched = _make_schedule(p, n_spins=n)
     omega_grid = _grid(p["omega_grid"], "omega_grid")
     ka_list = _ka_list(p, n)
+    endpoint_order = int(p.get("endpoint_order", 0))
+
+    def kpa_of(ka):
+        return float(p.get("kpa", ka)) if channel.kind == "nonuniform_x" else float(ka)
 
     def one(ka, w):
         if channel.kind == "single_site_z":
@@ -233,11 +247,10 @@ def _run_response(cfg):
                 val.real, val.imag, abs(val), b.quad_error, int(b.converged),
             ]
         if channel.kind == "nonuniform_x":
-            kpa = float(p.get("kpa", ka))
-            r = response.amplitude_direct_nonuniform(float(ka), kpa, float(w), n, sched)
+            r = response.amplitude_direct_nonuniform(float(ka), kpa_of(ka), float(w), n, sched)
         else:
             r = response.amplitude_direct_uniform(
-                float(ka), float(w), sched, endpoint_order=int(p.get("endpoint_order", 0))
+                float(ka), float(w), sched, endpoint_order=endpoint_order
             )
         kpa = r.modes[1] if len(r.modes) > 1 else r.modes[0]
         return [
@@ -245,7 +258,22 @@ def _run_response(cfg):
             r.method, r.value.real, r.value.imag, r.modulus, r.quad_error, int(r.converged),
         ]
 
-    rows = [one(ka, w) for ka in ka_list for w in omega_grid]
+    def all_omega(ka):
+        ka, kpa = float(ka), kpa_of(ka)
+        values, errors, oks = response.amplitudes_on_grid(
+            channel.kind, ka, kpa, omega_grid, n, sched
+        )
+        return [
+            [channel.kind, n, ka, kpa, w, response.classify_regime(w, ka), "quadrature",
+             v.real, v.imag, abs(v), err, int(ok)]
+            for w, v, err, ok in zip(omega_grid.tolist(), values.tolist(), errors.tolist(),
+                                     oks.tolist())
+        ]
+
+    if endpoint_order == 0 and _evenly_spaced(omega_grid, sched.T):
+        rows = [row for ka in ka_list for row in all_omega(ka)]
+    else:
+        rows = [one(ka, w) for ka in ka_list for w in omega_grid]
     bad = sum(not row[-1] for row in rows)
     return ResultBundle(
         name="response",

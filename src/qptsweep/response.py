@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import default_n0, filon_integral, refine, simpson_weights, stream_filon
-# unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
-from ._kernels import cumulative_simpson_uniform  # noqa: F401
+from ._kernels import (
+    cumulative_simpson_uniform, default_n0, filon_integral, linear_fourier, refine, simpson_weights,
+    stream_filon,
+)
 # re-exported: the one quadrature error of the package, shared with grover
 from ._kernels import QuadratureError  # noqa: F401
 from .bath import integrate_abs
@@ -28,6 +29,8 @@ _OMEGA_FLOOR = -2.0  # lower end of the negative-frequency window of total_error
 _COLLISION_TOL = 1e-6  # smallest saddle discriminant stationary phase resolves
 _SADDLE_SAMPLES = 9  # frequencies sampled per intermediate window
 _BOUND_POINTS = 16385  # uniform grid of the phase-free bounds; odd for Simpson
+_REL_TOL = 1e-3  # grid-doubling tolerance of the quadrature amplitudes
+_N_MAX = 2**21  # largest quadrature grid, in intervals
 
 
 class SaddleCollisionError(ArithmeticError):
@@ -137,6 +140,37 @@ def _default_n0(schedule, omega):
     return default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
 
 
+def _fourier_on_grid(nodes, total_time, omegas):
+    """int_0^T env e^{i(phase - w t)} dt at every w of the evenly spaced
+    ``omegas``, certified per w; returns (values, errors, converged) arrays.
+
+    ``nodes`` is a ``stream_filon`` nodes closure.  On n intervals the
+    integrand's slow part h = env e^{i phase}, phase the cumulative Simpson
+    integral of the rate (h = env without one), is sampled once, and
+    ``linear_fourier`` integrates its linear interpolant against e^{-i w t}
+    exactly for all w at once; that error is O(dt^2) in h alone.  ``refine``
+    doubles the Richardson values R_n = (4 I_2n - I_n)/3 of those integrals
+    I_n, each I_n computed once, so the certificate covers the value that
+    is reported.  Since e^{-i w t} costs no points, the first grid resolves
+    the phase rate 2 ``_INITIAL_ENERGY`` alone.
+    """
+    integrals = {}
+
+    def integral(n):
+        if n not in integrals:
+            t = np.linspace(0.0, total_time, n + 1)
+            env, rate = nodes(t)
+            h = env if rate is None else env * np.exp(1j * cumulative_simpson_uniform(rate, t[1]))
+            integrals[n] = linear_fourier(h, t[1], omegas)
+        return integrals[n]
+
+    def richardson(n):
+        return (4.0 * integral(2 * n) - integral(n)) / 3.0
+
+    n0 = default_n0(total_time, 2.0 * _INITIAL_ENERGY)
+    return refine(richardson, n0, _REL_TOL, _N_MAX // 2)
+
+
 def _endpoint_correction(ka, omega, schedule, order):
     """Asymptotic boundary contribution of the uniform-channel integral.
 
@@ -165,7 +199,7 @@ def _endpoint_correction(ka, omega, schedule, order):
     return total
 
 
-def amplitude_direct_uniform(ka, omega, schedule, rel_tol=1e-3, n_max=2**21, endpoint_order=0):
+def amplitude_direct_uniform(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX, endpoint_order=0):
     """Quadrature of the uniform-channel amplitude, per unit coupling.
 
     -i * int_0^T dt [2i*g*sin(ka)/E_k] * exp(i(-w*t + 2*int E_k)); the
@@ -300,8 +334,21 @@ def _bogoliubov_norm(ka, g, energy):
     return np.sqrt(2.0 * energy**2 + 2.0 * alpha * energy)
 
 
+def _nonuniform_nodes(schedule, ka, kpa, pair_gap_phase):
+    """``stream_filon`` nodes of the nonuniform-channel integrand, without its 1/N."""
+
+    def nodes(t):
+        g = np.asarray(schedule.g_of(t), dtype=float)
+        e_k = dispersion(ka, g)
+        e_kp = dispersion(kpa, g)
+        env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _bogoliubov_norm(kpa, g, e_kp)
+        return env, e_k + e_kp if pair_gap_phase else 2.0 * e_k
+
+    return nodes
+
+
 def amplitude_direct_nonuniform(
-    ka, kpa, omega, n_spins, schedule, rel_tol=1e-3, n_max=2**21, pair_gap_phase=False
+    ka, kpa, omega, n_spins, schedule, rel_tol=_REL_TOL, n_max=_N_MAX, pair_gap_phase=False
 ):
     """Quadrature of the nonuniform-channel pair amplitude, per unit coupling.
 
@@ -311,12 +358,7 @@ def amplitude_direct_nonuniform(
     the alternative reading of the pair gap E_s0 = E_k + E_k'.
     """
 
-    def nodes(t):
-        g = np.asarray(schedule.g_of(t), dtype=float)
-        e_k = dispersion(ka, g)
-        e_kp = dispersion(kpa, g)
-        env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _bogoliubov_norm(kpa, g, e_kp)
-        return env, e_k + e_kp if pair_gap_phase else 2.0 * e_k
+    nodes = _nonuniform_nodes(schedule, ka, kpa, pair_gap_phase)
 
     def eval_at(n):
         return stream_filon(schedule.T, n, -omega, nodes, filon_integral) / n_spins
@@ -341,7 +383,23 @@ def _bitflip_bounds(ka, g, w):
     return abs(np.sin(ka)) * float(xi), float(b2)
 
 
-def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
+def _bitflip_nodes(schedule, ka):
+    """``stream_filon`` nodes of the a1 and a2 integrands of ``amplitude_bitflip``."""
+
+    def a1_nodes(t):
+        g = np.asarray(schedule.g_of(t), dtype=float)
+        energy = dispersion(ka, g)
+        return 2.0 * g / _bogoliubov_norm(ka, g, energy), None  # no dynamical phase
+
+    return a1_nodes, _mode_nodes(schedule, ka, _pair_envelope)
+
+
+def _bitflip_factors(ka):
+    """The constant factors of a1 and a2 in ``amplitude_bitflip``."""
+    return 1j * np.exp(-1j * ka) * np.sin(ka), np.exp(1j * ka)
+
+
+def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     """Single-site sigma_z channel amplitudes, per unit coupling/sqrt(N).
 
     a1 = i e^{-i ka} sin(ka) * int Xi(t) e^{-i w t} dt carries no dynamical
@@ -350,12 +408,7 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
     exactly linearly in T for schedules with fixed g-profile.
     """
 
-    def a1_nodes(t):
-        g = np.asarray(schedule.g_of(t), dtype=float)
-        energy = dispersion(ka, g)
-        return 2.0 * g / _bogoliubov_norm(ka, g, energy), None  # no dynamical phase
-
-    a2_nodes = _mode_nodes(schedule, ka, _pair_envelope)
+    a1_nodes, a2_nodes = _bitflip_nodes(schedule, ka)
 
     def eval_a1(n):
         return stream_filon(schedule.T, n, -omega, a1_nodes, filon_integral)
@@ -366,12 +419,41 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=1e-3, n_max=2**21):
     n0 = _default_n0(schedule, omega)
     raw1, err1, ok1 = refine(eval_a1, n0, rel_tol, n_max)
     raw2, err2, ok2 = refine(eval_a2, n0, rel_tol, n_max)
-    a1 = 1j * np.exp(-1j * ka) * np.sin(ka) * raw1
-    a2 = np.exp(1j * ka) * raw2
+    f1, f2 = _bitflip_factors(ka)
+    a1 = f1 * raw1
+    a2 = f2 * raw2
     _, bound = _bitflip_bounds(ka, *_bound_grid(schedule))
     return BitflipAmplitudes(
         a1=a1, a2=a2, a2_bound=bound, quad_error=max(err1, err2), converged=ok1 and ok2
     )
+
+
+def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule):
+    """One mode's amplitudes at every frequency of the evenly spaced ``omegas``.
+
+    Returns (values, quad_errors, converged) arrays: the values of
+    ``amplitude_direct_uniform`` (``endpoint_order`` 0),
+    ``amplitude_direct_nonuniform`` at (ka, kpa) and a1 + a2 of
+    ``amplitude_bitflip`` for channel ``kind``, each integral from
+    ``_fourier_on_grid`` instead of one grid-doubling run per frequency.
+    The bitflip error is the larger of its two integrals'.
+    """
+    if kind == "uniform_x":
+        parts = [(1.0, _mode_nodes(schedule, ka, _uniform_env))]
+    elif kind == "nonuniform_x":
+        parts = [(1.0 / n_spins, _nonuniform_nodes(schedule, ka, kpa, False))]
+    else:
+        parts = zip(_bitflip_factors(ka), _bitflip_nodes(schedule, ka))
+    m = len(omegas)
+    values = np.zeros(m, dtype=complex)
+    errors = np.zeros(m)
+    converged = np.ones(m, dtype=bool)
+    for factor, nodes in parts:
+        value, err, ok = _fourier_on_grid(nodes, schedule.T, omegas)
+        values += factor * value
+        np.maximum(errors, err, out=errors)
+        converged &= ok
+    return values, errors, converged
 
 
 def _uniform_regime_estimate(regime, ka, schedule, window, grid):

@@ -127,6 +127,34 @@ def test_response_run(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("channel", ["uniform_x", "nonuniform_x", "single_site_z"])
+def test_evenly_spaced_omega_grid_takes_the_all_omega_path(tmp_path, monkeypatch, channel):
+    calls = []
+
+    def counting(*args, _inner=response.stream_filon):
+        calls.append(args[1])
+        return _inner(*args)
+
+    monkeypatch.setattr(response, "stream_filon", counting)
+    base = {"n_spins": 16, "T": 20.0, "channel": channel, "ka_list": [float(np.pi / 16)]}
+
+    def run(name, **extra):
+        cfg = write_config(tmp_path, f"{name}.json", {**base, **extra})
+        assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        count = len(calls)
+        calls.clear()
+        return count
+
+    # a linspace grid, and a list that is evenly spaced to rounding
+    assert run("linspace", omega_grid={"start": -0.5, "stop": 2.5, "num": 7}) == 0
+    assert run("even_list", omega_grid=[-0.4 + 0.2 * i for i in range(5)]) == 0
+    # an endpoint correction, an uneven list and a single frequency stay per frequency
+    assert run("endpoint_order", omega_grid={"start": -0.5, "stop": 2.5, "num": 7},
+               endpoint_order=2) > 0
+    assert run("uneven", omega_grid=[-0.2, 0.01, 0.08, 1.0]) > 0
+    assert run("single", omega_grid=[0.5]) > 0
+
+
 def test_grover_run_with_probe(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "n_list": [4, 6], "T": 50.0, "coupling": 0.01,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -13,10 +13,12 @@ from qptsweep._kernels import (
     _QUAD_BLOCK,
     _SMALL_PHASE,
     MAGNUS_BLOCK,
+    chirp_z,
     cumulative_simpson_uniform,
     default_n0,
     filon_integral,
     gauss_legendre_times,
+    linear_fourier,
     magnus4_modes,
     refine,
     rk4_mode,
@@ -425,8 +427,10 @@ def test_refine_reports_nonconvergence_at_n_max():
     value, err, ok = refine(eval_at, 4, 1e-3, 64)
     assert not ok
     assert grids == [4, 8, 16, 32, 64]
-    # the last value comes back, with its own modulus as the error
-    assert (value, err) == (64.0, 64.0)
+    # the last value comes back, with its last relative difference as the error
+    assert (value, err) == (64.0, (64.0 - 32.0) / 64.0)
+    # with no doubling there is no difference to report
+    assert refine(eval_at, 128, 1e-3, 64) == (128.0, math.inf, False)
 
 
 def test_refine_accepts_values_below_roundoff_floor():
@@ -438,3 +442,85 @@ def test_refine_accepts_values_below_roundoff_floor():
 
 def test_one_quadrature_error():
     assert grover.QuadratureError is response.QuadratureError
+
+
+def test_refine_converges_each_element_on_its_own():
+    # a constant settles at the first doubling, 1 + 1/n at 512 -> 1024 and
+    # 1 + 64/n at 32768 -> 65536; n itself never does
+    sequences = [lambda n: 2.0, lambda n: 1.0 + 1.0 / n, lambda n: 1.0 + 64.0 / n, float]
+    grids = []
+
+    def eval_at(n):
+        grids.append(n)
+        return np.array([f(n) for f in sequences])
+
+    value, err, ok = refine(eval_at, 16, 1e-3, 2**17)
+    assert grids == [16 * 2**k for k in range(14)]
+    assert ok.tolist() == [True, True, True, False]
+    assert value.tolist()[:3] == [2.0, 1.0 + 1.0 / 1024, 1.0 + 64.0 / 65536]
+    # each element gets exactly what a scalar run on it alone gets
+    for f, v, e, c in zip(sequences, value.tolist(), err.tolist(), ok.tolist()):
+        assert refine(f, 16, 1e-3, 2**17) == (v, e, c)
+    # once every element has converged the doubling stops
+    grids.clear()
+    sequences.pop()
+    assert refine(eval_at, 16, 1e-3, 2**17)[2].all()
+    assert grids[-1] == 65536
+
+
+def direct_dft(x, theta0, dtheta, ks):
+    j = np.arange(len(x))
+    return np.array([np.sum(x * np.exp(-1j * (theta0 + k * dtheta) * j)) for k in ks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 400), m=st.integers(2, 400),
+    theta0=st.floats(-4.0, 4.0), dtheta=st.floats(-0.5, 0.5), seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, m=300, theta0=0.3, dtheta=0.01, seed=0)  # n < m
+@example(n=300, m=5, theta0=-1.0, dtheta=0.2, seed=1)  # n > m
+@example(n=64, m=2, theta0=0.0, dtheta=-0.05, seed=2)
+def test_chirp_z_matches_direct_dft(n, m, theta0, dtheta, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = chirp_z(x, theta0, dtheta, m)
+    want = direct_dft(x, theta0, dtheta, range(m))
+    assert got.shape == (m,)
+    # rounding of the chirp phases, which reach |dtheta| (n + m)^2 / 2, and of the FFTs
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.sum(np.abs(x))
+
+
+def test_chirp_z_on_a_long_grid():
+    # n = 2^21 intervals of T = 5000 and an omega step of 0.03: the chirp
+    # phases reach 1.6e8 rad
+    n, m = 2**21, 101
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    dt = 5000.0 / n
+    theta0, dtheta = -0.5 * dt, 0.03 * dt
+    got = chirp_z(x, theta0, dtheta, m)
+    ks = [0, 1, 50, m - 1]
+    want = direct_dft(x, theta0, dtheta, ks)
+    assert np.max(np.abs(got[ks] - want)) <= 1e-10 * np.sum(np.abs(x))
+
+
+@pytest.mark.parametrize("n,dt,omegas", [
+    # theta = w dt on both sides of the Taylor switch, and w = 0
+    (200, 0.1, np.linspace(-0.3, 0.3, 13)),  # |theta| = 0, 0.005, 0.01, ..., 0.03
+    (1000, 0.01, np.linspace(0.0, 2.5, 51)),
+    (3, 0.7, np.linspace(-9.0, 9.0, 41)),
+    (1, 0.2, np.linspace(-1.0, 1.0, 2)),
+    (64, 0.05, np.array([0.4])),
+], ids=["across_switch", "from_zero", "coarse_fast", "one_interval", "one_frequency"])
+def test_linear_fourier_matches_filon_on_linear_data(n, dt, omegas):
+    # Filon integrates a linear envelope against a linear phase exactly, so
+    # on the interpolant's own data both give the same integral
+    rng = np.random.default_rng(n)
+    h = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    t = dt * np.arange(n + 1)
+    got = linear_fourier(h, dt, omegas)
+    want = [filon_integral(h.real, -w * t, dt) + 1j * filon_integral(h.imag, -w * t, dt)
+            for w in omegas]
+    # both lose about eps/theta^2 of a segment near the switch
+    assert np.max(np.abs(got - want)) <= 1e-11 * dt * np.sum(np.abs(h))

@@ -259,3 +259,29 @@ def test_total_error_nonuniform_not_supported():
     sf = bath.load_tabulated([(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(NotImplementedError):
         response.total_error(ch, linear(10.0), sf, 8)
+
+
+def _filon_oracle(kind, ka, kpa, omega, n_spins, schedule):
+    """(value, quad_error) of one frequency by Filon grid doubling to 1e-8."""
+    if kind == "uniform_x":
+        r = response.amplitude_direct_uniform(ka, omega, schedule, rel_tol=1e-8)
+    elif kind == "nonuniform_x":
+        r = response.amplitude_direct_nonuniform(ka, kpa, omega, n_spins, schedule, rel_tol=1e-8)
+    else:
+        b = response.amplitude_bitflip(ka, omega, schedule, rel_tol=1e-8)
+        return b.a1 + b.a2, b.quad_error
+    return r.value, r.quad_error
+
+
+@pytest.mark.parametrize("schedule_kind", ["linear", "gap_adapted", "gap_squared_adapted"])
+@pytest.mark.parametrize("kind", response.CHANNEL_KINDS)
+def test_all_omega_amplitudes_match_per_omega_filon(kind, schedule_kind):
+    n_spins, ka, kpa = 32, 3.0 * np.pi / 32, 5.0 * np.pi / 32
+    sched = schedules.make_schedule(schedule_kind, 50.0, n_spins=n_spins)
+    omegas = np.linspace(-0.5, 2.5, 7)  # every regime of ka
+    values, errors, converged = response.amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, sched)
+    assert converged.all()
+    for omega, value, err in zip(omegas, values, errors):
+        want, want_err = _filon_oracle(kind, ka, kpa, omega, n_spins, sched)
+        # each certificate bounds the relative error of its own value
+        assert abs(value - want) <= (err + want_err) * abs(want)
