@@ -161,14 +161,18 @@ def _run_ed(cfg):
     _require(p, "model", "n_list")
     model = p["model"]
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 21}), "g_grid")
-    m = int(p.get("m", 4))
+    m = p.get("m", 4)
+    if isinstance(m, bool) or not isinstance(m, (int, float)) or not float(m).is_integer():
+        raise ConfigError(f"m must be a whole number of levels, got {m!r}")
     parity = model in ("ising_ring", "mixed_grover_ising")
+    if parity and p.get("marked_state") is not None:
+        raise ConfigError(f"marked_state applies only to the grover model, not {model!r}")
     rows, bad = [], 0
     for n in p["n_list"]:
         for g in g_grid:
             try:
                 ham = exact.build_hamiltonian(model, int(n), float(g), p.get("marked_state"))
-                spec = exact.low_spectrum(ham, m, resolve_parity=parity)
+                spec = exact.low_spectrum(ham, int(m), resolve_parity=parity)
             except exact.NonConvergenceError:
                 bad += 1
                 rows.append([model, int(n), float(g), -1, np.nan, 0.0, np.nan])

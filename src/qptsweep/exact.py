@@ -3,19 +3,23 @@
 Every model is one operator form, H = diag(d) - f*sum_j X_j - r*|s><s|
 with |s> the uniform state (``SpinHamiltonian``); the dense matrix (up to
 N=10, dimension 1024) and the matrix-free product are both read off it.
-Dense subset solves (lowest m levels only) up to N=10, Lanczos-type
-iteration (ARPACK with a fixed start vector) up to N=14.  Bitflip-parity
-sectors are solved separately: dense as the two half-dimension blocks
-H[x,x] ± H[x,x̄], iterative through symmetry-projected operators.  The
-even sector of the mixed search/ferromagnet model is computed exactly
-from its wall-class reduction, which the minimal-gap scaling study uses;
-``parity_resolve`` and the full solves stay as test oracles.  Also
-ground-energy derivative diagnostics.
+Without parity resolution: dense subset solves (lowest m levels only) up
+to N=10, Lanczos-type iteration (ARPACK with a fixed start vector) up to
+N=14.  With it, the bitflip-symmetric models are solved completely by
+translation x bitflip symmetry blocks (momentum k, parity sigma), each a
+real symmetric matrix of at most a few hundred rows at N=14, with numpy's
+dense eigensolvers; the mixed model above N=10 still goes through
+symmetry-projected ARPACK.  The even sector of the mixed
+search/ferromagnet model is computed exactly from its wall-class
+reduction, which the minimal-gap scaling study uses; ``parity_resolve``
+and the full solves stay as test oracles.  Also ground-energy derivative
+diagnostics.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
@@ -134,23 +138,192 @@ def _eigsh(matvec, dim, k, v0, **opts):
         raise NonConvergenceError(f"eigsh failed: {exc}") from exc
 
 
-def _dense_sector(ham, sign, m):
-    """Lowest min(m, dim/2) levels of the sector with bitflip parity ``sign``.
+class _Orbits(NamedTuple):
+    """Orbits of the 2^N basis states under translation x global bitflip.
 
-    With representatives x (top bit 0) and their flips x̄ the sector is the
-    block H[x,x] + sign*H[x,x̄] of half the dimension; each of its vectors v
-    is lifted back as (v at x, sign*v at x̄)/√2.
+    Group element e = t + N*f rotates a state by t bits, then flips every
+    bit if f = 1.  Each orbit is represented by its minimum state.
     """
-    dim = ham.dim
-    half = dim // 2
-    reps = np.arange(half)
-    flips = reps ^ (dim - 1)
-    top = ham.matrix[:half]
-    vals, v = eigh(top[:, reps] + sign * top[:, flips], subset_by_index=[0, min(m, half) - 1])
-    vecs = np.empty((dim, len(vals)))
-    vecs[reps] = v / np.sqrt(2.0)
-    vecs[flips] = sign * vecs[reps]
-    return vals, vecs
+
+    rep: np.ndarray  # per state: index of its representative in ``reps``
+    elem: np.ndarray  # per state: the element that maps it onto its representative
+    reps: np.ndarray  # the representatives, ascending
+    orbit: np.ndarray  # orbit size of each representative
+    stab: np.ndarray  # (representatives, 2N): the element fixes the representative
+    flip_rep: np.ndarray  # (representatives, N): ``rep`` of the representative with bit b flipped
+    flip_elem: np.ndarray  # (representatives, N): ``elem`` of that state
+    mirror_rep: np.ndarray  # ``rep`` of the bit-reversed representative
+    mirror_elem: np.ndarray  # ``elem`` of the bit-reversed representative
+
+
+@lru_cache(maxsize=None)
+def _orbits(n):
+    """The ``_Orbits`` of N = n qubits, from all 2N images of every state."""
+    dim = 2**n
+    full = dim - 1
+    states = np.arange(dim, dtype=np.int64)
+    images = np.empty((2 * n, dim), dtype=np.int64)
+    rot = states
+    for t in range(n):
+        images[t] = rot
+        images[n + t] = rot ^ full
+        rot = ((rot << 1) | (rot >> (n - 1))) & full
+    elem = np.argmin(images, axis=0)
+    reps, rep = np.unique(images[elem, states], return_inverse=True)
+    stab = (images[:, reps] == reps).T
+    flipped = reps[:, None] ^ (1 << np.arange(n))
+    mirror = np.zeros_like(reps)
+    for b in range(n):
+        mirror |= ((reps >> b) & 1) << (n - 1 - b)
+    return _Orbits(
+        rep=rep, elem=elem, reps=reps, orbit=2 * n // stab.sum(axis=1), stab=stab,
+        flip_rep=rep[flipped], flip_elem=elem[flipped],
+        mirror_rep=rep[mirror], mirror_elem=elem[mirror],
+    )
+
+
+class _Sector(NamedTuple):
+    """One block (k = 2*pi*j/N, bitflip parity sigma) in its real basis.
+
+    The momentum state of a representative r is u_r = sqrt(|O_r|) P|r>,
+    P the projector onto the block; its amplitude on a state s of the
+    orbit is chi(h_s)/sqrt(|O_r|), h_s the element that maps s onto r.
+    It is nonzero for the representatives whose stabiliser sum of chi is
+    nonzero.  Basis vector a of the block is sum_r W[r, a] u_r, and each
+    u_r enters at most two of them: W[r, col[r, p]] = weight[r, p].
+    """
+
+    keep: np.ndarray  # the representatives u_r of the block, as indices into _Orbits.reps
+    chi: np.ndarray  # chi(e) for every group element e
+    col: np.ndarray  # (len(keep), 2)
+    weight: np.ndarray  # (len(keep), 2)
+    flip_index: np.ndarray  # flat indices into the block of the entries of sum_j X_j
+    flip: np.ndarray  # their values; complex, but real to rounding
+
+
+@lru_cache(maxsize=None)
+def _sector(n, j, sign):
+    """The g-independent part of block (k = 2*pi*j/N, parity ``sign``).
+
+    At k = 0 and pi chi is real and the basis is u_r itself.  For
+    0 < k < pi the basis is the one fixed by A = K R, K complex
+    conjugation and R bit reversal.  A maps u_r to phi_r u_r*, r* the
+    representative of R(r); the basis vectors are (u_r + phi_r u_r*)/sqrt(2)
+    and i(u_r - phi_r u_r*)/sqrt(2) for r < r*, and e^{i theta} u_r with
+    e^{2 i theta} = phi_r for r = r*.  H commutes with A, so it is real
+    in this basis.
+    """
+    orb = _orbits(n)
+    phase = np.exp(2j * np.pi * j * np.arange(n) / n)
+    real = (2 * j) % n == 0
+    if real:
+        phase = np.rint(phase.real)
+    chi = np.concatenate([phase, sign * phase])
+    keep = np.flatnonzero(np.abs(orb.stab @ chi) > 0.5)
+    pos = np.full(len(orb.reps), -1)
+    pos[keep] = idx = np.arange(len(keep))
+    col = np.column_stack([idx, idx])
+    weight = np.zeros((len(keep), 2), dtype=chi.dtype)
+    weight[:, 0] = 1.0
+    if not real:
+        mirror = pos[orb.mirror_rep[keep]]
+        phi = np.conj(chi[orb.mirror_elem[keep]])
+        one = mirror == idx
+        weight[one, 0] = np.sqrt(phi[one])
+        r = np.flatnonzero(idx < mirror)
+        rs = mirror[r]
+        col[r, 1] = col[rs, 1] = rs
+        col[rs, 0] = r
+        weight[r] = [1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)]
+        weight[rs] = phi[r, None] * np.array([1.0, -1j]) / np.sqrt(2.0)
+    # sum_j X_j maps u_r onto conj(chi(h_s)) sqrt(|O_r|/|O_s|) u_s for each flip s of r
+    src = np.broadcast_to(idx[:, None], orb.flip_rep[keep].shape)
+    dst = pos[orb.flip_rep[keep]]
+    amp = np.sqrt(orb.orbit[keep][:, None] / orb.orbit[orb.flip_rep[keep]])
+    amp = amp * np.conj(chi[orb.flip_elem[keep]])
+    inside = dst >= 0
+    src, dst, amp = src[inside], dst[inside], amp[inside]
+    # W^H X W, expanded entry by entry: each u_r enters two basis vectors at most
+    rows = col[dst][:, :, None] + np.zeros(2, dtype=int)
+    cols = col[src][:, None, :] + np.zeros((2, 1), dtype=int)
+    vals = np.conj(weight[dst])[:, :, None] * amp[:, None, None] * weight[src][:, None, :]
+    flip_index, inverse = np.unique((rows * len(keep) + cols).ravel(), return_inverse=True)
+    flip = np.zeros(len(flip_index), dtype=complex)
+    np.add.at(flip, inverse, vals.ravel())
+    return _Sector(keep, chi, col, weight, flip_index, flip)
+
+
+def _block(ham, j, sign):
+    """Real symmetric block (k = 2*pi*j/N, parity ``sign``) of H, and its ``_Sector``."""
+    orb = _orbits(ham.n_qubits)
+    sec = _sector(ham.n_qubits, j, sign)
+    size = len(sec.keep)
+    block = np.zeros(size * size)
+    block[sec.flip_index] = -ham.flip * sec.flip.real
+    block = block.reshape(size, size)
+    block[np.diag_indices(size)] += ham.diag[orb.reps[sec.keep]]
+    if ham.rank_one and j == 0 and sign > 0:
+        # |s> lies in this block alone, with <u_r|s> = sqrt(|O_r|/2^N)
+        a = np.sqrt(orb.orbit[sec.keep] / ham.dim)
+        block -= ham.rank_one * np.outer(a, a)
+    return block, sec
+
+
+def _lift(n, sec, y):
+    """The vectors on all 2^N states of the block vectors ``y`` (columns)."""
+    orb = _orbits(n)
+    c = sec.weight[:, :1] * y[sec.col[:, 0]] + sec.weight[:, 1:] * y[sec.col[:, 1]]
+    pos = np.full(len(orb.reps), -1)
+    pos[sec.keep] = np.arange(len(sec.keep))
+    inside = np.flatnonzero(pos[orb.rep] >= 0)
+    x = np.zeros((2**n, y.shape[1]), dtype=c.dtype)
+    amp = sec.chi[orb.elem[inside]] / np.sqrt(orb.orbit[orb.rep[inside]])
+    x[inside] = c[pos[orb.rep[inside]]] * amp[:, None]
+    return x
+
+
+def _block_solve(ham, m):
+    """Lowest m levels of H over every translation x bitflip block.
+
+    Blocks k and -k are complex conjugates, so only k = 2*pi*j/N with
+    j <= N/2 is solved and each level of a 0 < k < pi block counts twice;
+    its two real eigenvectors are sqrt(2) Re x and sqrt(2) Im x of the
+    lifted vector x.  Only the blocks that hold a picked level get
+    eigenvectors, and each picked level is its Rayleigh quotient in the
+    block in extended precision, which leaves only the rounding of the
+    block's entries.  Returns the levels, real eigenvectors and parity
+    labels.
+    """
+    n = ham.n_qubits
+    blocks, vals, labels, where = [], [], [], []
+    for j in range(n // 2 + 1):
+        copies = 1 if (2 * j) % n == 0 else 2
+        for sign in (1.0, -1.0):
+            block, sec = _block(ham, j, sign)
+            levels = np.linalg.eigvalsh(block)
+            vals.append(np.repeat(levels, copies))
+            labels.append(np.full(copies * len(levels), sign))
+            level = np.repeat(np.arange(len(levels)), copies)
+            part = np.tile(np.arange(copies), len(levels))
+            where.append(np.column_stack([np.full(len(level), len(blocks)), level, part]))
+            blocks.append((j, sign))
+    vals, labels, where = map(np.concatenate, (vals, labels, where))
+    order = _even_first(vals, labels)[:m]
+    vals, labels, where = vals[order], labels[order], where[order]
+    vecs = np.empty((ham.dim, m))
+    for b in np.unique(where[:, 0]):
+        picked = np.flatnonzero(where[:, 0] == b)
+        # rebuilt rather than kept: all blocks together hold 46 MB at N=14
+        block, sec = _block(ham, *blocks[b])
+        y = np.linalg.eigh(block)[1][:, where[picked, 1]]
+        yl = y.astype(np.longdouble)
+        hy = block.astype(np.longdouble) @ yl
+        vals[picked] = np.sum(yl * hy, axis=0) / np.sum(yl * yl, axis=0)
+        x = _lift(n, sec, y)
+        if np.iscomplexobj(x):
+            x = np.sqrt(2.0) * np.where(where[picked, 2] == 0, x.real, x.imag)
+        vecs[:, picked] = x
+    return vals, vecs, labels
 
 
 def _lanczos_sector(ham, sign, m):
@@ -189,10 +362,10 @@ def _even_first(vals, labels):
 def low_spectrum(ham, m, resolve_parity=False):
     """Lowest m eigenpairs with residual certificates.
 
-    With ``resolve_parity`` each bitflip-parity sector is solved on its own
-    and the two are merged, even states first among levels that tie to
-    within ``_TIE_TOL``, so every level carries an exact parity label, even
-    inside a multiplet that spans both sectors.
+    With ``resolve_parity`` every translation x bitflip block is solved on
+    its own (``_block_solve``) and the levels are merged, even states first
+    among levels that tie to within ``_TIE_TOL``, so every level carries an
+    exact parity label, even inside a multiplet that spans both sectors.
     """
     dim = ham.dim
     if not (1 <= m <= dim):
@@ -201,14 +374,17 @@ def low_spectrum(ham, m, resolve_parity=False):
     if resolve_parity:
         if ham.model == "grover":
             raise ValueError("grover with a generic marked state is not bitflip symmetric")
-        solve = _dense_sector if ham.matrix is not None else _lanczos_sector
-        sectors = [(sign, *solve(ham, sign, m)) for sign in (1.0, -1.0)]
-        vals = np.concatenate([sv for _, sv, _ in sectors])
-        labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])
-        order = _even_first(vals, labels)[:m]
-        vals = vals[order]
-        vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
-        labels = labels[order]
+        if ham.model == "mixed_grover_ising" and ham.n_qubits > DENSE_MAX:
+            # stays on ARPACK while perfbench/reference/ed_scaling.json holds this path's levels
+            sectors = [(sign, *_lanczos_sector(ham, sign, m)) for sign in (1.0, -1.0)]
+            vals = np.concatenate([sv for _, sv, _ in sectors])
+            labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])
+            order = _even_first(vals, labels)[:m]
+            vals = vals[order]
+            vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
+            labels = labels[order]
+        else:
+            vals, vecs, labels = _block_solve(ham, m)
     elif ham.matrix is not None:
         vals, vecs = eigh(ham.matrix, subset_by_index=[0, m - 1])
     else:
@@ -223,7 +399,7 @@ def low_spectrum(ham, m, resolve_parity=False):
     return LowSpectrum(eigenvalues=vals, eigenvectors=vecs, parity_labels=labels, residuals=residuals)
 
 
-# Test oracle for the sector solve; the traced benchmark (perfbench/layers.py) looks it up here
+# Test oracle for the block solve; the traced benchmark (perfbench/layers.py) looks it up here
 def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
     """Label each eigenvector by the global-bitflip expectation value +-1.
 

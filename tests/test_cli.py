@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qptsweep import cli, grover, ising, response
+from qptsweep import cli, exact, grover, ising, response
 
 
 def write_config(tmp_path, name, doc):
@@ -51,6 +51,20 @@ def test_determinism_byte_identical(tmp_path):
     a = (tmp_path / "a" / "scaling_gap_law.csv").read_bytes()
     b = (tmp_path / "b" / "scaling_gap_law.csv").read_bytes()
     assert a == b
+
+
+def test_ed_block_solve_is_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "model": "ising_ring", "n_list": [12], "g_grid": [0.25, 0.5, 0.75],
+    })
+    for out in ("a", "b"):
+        # the second run rebuilds the symmetry tables as a fresh process would
+        exact._orbits.cache_clear()
+        exact._sector.cache_clear()
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    a = (tmp_path / "a" / "ed.csv").read_bytes()
+    assert len(read_csv(tmp_path / "a" / "ed.csv")) == 1 + 3 * 4
+    assert a == (tmp_path / "b" / "ed.csv").read_bytes()
 
 
 def test_config_errors_exit_1(tmp_path):
@@ -254,9 +268,14 @@ def test_json_mirror_roundtrip(tmp_path):
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
                   "ka_list": []}),
     ("scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10, 10], "coarse_points": 9}),
+    ("ed", {"model": "ising_ring", "n_list": [6], "g_grid": [0.5], "m": 2.5}),
+    ("ed", {"model": "ising_ring", "n_list": [6], "g_grid": [0.5], "marked_state": "010101"}),
+    ("ed", {"model": "mixed_grover_ising", "n_list": [6], "g_grid": [0.5],
+            "marked_state": "010101"}),
 ], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
-        "response_empty_ka_list", "mixed_gap_repeated_n"])
+        "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
+        "ed_ising_marked_state", "ed_mixed_marked_state"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

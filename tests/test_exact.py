@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,17 +157,116 @@ def test_apply_to_identity_is_the_matrix(model, n):
 @pytest.mark.parametrize("shift,labels", [(1e-14, [1.0, -1.0]), (1e-9, [-1.0, 1.0])])
 def test_cross_sector_near_tie_lists_even_first(monkeypatch, shift, labels):
     # at g=1 the ring's two ferromagnetic states tie exactly across the sectors;
-    # the odd one is lowered by a rounding-sized shift, then by a resolved one
-    solve = exact._dense_sector
+    # every odd block is lowered by a rounding-sized shift, then by a resolved one
+    block = exact._block
 
-    def nudged(ham, sign, m):
-        vals, vecs = solve(ham, sign, m)
-        return (vals - shift if sign < 0 else vals), vecs
+    def nudged(ham, j, sign):
+        mat, sec = block(ham, j, sign)
+        return (mat - shift * np.eye(len(mat)) if sign < 0 else mat), sec
 
-    monkeypatch.setattr(exact, "_dense_sector", nudged)
+    monkeypatch.setattr(exact, "_block", nudged)
     h = exact.build_hamiltonian("ising_ring", 6, 1.0)
     spec = exact.low_spectrum(h, 2, resolve_parity=True)
     assert list(spec.parity_labels) == labels
+
+
+def _group_images(n):
+    """g(s) for every state s, one row per element e = t + N*f (rotate by t, then flip f)."""
+    full = 2**n - 1
+    rows = [np.arange(2**n)]
+    for _ in range(n - 1):
+        s = rows[-1]
+        rows.append(((s << 1) | (s >> (n - 1))) & full)
+    return np.array(rows + [r ^ full for r in rows])
+
+
+def _projected_states(n, j, sign, reps):
+    """P|r>/|P|r>| for each r, P the projector onto momentum 2*pi*j/N and parity sign,
+    by summing conj(chi(g)) g|r> over the whole group."""
+    t = np.arange(2 * n) % n
+    chi = np.exp(2j * np.pi * j * t / n) * np.where(np.arange(2 * n) < n, 1.0, sign)
+    u = np.zeros((2**n, len(reps)), dtype=complex)
+    np.add.at(u, (_group_images(n)[:, reps], np.arange(len(reps))), np.conj(chi)[:, None])
+    return u / np.linalg.norm(u, axis=0)
+
+
+@pytest.mark.parametrize("model", ["ising_ring", "mixed_grover_ising"])
+@pytest.mark.parametrize("n", range(2, 9))
+@settings(max_examples=4, deadline=None)
+@given(g=st.floats(min_value=0.0, max_value=1.0))
+def test_blocks_match_projected_oracle(model, n, g):
+    # each block is H in the projected momentum states, rotated by the weights of its
+    # real basis; for 0 < k < pi the rotated block must come out real
+    h = exact.build_hamiltonian(model, n, g)
+    reps = exact._orbits(n).reps
+    size = 0
+    for j in range(n // 2 + 1):
+        copies = 1 if (2 * j) % n == 0 else 2
+        for sign in (1.0, -1.0):
+            mat, sec = exact._block(h, j, sign)
+            d = len(sec.keep)
+            w = np.zeros((d, d), dtype=complex)
+            for p in (0, 1):
+                np.add.at(w, (np.arange(d), sec.col[:, p]), sec.weight[:, p])
+            v = _projected_states(n, j, sign, reps[sec.keep]) @ w
+            assert_allclose(v.conj().T @ v, np.eye(d), rtol=0, atol=1e-12)
+            rotated = v.conj().T @ h.matrix @ v
+            assert np.max(np.abs(rotated.imag), initial=0.0) <= 1e-12
+            assert_allclose(mat, rotated.real, rtol=0, atol=1e-12)
+            assert np.max(np.abs(sec.flip.imag), initial=0.0) <= 1e-12
+            size += copies * d
+    assert size == h.dim
+
+
+@pytest.mark.parametrize("model", ["ising_ring", "mixed_grover_ising"])
+@pytest.mark.parametrize("n", range(2, 11))
+@settings(max_examples=4, deadline=None)
+@given(g=st.floats(min_value=0.0, max_value=1.0))
+def test_block_solve_matches_full_oracle(model, n, g):
+    # odd N has no k = pi block
+    h = exact.build_hamiltonian(model, n, g)
+    vals, full = np.linalg.eigh(h.matrix)
+    spec = exact.low_spectrum(h, h.dim, resolve_parity=True)
+    # listing even levels first inside a run of near-ties (near g = 0 for the
+    # mixed model) may put a level ahead of a lower odd one
+    assert_allclose(np.sort(spec.eigenvalues), vals, rtol=0, atol=1e-12)
+    assert np.all(np.diff(spec.eigenvalues) >= -1e-10)
+    vecs = spec.eigenvectors
+    assert vecs.dtype == np.float64
+    assert np.all(spec.residuals <= 1e-12)
+    perm = exact.bitflip_parity_operator_indices(n)
+    assert np.max(np.abs(vecs[perm] - spec.parity_labels * vecs)) <= 1e-12
+    oracle_labels = exact.parity_resolve(h, exact.LowSpectrum(vals.copy(), full, None, None))
+    gaps = np.diff(vals)
+    isolated = np.ones(h.dim, dtype=bool)
+    isolated[1:] &= gaps > 1e-6
+    isolated[:-1] &= gaps > 1e-6
+    assert np.array_equal(spec.parity_labels[isolated], oracle_labels[isolated])
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_block_solve_mixed_matches_both_reductions(n):
+    # the even sector is the wall-class reduction; the odd sector is diagonal,
+    # C(N, d) states at 1 - g + g*d for every even wall count d
+    m = 8
+    h0 = exact.build_hamiltonian("mixed_grover_ising", n, 0.0)
+    assert h0.matrix is None
+    walls = np.arange(0, n + 1, 2)
+    for g in np.linspace(0.0, 1.0, 6):
+        h = exact.build_hamiltonian("mixed_grover_ising", n, float(g))
+        vals, vecs, labels = exact._block_solve(h, m)
+        even = exact.mixed_even_levels(n, float(g), m)
+        odd = np.repeat(1.0 - g + g * walls, [min(math.comb(n, int(d)), m) for d in walls])
+        want = np.concatenate([even, odd])
+        want_labels = np.concatenate([np.ones(len(even)), -np.ones(len(odd))])
+        order = exact._even_first(want, want_labels)[:m]
+        assert_allclose(vals, want[order], rtol=0, atol=1e-12)
+        assert np.array_equal(labels, want_labels[order])
+        residuals = np.linalg.norm(h.apply(vecs) - vecs * vals, axis=0)
+        assert np.all(residuals <= 1e-12)
+    g1 = exact._block_solve(exact.build_hamiltonian("mixed_grover_ising", n, 1.0), 4)
+    assert_allclose(g1[0], [0.0, 0.0, 2.0, 2.0], rtol=0, atol=1e-12)
+    assert list(g1[2][:2]) == [1.0, -1.0]
 
 
 def test_variational_stability():
