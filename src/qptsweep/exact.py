@@ -352,10 +352,16 @@ def _lanczos_sector(ham, sign, m):
 
 
 def _even_first(vals, labels):
-    """Ascending order of ``vals`` in which each run of levels, neighbours
-    within ``_TIE_TOL`` of each other, lists its even levels first."""
+    """Ascending order of ``vals`` in which each run of tied levels lists its
+    even levels first.  A run holds every level within ``_TIE_TOL`` above its
+    lowest one, and the next run starts at the first level beyond, so no
+    listed level lies more than ``_TIE_TOL`` below the one before it."""
     order = np.argsort(vals, kind="stable")
-    run = np.concatenate([[0], np.cumsum(np.diff(vals[order]) > _TIE_TOL)])
+    run, count, lowest = [], -1, -np.inf
+    for v in vals[order].tolist():
+        if v - lowest > _TIE_TOL:
+            count, lowest = count + 1, v
+        run.append(count)
     return order[np.lexsort((-labels[order], run))]
 
 

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    cumulative_simpson_uniform, default_n0, filon_integral, linear_fourier, refine, simpson_weights,
-    stream_filon,
+    QuadratureError, cumulative_simpson_uniform, default_n0, filon_integral, linear_fourier,
+    nested_simpson, refine, stream_filon,
 )
-# re-exported: the one quadrature error of the package, shared with grover
-from ._kernels import QuadratureError  # noqa: F401
 from .bath import integrate_abs
 from .ising import dispersion
 from .schedules import make_schedule
@@ -28,7 +26,7 @@ _INITIAL_ENERGY = 2.0  # single-particle energy at g=0; "cold bath" cutoff
 _OMEGA_FLOOR = -2.0  # lower end of the negative-frequency window of total_error
 _COLLISION_TOL = 1e-6  # smallest saddle discriminant stationary phase resolves
 _SADDLE_SAMPLES = 9  # frequencies sampled per intermediate window
-_BOUND_POINTS = 16385  # uniform grid of the phase-free bounds; odd for Simpson
+_BOUND_FIRST = 65  # nodes of the first grid of a phase-free bound
 _REL_TOL = 1e-3  # grid-doubling tolerance of the quadrature amplitudes
 _N_MAX = 2**21  # largest quadrature grid, in intervals
 
@@ -74,6 +72,7 @@ class BitflipAmplitudes:
     a1: complex  # Fourier-transform term (no dynamical phase)
     a2: complex  # oscillatory term, grows with T
     a2_bound: float  # phase-free bound on |a2|; exactly proportional to T
+    a2_bound_error: float  # relative half-grid difference of a2_bound
     quad_error: float
     converged: bool
 
@@ -251,9 +250,10 @@ def suppression_rate_uniform(ka, omega, t_list, rel_tol=1e-6):
 
 
 def saddle_points_uniform(omega, ka):
-    """Couplings g where the pair gap matches omega: 1/2 +- sqrt(disc)/(8cos(ka/2))."""
-    disc = omega**2 - 16.0 * np.sin(ka / 2.0) ** 2
-    if disc < 0.0:
+    """Couplings g where the pair gap matches omega: 1/2 +- sqrt(disc)/(8cos(ka/2));
+    ``omega`` may be an array."""
+    disc = np.asarray(omega) ** 2 - 16.0 * np.sin(ka / 2.0) ** 2
+    if np.any(disc < 0.0):
         raise SaddleCollisionError(
             f"omega={omega} below the minimal pair gap of mode ka={ka}: complex saddles"
         )
@@ -261,21 +261,18 @@ def saddle_points_uniform(omega, ka):
     return 0.5 + shift, 0.5 - shift
 
 
-def amplitude_saddle_uniform(omega, ka, schedule):
-    """Stationary-phase evaluation of the uniform amplitude, per unit coupling.
+def _saddle_sum(omega, ka, schedule):
+    """Stationary-phase sum of the uniform amplitude and its worst validity
+    ratio at each frequency of the array ``omega``, every one resolved
+    (discriminant at least ``_COLLISION_TOL``).
 
     Each real saddle g* (where 2*E_k = omega) contributes
     env(t*) * sqrt(2*pi/|phi''|) * exp(i*(phi(t*) + sign(phi'')*pi/4)).
     """
-    disc = omega**2 - 16.0 * np.sin(ka / 2.0) ** 2
-    if disc < _COLLISION_TOL:
-        raise SaddleCollisionError(
-            f"discriminant {disc:.3e} below {_COLLISION_TOL}: saddles unresolved"
-        )
     g_plus, g_minus = saddle_points_uniform(omega, ka)
     chalf = np.cos(ka / 2.0) ** 2
-    total = 0.0 + 0.0j
-    worst_validity = 0.0
+    total = np.zeros(omega.shape, dtype=complex)
+    worst = np.zeros(omega.shape)
     for g_star in (g_minus, g_plus):
         t_star = schedule.invert(g_star)
         _, gdot = schedule.evaluate(t_star)
@@ -285,10 +282,23 @@ def amplitude_saddle_uniform(omega, ka, schedule):
         phase = -omega * t_star + 2.0 * schedule.phase_integral(ka, t_star)
         leading = env * np.sqrt(2.0 * np.pi / abs(ddphase))
         total += leading * np.exp(1j * (phase + np.sign(ddphase) * np.pi / 4.0))
-        correction = gdot / (omega * np.sqrt(max(omega**2 - 4.0 * ka**2, 1e-300)))
-        worst_validity = max(worst_validity, correction / max(abs(leading), 1e-300))
+        correction = gdot / (omega * np.sqrt(np.maximum(omega**2 - 4.0 * ka**2, 1e-300)))
+        worst = np.maximum(worst, correction / np.maximum(abs(leading), 1e-300))
+    return total, worst
+
+
+def amplitude_saddle_uniform(omega, ka, schedule):
+    """Stationary-phase evaluation of the uniform amplitude, per unit coupling
+    (see ``_saddle_sum``)."""
+    disc = omega**2 - 16.0 * np.sin(ka / 2.0) ** 2
+    if disc < _COLLISION_TOL:
+        raise SaddleCollisionError(
+            f"discriminant {disc:.3e} below {_COLLISION_TOL}: saddles unresolved"
+        )
+    total, worst = _saddle_sum(np.array([float(omega)]), ka, schedule)
+    worst_validity = float(worst[0])
     return AmplitudeResult(
-        value=total,
+        value=complex(total[0]),
         method="saddle_point",
         regime=classify_regime(omega, ka),
         quad_error=np.nan,
@@ -298,28 +308,35 @@ def amplitude_saddle_uniform(omega, ka, schedule):
     )
 
 
-def _bound_grid(schedule, n_points=_BOUND_POINTS):
-    """g tabulated for the phase-free bounds, and the Simpson weights w of
-    that grid (``w @ y`` integrates samples y over [0, T])."""
-    t = np.linspace(0.0, schedule.T, n_points)
-    return np.asarray(schedule.g_of(t), dtype=float), simpson_weights(n_points, t[1] - t[0])
+def _phase_free_bounds(schedule, ka, envelope, n_points=_BOUND_FIRST):
+    """int_0^T envelope(ka, g, E_k) dt for every mode of the 1-d ``ka``, on
+    one t grid shared by all modes, by ``nested_simpson`` from a first grid
+    of ``n_points`` nodes.  Returns (values, relative errors, converged)."""
+    values, errors, ok = nested_simpson(
+        lambda u: np.asarray(schedule.g_of(u * schedule.T), dtype=float),
+        lambda rows, g: envelope(ka[rows, None], g, dispersion(ka[rows, None], g)),
+        ka.shape[0], n_points - 1,
+    )
+    return schedule.T * values, errors, ok
 
 
-def _near_gap_bound(ka, g, w):
-    """int_0^T 2*g|sin(ka)|/E_k dt on the grid of ``_bound_grid``."""
-    # |2g sin(ka)/E| = 2g|sin(ka)|/E exactly, as g >= 0 and E > 0
-    return float(w @ np.abs(_uniform_env(ka, g, dispersion(ka, g))))
+def _near_gap_env(ka, g, energy):
+    """|2g sin(ka)/E_k| = 2g|sin(ka)|/E_k, the integrand of the near-gap bound."""
+    return np.abs(_uniform_env(ka, g, energy))
 
 
-def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_POINTS):
-    """Phase-free bound int_0^T 2*g|sin(ka)|/E_k dt, per unit coupling."""
-    bound = _near_gap_bound(ka, *_bound_grid(schedule, n_points))
+def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_FIRST):
+    """Phase-free bound int_0^T 2*g|sin(ka)|/E_k dt, per unit coupling, with
+    the relative half-grid difference of ``_phase_free_bounds`` as its
+    ``quad_error``; ``n_points`` sets the first grid."""
+    value, err, ok = _phase_free_bounds(schedule, np.array([float(ka)]), _near_gap_env, n_points)
     return AmplitudeResult(
-        value=complex(bound),
+        value=complex(value[0]),
         method="phase_free_bound",
         regime="near_gap",
-        quad_error=0.0,
+        quad_error=float(err[0]),
         modes=(float(ka),),
+        converged=bool(ok[0]),
     )
 
 
@@ -374,13 +391,9 @@ def amplitude_direct_nonuniform(
     )
 
 
-def _bitflip_bounds(ka, g, w):
-    """Phase-free bounds on |a1| and |a2| of ``amplitude_bitflip`` for mode ka,
-    on the grid of ``_bound_grid`` (g and its Simpson weights w)."""
-    energy = dispersion(ka, g)
-    xi = w @ (2.0 * g / _bogoliubov_norm(ka, g, energy))
-    b2 = w @ _pair_envelope(ka, g, energy)
-    return abs(np.sin(ka)) * float(xi), float(b2)
+def _a1_env(ka, g, energy):
+    """2g/norm_k, the envelope of the a1 integral of ``amplitude_bitflip``."""
+    return 2.0 * g / _bogoliubov_norm(ka, g, energy)
 
 
 def _bitflip_nodes(schedule, ka):
@@ -388,8 +401,7 @@ def _bitflip_nodes(schedule, ka):
 
     def a1_nodes(t):
         g = np.asarray(schedule.g_of(t), dtype=float)
-        energy = dispersion(ka, g)
-        return 2.0 * g / _bogoliubov_norm(ka, g, energy), None  # no dynamical phase
+        return _a1_env(ka, g, dispersion(ka, g)), None  # no dynamical phase
 
     return a1_nodes, _mode_nodes(schedule, ka, _pair_envelope)
 
@@ -405,7 +417,9 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     a1 = i e^{-i ka} sin(ka) * int Xi(t) e^{-i w t} dt carries no dynamical
     phase; a2 = e^{i ka} * int sqrt(1/2 + (1-2g cos^2(ka/2))/E) e^{i(-wt +
     2 int E)} dt.  ``a2_bound`` is the phase-free bound on |a2|, which grows
-    exactly linearly in T for schedules with fixed g-profile.
+    exactly linearly in T for schedules with fixed g-profile; its relative
+    half-grid difference is ``a2_bound_error``.  ``converged`` covers all
+    three certificates.
     """
 
     a1_nodes, a2_nodes = _bitflip_nodes(schedule, ka)
@@ -422,9 +436,10 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     f1, f2 = _bitflip_factors(ka)
     a1 = f1 * raw1
     a2 = f2 * raw2
-    _, bound = _bitflip_bounds(ka, *_bound_grid(schedule))
+    bound, bound_err, ok3 = _phase_free_bounds(schedule, np.array([float(ka)]), _pair_envelope)
     return BitflipAmplitudes(
-        a1=a1, a2=a2, a2_bound=bound, quad_error=max(err1, err2), converged=ok1 and ok2
+        a1=a1, a2=a2, a2_bound=float(bound[0]), a2_bound_error=float(bound_err[0]),
+        quad_error=max(err1, err2), converged=ok1 and ok2 and bool(ok3[0]),
     )
 
 
@@ -456,31 +471,44 @@ def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule):
     return values, errors, converged
 
 
-def _uniform_regime_estimate(regime, ka, schedule, window, grid):
-    """Per-regime modulus estimate for one uniform-channel mode; ``grid`` is
-    the schedule's ``_bound_grid``."""
+def _saddle_samples(lo, hi):
+    """The ``_SADDLE_SAMPLES`` frequencies of an intermediate window (lo, hi),
+    evenly spaced from lo*1.01 to hi*0.99, or, where hi/lo < 1.01/0.99 would
+    turn that range backwards and out of the window, from 1% of the width
+    in from either end."""
+    omegas = np.linspace(lo * 1.01, hi * 0.99, _SADDLE_SAMPLES)
+    if omegas[0] >= omegas[-1]:
+        omegas = lo + (hi - lo) * np.linspace(0.01, 0.99, _SADDLE_SAMPLES)
+    return omegas
+
+
+def _uniform_regime_estimate(regime, ka, schedule, window):
+    """Per-regime modulus estimate for one uniform-channel mode, or None
+    where its phase-free bound stands in: near the gap, and in an
+    intermediate window where no saddle is resolved."""
     T = schedule.T
     if regime == "negative":
         # contour-deformation suppression rate pi*T*(ka)^2/16
-        return np.exp(-np.pi * T * ka**2 / 16.0), "contour_estimate"
+        return np.exp(-np.pi * T * ka**2 / 16.0)
     if regime == "sub_gap":
-        return np.exp(-T * ka**2 / 2.0), "contour_estimate"
+        return np.exp(-T * ka**2 / 2.0)
     if regime == "near_gap":
-        return _near_gap_bound(ka, *grid), "phase_free_bound"
-    # intermediate: max saddle modulus over the window, bound as fallback
-    lo, hi = window
-    best = 0.0
-    used_saddle = False
-    for w in np.linspace(lo * 1.01, hi * 0.99, _SADDLE_SAMPLES):
-        try:
-            res = amplitude_saddle_uniform(w, ka, schedule)
-        except SaddleCollisionError:
-            continue
-        best = max(best, res.modulus)
-        used_saddle = True
-    if not used_saddle:
-        best = _near_gap_bound(ka, *grid)
-    return best, "saddle_point" if used_saddle else "phase_free_bound"
+        return None
+    # intermediate: max saddle modulus over the window's samples
+    omegas = _saddle_samples(*window)
+    omegas = omegas[omegas**2 - 16.0 * np.sin(ka / 2.0) ** 2 >= _COLLISION_TOL]
+    if not omegas.size:
+        return None
+    return float(np.max(np.abs(_saddle_sum(omegas, ka, schedule)[0])))
+
+
+def _certified_bounds(schedule, ka, envelope):
+    """``_phase_free_bounds`` of the modes ``ka``; raises ``QuadratureError``
+    if one is not certified."""
+    values, _, ok = _phase_free_bounds(schedule, ka, envelope)
+    if not ok.all():
+        raise QuadratureError(f"phase-free bound of mode ka={ka[~ok][0]} not certified")
+    return values
 
 
 def total_error(channel, schedule, spectral_function, n_spins):
@@ -488,7 +516,9 @@ def total_error(channel, schedule, spectral_function, n_spins):
 
     Sum over modes and regimes of (regime amplitude estimate) * int_regime
     |f| dw, scaled by the channel coupling.  Returns (total, breakdown)
-    where breakdown maps regime -> summed contribution.
+    where breakdown maps regime -> summed contribution.  The window
+    integrals and the phase-free bounds are certified to ``nested_simpson``'s
+    tolerance; one that is not raises ``QuadratureError``.
     """
     if n_spins % 2 or n_spins < 2:
         raise ValueError(f"n_spins must be even and >= 2, got {n_spins}")
@@ -497,35 +527,34 @@ def total_error(channel, schedule, spectral_function, n_spins):
     ka_positive = (2 * np.arange(n_spins // 2) + 1) * np.pi / n_spins
 
     if channel.kind == "uniform_x":
-        grid = _bound_grid(schedule)
         # modes share windows: the negative one [_OMEGA_FLOOR, 0] always, and
         # one mode's near_gap window can be another's intermediate window
-        weights = {}
-        for ka in ka_positive:
+        windows, terms = {}, []
+        for i, ka in enumerate(ka_positive):
             bounds = regime_bounds(ka)
             for regime in REGIMES:
                 lo, hi = getattr(bounds, regime)
                 lo = max(lo, _OMEGA_FLOOR)
-                if hi <= lo:
-                    continue
-                if (lo, hi) not in weights:
-                    weights[lo, hi] = integrate_abs(spectral_function, lo, hi)
-                weight = weights[lo, hi]
-                if weight == 0.0:
-                    continue
-                amp, _ = _uniform_regime_estimate(regime, ka, schedule, (lo, hi), grid)
-                breakdown[regime] += lam * amp * weight
+                if hi > lo:
+                    terms.append((i, regime, windows.setdefault((lo, hi), len(windows))))
+        window_list = list(windows)
+        weights = integrate_abs(spectral_function, *np.array(window_list).T)[0]
+        mode_bound = _certified_bounds(schedule, ka_positive, _near_gap_env)
+        for i, regime, j in terms:
+            if weights[j] != 0.0:
+                amp = _uniform_regime_estimate(regime, ka_positive[i], schedule, window_list[j])
+                breakdown[regime] += lam * (mode_bound[i] if amp is None else amp) * weights[j]
         total = sum(breakdown.values())
         return total, breakdown
 
     if channel.kind == "single_site_z":
         # phase-free bound per single-particle mode; both momentum signs
-        weight = integrate_abs(spectral_function, _OMEGA_FLOOR, _INITIAL_ENERGY)
-        g, w = _bound_grid(schedule)
-        for ka in ka_positive:
-            b1, b2 = _bitflip_bounds(ka, g, w)
+        weight = integrate_abs(spectral_function, _OMEGA_FLOOR, _INITIAL_ENERGY)[0]
+        b1 = np.abs(np.sin(ka_positive)) * _certified_bounds(schedule, ka_positive, _a1_env)
+        b2 = _certified_bounds(schedule, ka_positive, _pair_envelope)
+        for ka_b1, ka_b2 in zip(b1, b2):
             # each |ka| appears for both momentum signs
-            breakdown["near_gap"] += 2.0 * lam / np.sqrt(n_spins) * (b1 + b2) * weight
+            breakdown["near_gap"] += 2.0 * lam / np.sqrt(n_spins) * (ka_b1 + ka_b2) * weight
         total = sum(breakdown.values())
         return total, breakdown
 

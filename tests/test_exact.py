@@ -170,6 +170,22 @@ def test_cross_sector_near_tie_lists_even_first(monkeypatch, shift, labels):
     assert list(spec.parity_labels) == labels
 
 
+def test_even_first_runs_span_at_most_the_tie_tolerance():
+    # levels 0.9e-12 apart chain across more than _TIE_TOL; each run starts at
+    # its lowest level, so the even level of a run goes ahead of a lower odd
+    # one of the same run only
+    vals = np.array([0.0, 0.9e-12, 1.8e-12, 2.7e-12])
+    labels = np.array([-1.0, 1.0, -1.0, 1.0])
+    assert exact._even_first(vals, labels).tolist() == [1, 0, 3, 2]
+
+
+def test_block_solve_listed_levels_never_fall_beyond_the_tie_tolerance():
+    # at g=1e-12 the mixed ring's spectrum is chains of near-ties, which a run
+    # built from neighbour gaps alone lists out of order by up to 2e-12
+    vals = exact._block_solve(exact.build_hamiltonian("mixed_grover_ising", 10, 1e-12), 1024)[0]
+    assert np.diff(vals).min() >= -exact._TIE_TOL
+
+
 def _group_images(n):
     """g(s) for every state s, one row per element e = t + N*f (rotate by t, then flip f)."""
     full = 2**n - 1

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qptsweep import grover, response
+from fixed_grid_oracle import composite_simpson, simpson_weights
+from qptsweep import _kernels, grover, response
 from qptsweep._kernels import (
     _MAX_RUNS,
     _QUAD_BLOCK,
@@ -21,8 +22,8 @@ from qptsweep._kernels import (
     linear_fourier,
     magnus4_modes,
     refine,
+    nested_simpson,
     rk4_mode,
-    simpson_weights,
     stream_filon,
 )
 
@@ -466,6 +467,46 @@ def test_refine_converges_each_element_on_its_own():
     sequences.pop()
     assert refine(eval_at, 16, 1e-3, 2**17)[2].all()
     assert grids[-1] == 65536
+
+
+@pytest.mark.parametrize("block", [2**13, 16])
+def test_nested_simpson_is_composite_simpson_on_the_grid_it_stopped_on(monkeypatch, block):
+    # block 16 streams every grid in blocks of nodes and of integrands
+    monkeypatch.setattr(_kernels, "_NESTED_BLOCK", block)
+    rates = np.array([0.0, 1.0, 3.0, 40.0])
+    sampled = []
+
+    def integrand(rows, u):
+        sampled.append((rows.tolist(), u))
+        return np.exp(np.sin(rates[rows, None] * u))
+
+    values, errors, ok = nested_simpson(lambda u: u, integrand, len(rates), 7)
+    assert ok.all() and np.all(errors < 1e-9)
+    # no node of any integrand is sampled twice, and each stops on its own
+    nodes = {r: [] for r in range(len(rates))}
+    for rows, u in sampled:
+        for r in rows:
+            nodes[r].extend(u.tolist())
+    for r, v, err in zip(range(len(rates)), values, errors):
+        n = len(nodes[r]) - 1
+        assert sorted(nodes[r]) == (np.arange(n + 1) / n).tolist()
+        grid = np.linspace(0.0, 1.0, n + 1)
+        want = composite_simpson(n + 1, 1.0 / n) @ np.exp(np.sin(rates[r] * grid))
+        assert v == pytest.approx(want, rel=1e-13)
+        # the first grid (7 rounded up to 8 intervals) and one doubling at least
+        assert n >= 16
+    assert len(nodes[0]) < len(nodes[3])
+
+
+def test_nested_simpson_floor_and_failure():
+    # an integral that vanishes stops at the first doubling; one that cannot
+    # converge reports so at the finest grid
+    def integrand(rows, u):
+        return np.where(rows[:, None] == 0, 0.0, np.sin(1e6 * u))
+
+    values, errors, ok = nested_simpson(lambda u: u, integrand, 2, 64)
+    assert ok.tolist() == [True, False]
+    assert values[0] == 0.0 and errors[1] > 1e-9
 
 
 def direct_dft(x, theta0, dtheta, ks):

@@ -224,7 +224,7 @@ def test_total_error_integrates_each_bath_window_once(monkeypatch):
     integrate_abs = response.integrate_abs
 
     def record(sf, lo, hi):
-        windows.append((lo, hi))
+        windows.extend(zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist()))
         return integrate_abs(sf, lo, hi)
 
     monkeypatch.setattr(response, "integrate_abs", record)
