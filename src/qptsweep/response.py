@@ -249,10 +249,16 @@ def suppression_rate_uniform(ka, omega, t_list, rel_tol=1e-6):
     return float(-slope), np.asarray(mods)
 
 
+def _saddle_discriminant(omega, ka):
+    """omega^2 - 16 sin^2(ka/2): the saddles are real where it is >= 0, and
+    stationary phase resolves them where it is >= ``_COLLISION_TOL``."""
+    return np.asarray(omega) ** 2 - 16.0 * np.sin(ka / 2.0) ** 2
+
+
 def saddle_points_uniform(omega, ka):
     """Couplings g where the pair gap matches omega: 1/2 +- sqrt(disc)/(8cos(ka/2));
     ``omega`` may be an array."""
-    disc = np.asarray(omega) ** 2 - 16.0 * np.sin(ka / 2.0) ** 2
+    disc = _saddle_discriminant(omega, ka)
     if np.any(disc < 0.0):
         raise SaddleCollisionError(
             f"omega={omega} below the minimal pair gap of mode ka={ka}: complex saddles"
@@ -290,7 +296,7 @@ def _saddle_sum(omega, ka, schedule):
 def amplitude_saddle_uniform(omega, ka, schedule):
     """Stationary-phase evaluation of the uniform amplitude, per unit coupling
     (see ``_saddle_sum``)."""
-    disc = omega**2 - 16.0 * np.sin(ka / 2.0) ** 2
+    disc = _saddle_discriminant(omega, ka)
     if disc < _COLLISION_TOL:
         raise SaddleCollisionError(
             f"discriminant {disc:.3e} below {_COLLISION_TOL}: saddles unresolved"
@@ -496,7 +502,7 @@ def _uniform_regime_estimate(regime, ka, schedule, window):
         return None
     # intermediate: max saddle modulus over the window's samples
     omegas = _saddle_samples(*window)
-    omegas = omegas[omegas**2 - 16.0 * np.sin(ka / 2.0) ** 2 >= _COLLISION_TOL]
+    omegas = omegas[_saddle_discriminant(omegas, ka) >= _COLLISION_TOL]
     if not omegas.size:
         return None
     return float(np.max(np.abs(_saddle_sum(omegas, ka, schedule)[0])))

@@ -122,3 +122,43 @@ def test_integrate_abs_window():
     assert full == pytest.approx(1.0, rel=1e-4)
     assert 0.0 < err < 1e-9
     assert bath.integrate_abs(sf, 0.3, 0.2) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.01, 0.25, 0.5, 2.5])
+def test_integrate_abs_at_a_power_law_edge(epsilon):
+    # f = 2*theta*w^epsilon for w > 0 and 0 below at zero temperature: a jump
+    # at 0 for epsilon = 0, and no bounded derivative there for epsilon < 1;
+    # each window is certified on a modest grid all the same
+    sf = bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=epsilon)
+    finest = [0]
+    nested = bath.nested_simpson
+
+    def recording(grid, integrand, count, n0):
+        def grid_seen(u):
+            finest[0] = max(finest[0], round(1.0 / u[u > 0.0].min()))
+            return grid(u)
+
+        return nested(grid_seen, integrand, count, n0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bath, "nested_simpson", recording)
+        values, errors = bath.integrate_abs(sf, np.array([0.0, -2.0, -1.0, 0.5]), np.array([0.3, 2.0, 0.0, 1.5]))
+    exact = np.array([0.3, 2.0, 0.0, 1.5]) ** (1.0 + epsilon) - np.array([0.0, 0.0, 0.0, 0.5]) ** (1.0 + epsilon)
+    np.testing.assert_allclose(values, exact / (1.0 + epsilon), rtol=1e-9, atol=0.0)
+    assert np.all(errors < 1e-9)
+    assert finest[0] <= 2048
+
+
+def test_integrate_abs_at_a_thermal_edge():
+    # at finite beta, f = J(|w|)(n_B(|w|) + step(w)) goes as |w|^(epsilon-1)
+    # next to 0; for epsilon = 1.5 and omega_c = inf, the integral of J n_B
+    # over w > 0 is 2*theta*Gamma(5/2)*zeta(5/2)/beta^(5/2); e^-60 is dropped
+    sf = bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=1.5, beta=1.0)
+    below, err_below = bath.integrate_abs(sf, -60.0, 0.0)
+    assert below == pytest.approx(0.75 * np.sqrt(np.pi) * 1.341487257250917, rel=1e-9)
+    assert err_below < 1e-9
+    # above 0, f = J n_B + J: by detailed balance the J n_B part equals the part below
+    both, _ = bath.integrate_abs(sf, -60.0, 60.0)
+    assert both == pytest.approx(2.0 * below + 60.0**2.5 / 2.5, rel=1e-9)
+    with pytest.raises(bath.DivergentAtZeroError):
+        bath.integrate_abs(bath.SpectralFunction(kind="thermal_bosonic", epsilon=0.5, beta=1.0), 0.0, 1.0)

@@ -69,8 +69,8 @@ def _oracle_total(channel, schedule, sf_key, n_spins, bound_points, window_point
     return total
 
 
-def _thermal(beta):
-    return bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=1.0, omega_c=2.0, beta=beta)
+def _thermal(beta, epsilon=1.0):
+    return bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=epsilon, omega_c=2.0, beta=beta)
 
 
 def _cold_table():
@@ -83,6 +83,11 @@ def _cold_table():
 BATHS = {
     "warm": lambda: _thermal(1.0 / ising.global_min_gap(ising.ChainParams(32))),
     "zero_temperature": lambda: _thermal(np.inf),
+    # f not smooth at 0, where every sub_gap window starts: a jump for a flat
+    # bath, and |w|^0.5 next to 0 in the two others
+    "flat_zero_temperature": lambda: _thermal(np.inf, epsilon=0.0),
+    "sub_ohmic_zero_temperature": lambda: _thermal(np.inf, epsilon=0.5),
+    "super_ohmic_warm": lambda: _thermal(1.0, epsilon=1.5),
     "cold_table": _cold_table,
     "table": lambda: bath.load_tabulated([(-1.5, 0.0), (-0.5, 0.4), (0.3, 1.0), (1.2, 0.2), (1.9, 0.0)]),
     "dirac_comb": lambda: bath.dirac_probe([-0.7, 0.05, 0.4, 1.1], [0.5, 1.0, 2.0, 0.25]),
