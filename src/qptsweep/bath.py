@@ -158,14 +158,14 @@ def integrate_abs(sf, omega_lo, omega_hi, n_points=33):
 
     Returns (values, errors) of their shape, the errors relative.  A window
     with omega_hi <= omega_lo gives 0.  A dirac_comb sums its atoms in
-    [lo, hi), exactly.  Otherwise all windows share one ``nested_simpson``
-    run whose first grid has ``n_points`` nodes.  A thermal f, not smooth at
-    0, is integrated on each side of 0 apart, and a side that ends at 0 is
-    graded there, w = w_far u^_GRADING (see ``_graded``).  A tabulated f is
-    integrated over the part of each window inside its table, with a first
-    grid of at least as many intervals as the table has samples, so that no
-    table interval falls between two nodes.  A window left uncertified on
-    the finest grid raises ``QuadratureError``.
+    [lo, hi), exactly.  Otherwise the windows go through ``_abs_pieces``,
+    from a first grid of ``n_points`` nodes.  A thermal f, not smooth at 0,
+    is integrated on each side of 0 apart, and a side that ends at 0 is
+    graded there, w = w_far u^_GRADING.  A tabulated f is integrated over
+    the part of each window inside its table, with a first grid of at least
+    as many intervals as the table has samples, so that no table interval
+    falls between two nodes.  A window left uncertified on the finest grid
+    raises ``QuadratureError``.
     """
     lo, hi = np.broadcast_arrays(np.asarray(omega_lo, dtype=float), np.asarray(omega_hi, dtype=float))
     shape = lo.shape
@@ -185,26 +185,17 @@ def integrate_abs(sf, omega_lo, omega_hi, n_points=33):
             keep = np.concatenate((neg_hi > lo, hi > pos_lo))
             edge = np.concatenate((neg_hi, pos_lo))
             span = np.concatenate((lo - neg_hi, hi - pos_lo))
+            graded = edge == 0.0
         else:
             w = sf.table[0]
             lo, hi = np.maximum(lo, w[0]), np.minimum(hi, w[-1])
             keep, edge, span = hi > lo, lo, hi - lo
+            graded = np.zeros(keep.shape, dtype=bool)
             n0 = max(n0, w.shape[0])
-        rows = np.flatnonzero(keep)
-        edge, span = edge[rows], span[rows]
-        graded = (edge == 0.0) & (sf.kind == "thermal_bosonic")
-
-        def integrand(sub, x):
-            return _graded(sf, edge[sub, None], span[sub, None], graded[sub, None], *x)
-
         pieces = np.zeros((2, keep.shape[0]))  # value and error of each piece
-        if rows.size:
-            vals, errs, ok = nested_simpson(lambda u: (u, u ** (_GRADING - 1)), integrand, rows.size, n0)
-            if not ok.all():
-                bad = np.flatnonzero(~ok)[0]
-                ends = sorted((edge[bad], edge[bad] + span[bad]))
-                raise QuadratureError(f"integral of |f| over {ends} not certified")
-            pieces[:, rows] = np.abs(span) * vals, errs
+        for power, rows in ((1, keep & ~graded), (_GRADING, keep & graded)):
+            if rows.any():
+                pieces[:, rows] = _abs_pieces(sf, edge[rows], span[rows], power, n0)
         pieces = pieces.reshape(2, -1, values.shape[0])
         values = pieces[0].sum(axis=0)
         errors = pieces[1].max(axis=0)
@@ -213,16 +204,28 @@ def integrate_abs(sf, omega_lo, omega_hi, n_points=33):
     return values.reshape(shape), errors.reshape(shape)
 
 
-def _graded(sf, edge, span, graded, u, u_pow):
-    """|f| at w = edge + span*u, or, where ``graded``, at w = edge + span*u^p
-    times dw/du / span = p u^(p-1), p = _GRADING, given u^(p-1) as ``u_pow``.
+def _abs_pieces(sf, edge, span, power, n0):
+    """Integrals of |f| over w = edge + span*u^power, u from 0 to 1, for the
+    1-d ``edge`` and ``span``, by one ``nested_simpson`` run on n0 intervals
+    first; returns their values and relative errors.
 
-    Near 0 a thermal f goes as |w|^s: s = epsilon at zero temperature, where
-    f jumps at 0 when epsilon = 0, and s = epsilon - 1 at finite beta.  In u
-    that is u^(p(1+s)-1), which vanishes at u = 0 for p >= 2, whatever f(0)
-    reads, and which Simpson's rule integrates at its full order h^4 for any
-    s >= 0 when p = 4; on w it converges only as h^(1+s).
+    The integrand in u is |f(w)| |span| power u^(power-1).  Near 0 a thermal
+    f goes as |w|^s: s = epsilon at zero temperature, where f jumps at 0 when
+    epsilon = 0, and s = epsilon - 1 at finite beta.  From an edge at 0 that
+    is u^(power(1+s)-1), which vanishes at u = 0 for power >= 2, whatever
+    f(0) reads, and which Simpson's rule integrates at its full order h^4
+    for every s >= 0 when power = 4; on w it converges only as h^(1+s).
     """
-    t = np.where(graded, u * u_pow, u)
-    values = np.abs(evaluate(sf, edge + span * t))
-    return np.where(graded, _GRADING * u_pow * values, values)
+
+    def integrand(rows, x):
+        t, jacobian = x
+        return jacobian * np.abs(evaluate(sf, edge[rows, None] + span[rows, None] * t))
+
+    vals, errs, ok = nested_simpson(
+        lambda u: (u**power, power * u ** (power - 1)), integrand, edge.shape[0], n0
+    )
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        ends = sorted((edge[bad], edge[bad] + span[bad]))
+        raise QuadratureError(f"integral of |f| over {ends} not certified")
+    return np.abs(span) * vals, errs

@@ -357,12 +357,21 @@ def _even_first(vals, labels):
     lowest one, and the next run starts at the first level beyond, so no
     listed level lies more than ``_TIE_TOL`` below the one before it."""
     order = np.argsort(vals, kind="stable")
-    run, count, lowest = [], -1, -np.inf
-    for v in vals[order].tolist():
-        if v - lowest > _TIE_TOL:
-            count, lowest = count + 1, v
-        run.append(count)
-    return order[np.lexsort((-labels[order], run))]
+    s = vals[order]
+    start = np.concatenate([[True], np.diff(s) > _TIE_TOL])
+    # chains of neighbours within _TIE_TOL start runs; the rare chain that
+    # spans more than _TIE_TOL is cut again from its lowest level up
+    first = np.flatnonzero(start)
+    stop = np.append(first[1:], s.shape[0])
+    wide = s[stop - 1] - s[first] > _TIE_TOL
+    for a, b in zip(first[wide], stop[wide]):
+        while True:
+            beyond = np.flatnonzero(s[a:b] - s[a] > _TIE_TOL)
+            if not beyond.size:
+                break
+            a += beyond[0]
+            start[a] = True
+    return order[np.lexsort((-labels[order], np.cumsum(start)))]
 
 
 def low_spectrum(ham, m, resolve_parity=False):

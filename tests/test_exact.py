@@ -179,6 +179,28 @@ def test_even_first_runs_span_at_most_the_tie_tolerance():
     assert exact._even_first(vals, labels).tolist() == [1, 0, 3, 2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.sampled_from([0.0, 0.4e-12, 0.9e-12, 1.1e-12, 5e-12]), min_size=1, max_size=40),
+    odd=st.lists(st.booleans(), min_size=40, max_size=40),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_even_first_matches_greedy_runs(gaps, odd, perm_seed):
+    # the order against a level-by-level walk: a run starts at its lowest
+    # level and takes every level within _TIE_TOL above it
+    vals = 0.25 + np.cumsum(gaps)
+    vals = vals[np.random.default_rng(perm_seed).permutation(vals.shape[0])]
+    labels = np.where(odd[:vals.shape[0]], -1.0, 1.0)
+    order = np.argsort(vals, kind="stable")
+    run, count, lowest = [], -1, -np.inf
+    for v in vals[order]:
+        if v - lowest > exact._TIE_TOL:
+            count, lowest = count + 1, v
+        run.append(count)
+    want = order[np.lexsort((-labels[order], run))]
+    assert exact._even_first(vals, labels).tolist() == want.tolist()
+
+
 def test_block_solve_listed_levels_never_fall_beyond_the_tie_tolerance():
     # at g=1e-12 the mixed ring's spectrum is chains of near-ties, which a run
     # built from neighbour gaps alone lists out of order by up to 2e-12
