@@ -447,7 +447,10 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
             0.5 * dt * (b1 + b2), _GL_OFFSET * dt * dt * (a2 * b1 - a1 * b2), 0.5 * dt * (a1 + a2),
         ))
         theta = np.sqrt(np.sum(w * w, axis=0))
-        q = np.concatenate((np.cos(theta)[None], np.sinc(theta / np.pi) * w))
+        # sin(theta)/theta, not np.sinc(theta/pi): sin at the rounded angle
+        # pi*(theta/pi) would break |q| = 1 by about theta*eps
+        sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
+        q = np.concatenate((np.cos(theta)[None], sinc * w))
         # inclusive scan, later steps multiplying from the left
         d = 1
         while d < q.shape[2]:

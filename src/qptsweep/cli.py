@@ -105,16 +105,6 @@ def _grid(spec, name):
     return arr
 
 
-def _evenly_spaced(grid, total_time):
-    """Whether ``grid`` is ascending with one step, to within 1e-9/total_time
-    (a phase error of at most 1e-9 over [0, total_time])."""
-    if len(grid) < 2:
-        return False
-    step = (grid[-1] - grid[0]) / (len(grid) - 1)
-    even = grid[0] + step * np.arange(len(grid))
-    return step > 0.0 and np.max(np.abs(grid - even)) * total_time <= 1e-9
-
-
 def _require(params, *keys):
     missing = [k for k in keys if k not in params]
     if missing:
@@ -232,52 +222,24 @@ def _run_response(cfg):
     p = cfg.params
     _require(p, "n_spins", "T", "omega_grid", "channel")
     n = int(p["n_spins"])
-    channel = response.Channel(kind=p["channel"], coupling=float(p.get("coupling", 1.0)))
+    kind = response.Channel(kind=p["channel"], coupling=float(p.get("coupling", 1.0))).kind
     sched = _make_schedule(p, n_spins=n)
     omega_grid = _grid(p["omega_grid"], "omega_grid")
-    ka_list = _ka_list(p, n)
-    endpoint_order = int(p.get("endpoint_order", 0))
-
-    def kpa_of(ka):
-        return float(p.get("kpa", ka)) if channel.kind == "nonuniform_x" else float(ka)
-
-    def one(ka, w):
-        if channel.kind == "single_site_z":
-            b = response.amplitude_bitflip(float(ka), float(w), sched)
-            val = b.a1 + b.a2
-            return [
-                channel.kind, n, float(ka), float(ka), float(w),
-                response.classify_regime(float(w), float(ka)), "quadrature",
-                val.real, val.imag, abs(val), b.quad_error, int(b.converged),
-            ]
-        if channel.kind == "nonuniform_x":
-            r = response.amplitude_direct_nonuniform(float(ka), kpa_of(ka), float(w), n, sched)
-        else:
-            r = response.amplitude_direct_uniform(
-                float(ka), float(w), sched, endpoint_order=endpoint_order
-            )
-        kpa = r.modes[1] if len(r.modes) > 1 else r.modes[0]
-        return [
-            channel.kind, n, float(r.modes[0]), float(kpa), float(w), r.regime,
-            r.method, r.value.real, r.value.imag, r.modulus, r.quad_error, int(r.converged),
-        ]
-
-    def all_omega(ka):
-        ka, kpa = float(ka), kpa_of(ka)
+    order = p.get("endpoint_order", 0)
+    if isinstance(order, bool) or order not in (0, 1, 2):
+        raise ConfigError(f"endpoint_order must be 0, 1 or 2, got {order!r}")
+    rows = []
+    for ka in _ka_list(p, n).tolist():
+        kpa = float(p.get("kpa", ka)) if kind == "nonuniform_x" else ka
         values, errors, oks = response.amplitudes_on_grid(
-            channel.kind, ka, kpa, omega_grid, n, sched
+            kind, ka, kpa, omega_grid, n, sched, int(order)
         )
-        return [
-            [channel.kind, n, ka, kpa, w, response.classify_regime(w, ka), "quadrature",
+        rows += [
+            [kind, n, ka, kpa, w, response.classify_regime(w, ka), "quadrature",
              v.real, v.imag, abs(v), err, int(ok)]
             for w, v, err, ok in zip(omega_grid.tolist(), values.tolist(), errors.tolist(),
                                      oks.tolist())
         ]
-
-    if endpoint_order == 0 and _evenly_spaced(omega_grid, sched.T):
-        rows = [row for ka in ka_list for row in all_omega(ka)]
-    else:
-        rows = [one(ka, w) for ka in ka_list for w in omega_grid]
     bad = sum(not row[-1] for row in rows)
     return ResultBundle(
         name="response",

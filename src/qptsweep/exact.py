@@ -3,16 +3,15 @@
 Every model is one operator form, H = diag(d) - f*sum_j X_j - r*|s><s|
 with |s> the uniform state (``SpinHamiltonian``); the dense matrix (up to
 N=10, dimension 1024) and the matrix-free product are both read off it.
-Without parity resolution: dense subset solves (lowest m levels only) up
-to N=10, Lanczos-type iteration (ARPACK with a fixed start vector) up to
-N=14.  With it, the bitflip-symmetric models are solved completely by
-translation x bitflip symmetry blocks (momentum k, parity sigma), each a
-real symmetric matrix of at most a few hundred rows at N=14, with numpy's
-dense eigensolvers; the mixed model above N=10 still goes through
-symmetry-projected ARPACK.  The even sector of the mixed
+Grover's H is solved exactly by its two-level reduction on span{|w>, |s>}.
+The bitflip-symmetric models are solved completely by translation x
+bitflip symmetry blocks (momentum k, parity sigma), each a real symmetric
+matrix of at most a few hundred rows at N=14, with numpy's dense
+eigensolvers; only the parity-resolved mixed model above N=10 still goes
+through symmetry-projected ARPACK.  The even sector of the mixed
 search/ferromagnet model is computed exactly from its wall-class
 reduction, which the minimal-gap scaling study uses; ``parity_resolve``
-and the full solves stay as test oracles.  Also ground-energy derivative
+and the dense matrix stay as test oracles.  Also ground-energy derivative
 diagnostics.
 """
 
@@ -22,7 +21,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 # fit_power_law is unused here, but the traced benchmark (perfbench/layers.py) looks it up here
@@ -326,6 +324,38 @@ def _block_solve(ham, m):
     return vals, vecs, labels
 
 
+def _grover_solve(ham, m):
+    """Lowest m levels of grover's H = 1 - g|w><w| - (1-g)|s><s|, exactly.
+
+    H is 1 on the states orthogonal to |w> and |s>, so only its 2x2 block
+    on span{|w>, |s>} needs a solve; in the orthonormal basis |w>, |r> with
+    |s> = c|w> + c'|r>, c = 1/sqrt(2^N), its levels are 1/2 -+ gap/2.  The
+    vectors of the level 1 come from a QR factorisation of |w>, |s> and
+    further basis states other than |w>.
+    """
+    dim = ham.dim
+    w = int(np.argmin(ham.diag))  # at g = 0 no state is marked and any one serves
+    c = 1.0 / np.sqrt(dim)
+    cr = np.sqrt(1.0 - 1.0 / dim)
+    block = np.diag([ham.diag[w], 1.0]) - ham.rank_one * np.outer([c, cr], [c, cr])
+    pair, y = np.linalg.eigh(block)
+    # |r> = (|s> - c|w>)/c' is c/c' on every state but w
+    vecs = np.broadcast_to(c / cr * y[1], (dim, 2)).copy()
+    vecs[w] = y[0]
+    k = max(m - 2, 0)
+    if k:
+        others = np.arange(k + 1)
+        others = others[others != w][:k]
+        span = np.zeros((dim, k + 2))
+        span[w, 0] = 1.0
+        span[:, 1] = c
+        span[others, np.arange(2, k + 2)] = 1.0
+        vecs = np.column_stack([vecs, np.linalg.qr(span)[0][:, 2:]])
+    vals = np.concatenate([pair, np.ones(k)])
+    order = np.argsort(vals, kind="stable")[:m]
+    return vals[order], vecs[:, order]
+
+
 def _lanczos_sector(ham, sign, m):
     """Lowest levels of the sector with bitflip parity ``sign``, matrix-free.
 
@@ -377,37 +407,34 @@ def _even_first(vals, labels):
 def low_spectrum(ham, m, resolve_parity=False):
     """Lowest m eigenpairs with residual certificates.
 
-    With ``resolve_parity`` every translation x bitflip block is solved on
-    its own (``_block_solve``) and the levels are merged, even states first
-    among levels that tie to within ``_TIE_TOL``, so every level carries an
-    exact parity label, even inside a multiplet that spans both sectors.
+    Grover goes through its two-level reduction (``_grover_solve``), the
+    other models through ``_block_solve``: every translation x bitflip
+    block is solved on its own and the levels are merged, even states first
+    among levels that tie to within ``_TIE_TOL``.  With ``resolve_parity``
+    every level carries that exact parity label, even inside a multiplet
+    that spans both sectors.
     """
     dim = ham.dim
     if not (1 <= m <= dim):
         raise ValueError(f"m must lie in [1, {dim}], got {m}")
     labels = None
-    if resolve_parity:
-        if ham.model == "grover":
+    if ham.model == "grover":
+        if resolve_parity:
             raise ValueError("grover with a generic marked state is not bitflip symmetric")
-        if ham.model == "mixed_grover_ising" and ham.n_qubits > DENSE_MAX:
-            # stays on ARPACK while perfbench/reference/ed_scaling.json holds this path's levels
-            sectors = [(sign, *_lanczos_sector(ham, sign, m)) for sign in (1.0, -1.0)]
-            vals = np.concatenate([sv for _, sv, _ in sectors])
-            labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])
-            order = _even_first(vals, labels)[:m]
-            vals = vals[order]
-            vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
-            labels = labels[order]
-        else:
-            vals, vecs, labels = _block_solve(ham, m)
-    elif ham.matrix is not None:
-        vals, vecs = eigh(ham.matrix, subset_by_index=[0, m - 1])
-    else:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        vals, vecs = _eigsh(ham.apply, dim, min(m, dim - 2), v0, maxiter=5000)
-        order = np.argsort(vals)[:m]
+        vals, vecs = _grover_solve(ham, m)
+    elif resolve_parity and ham.model == "mixed_grover_ising" and ham.n_qubits > DENSE_MAX:
+        # stays on ARPACK while perfbench/reference/ed_scaling.json holds this path's levels
+        sectors = [(sign, *_lanczos_sector(ham, sign, m)) for sign in (1.0, -1.0)]
+        vals = np.concatenate([sv for _, sv, _ in sectors])
+        labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])
+        order = _even_first(vals, labels)[:m]
         vals = vals[order]
-        vecs = vecs[:, order]
+        vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
+        labels = labels[order]
+    else:
+        vals, vecs, labels = _block_solve(ham, m)
+        if not resolve_parity:
+            labels = None
     residuals = np.linalg.norm(ham.apply(vecs) - vecs * vals, axis=0)
     if np.any(residuals > 1e-8):
         raise NonConvergenceError(f"residuals above contract: {residuals.max():.3e}")

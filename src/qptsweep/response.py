@@ -123,20 +123,27 @@ def matrix_element_uniform(ka, g):
     return 1j * _uniform_env(ka, g, dispersion(ka, g))
 
 
-def _mode_nodes(schedule, ka, envelope):
-    """``stream_filon`` nodes of a single-mode integrand: envelope(ka, g, E_k)
-    and the pair phase rate 2 E_k."""
-
-    def nodes(t):
-        g = np.asarray(schedule.g_of(t), dtype=float)
-        energy = dispersion(ka, g)
-        return envelope(ka, g, energy), 2.0 * energy
-
-    return nodes
-
-
 def _default_n0(schedule, omega):
     return default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
+
+
+def _filon_refined(nodes, schedule, omega, rel_tol, n_max):
+    """int_0^T env e^{i(phase - w t)} dt at w = ``omega`` for the
+    ``stream_filon`` nodes closure ``nodes``, by Filon grid doubling;
+    returns (value, error, converged)."""
+
+    def eval_at(n):
+        return stream_filon(schedule.T, n, -omega, nodes, filon_integral)
+
+    return refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
+
+
+def _evenly_spaced(grid, total_time):
+    """Whether ``grid`` is ascending with one step, to within 1e-9/total_time
+    (a phase error of at most 1e-9 over [0, total_time])."""
+    step = (grid[-1] - grid[0]) / max(len(grid) - 1, 1)
+    even = grid[0] + step * np.arange(len(grid))
+    return step > 0.0 and np.max(np.abs(grid - even)) * total_time <= 1e-9
 
 
 def _fourier_on_grid(nodes, total_time, omegas):
@@ -211,12 +218,9 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX
     that carries the adiabatic suppression.
     """
 
-    nodes = _mode_nodes(schedule, ka, _uniform_env)
-
-    def eval_at(n):
-        return stream_filon(schedule.T, n, -omega, nodes, filon_integral)
-
-    value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
+    ((factor, nodes),) = _channel_integrals("uniform_x", ka, ka, None, schedule)
+    value, err, ok = _filon_refined(nodes, schedule, omega, rel_tol, n_max)
+    value = factor * value
     if endpoint_order > 0:
         value = value - _endpoint_correction(ka, omega, schedule, endpoint_order)
     return AmplitudeResult(
@@ -357,19 +361,6 @@ def _bogoliubov_norm(ka, g, energy):
     return np.sqrt(2.0 * energy**2 + 2.0 * alpha * energy)
 
 
-def _nonuniform_nodes(schedule, ka, kpa, pair_gap_phase):
-    """``stream_filon`` nodes of the nonuniform-channel integrand, without its 1/N."""
-
-    def nodes(t):
-        g = np.asarray(schedule.g_of(t), dtype=float)
-        e_k = dispersion(ka, g)
-        e_kp = dispersion(kpa, g)
-        env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _bogoliubov_norm(kpa, g, e_kp)
-        return env, e_k + e_kp if pair_gap_phase else 2.0 * e_k
-
-    return nodes
-
-
 def amplitude_direct_nonuniform(
     ka, kpa, omega, n_spins, schedule, rel_tol=_REL_TOL, n_max=_N_MAX, pair_gap_phase=False
 ):
@@ -381,14 +372,10 @@ def amplitude_direct_nonuniform(
     the alternative reading of the pair gap E_s0 = E_k + E_k'.
     """
 
-    nodes = _nonuniform_nodes(schedule, ka, kpa, pair_gap_phase)
-
-    def eval_at(n):
-        return stream_filon(schedule.T, n, -omega, nodes, filon_integral) / n_spins
-
-    value, err, ok = refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
+    ((factor, nodes),) = _channel_integrals("nonuniform_x", ka, kpa, n_spins, schedule, pair_gap_phase)
+    value, err, ok = _filon_refined(nodes, schedule, omega, rel_tol, n_max)
     return AmplitudeResult(
-        value=value,
+        value=factor * value,
         method="quadrature",
         regime=classify_regime(omega, ka),
         quad_error=err,
@@ -402,19 +389,36 @@ def _a1_env(ka, g, energy):
     return 2.0 * g / _bogoliubov_norm(ka, g, energy)
 
 
-def _bitflip_nodes(schedule, ka):
-    """``stream_filon`` nodes of the a1 and a2 integrands of ``amplitude_bitflip``."""
+def _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase=False):
+    """How the amplitude of channel ``kind`` splits into integrals: (factor,
+    nodes) pairs whose sum of factor * int_0^T env e^{i(phase - w t)} dt,
+    with (env, phase rate) = nodes(t) as ``stream_filon`` reads them, is the
+    amplitude per unit coupling.  uniform_x: one integral.  nonuniform_x:
+    one, of pair (ka, ``kpa``), its 1/N in the envelope.  single_site_z: a1
+    with no dynamical phase, then a2.
+    """
 
-    def a1_nodes(t):
-        g = np.asarray(schedule.g_of(t), dtype=float)
-        return _a1_env(ka, g, dispersion(ka, g)), None  # no dynamical phase
+    def nodes_of(env_and_rate):
+        def nodes(t):
+            g = np.asarray(schedule.g_of(t), dtype=float)
+            return env_and_rate(g, dispersion(ka, g))
 
-    return a1_nodes, _mode_nodes(schedule, ka, _pair_envelope)
+        return nodes
 
+    if kind == "uniform_x":
+        return [(1.0, nodes_of(lambda g, e_k: (_uniform_env(ka, g, e_k), 2.0 * e_k)))]
+    if kind == "nonuniform_x":
 
-def _bitflip_factors(ka):
-    """The constant factors of a1 and a2 in ``amplitude_bitflip``."""
-    return 1j * np.exp(-1j * ka) * np.sin(ka), np.exp(1j * ka)
+        def pair(g, e_k):
+            e_kp = dispersion(kpa, g)
+            env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _bogoliubov_norm(kpa, g, e_kp)
+            return env / n_spins, e_k + e_kp if pair_gap_phase else 2.0 * e_k
+
+        return [(1.0, nodes_of(pair))]
+    return [
+        (1j * np.exp(-1j * ka) * np.sin(ka), nodes_of(lambda g, e_k: (_a1_env(ka, g, e_k), None))),
+        (np.exp(1j * ka), nodes_of(lambda g, e_k: (_pair_envelope(ka, g, e_k), 2.0 * e_k))),
+    ]
 
 
 def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
@@ -428,18 +432,9 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     three certificates.
     """
 
-    a1_nodes, a2_nodes = _bitflip_nodes(schedule, ka)
-
-    def eval_a1(n):
-        return stream_filon(schedule.T, n, -omega, a1_nodes, filon_integral)
-
-    def eval_a2(n):
-        return stream_filon(schedule.T, n, -omega, a2_nodes, filon_integral)
-
-    n0 = _default_n0(schedule, omega)
-    raw1, err1, ok1 = refine(eval_a1, n0, rel_tol, n_max)
-    raw2, err2, ok2 = refine(eval_a2, n0, rel_tol, n_max)
-    f1, f2 = _bitflip_factors(ka)
+    (f1, a1_nodes), (f2, a2_nodes) = _channel_integrals("single_site_z", ka, ka, None, schedule)
+    raw1, err1, ok1 = _filon_refined(a1_nodes, schedule, omega, rel_tol, n_max)
+    raw2, err2, ok2 = _filon_refined(a2_nodes, schedule, omega, rel_tol, n_max)
     a1 = f1 * raw1
     a2 = f2 * raw2
     bound, bound_err, ok3 = _phase_free_bounds(schedule, np.array([float(ka)]), _pair_envelope)
@@ -449,28 +444,33 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     )
 
 
-def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule):
-    """One mode's amplitudes at every frequency of the evenly spaced ``omegas``.
-
-    Returns (values, quad_errors, converged) arrays: the values of
-    ``amplitude_direct_uniform`` (``endpoint_order`` 0),
-    ``amplitude_direct_nonuniform`` at (ka, kpa) and a1 + a2 of
-    ``amplitude_bitflip`` for channel ``kind``, each integral from
-    ``_fourier_on_grid`` instead of one grid-doubling run per frequency.
-    The bitflip error is the larger of its two integrals'.
+def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule, endpoint_order=0):
+    """One mode's amplitudes in channel ``kind``, per unit coupling, at every
+    frequency of the ascending ``omegas``: (values, quad_errors, converged)
+    arrays, an error the largest of its integrals' (``_channel_integrals``).
+    ``endpoint_order`` (uniform_x alone) is ``amplitude_direct_uniform``'s.
+    An evenly spaced grid with ``endpoint_order`` 0 takes ``_fourier_on_grid``
+    for all frequencies at once; any other grid one Filon grid-doubling run
+    per frequency, uniform_x rows through ``amplitude_direct_uniform``.
     """
-    if kind == "uniform_x":
-        parts = [(1.0, _mode_nodes(schedule, ka, _uniform_env))]
-    elif kind == "nonuniform_x":
-        parts = [(1.0 / n_spins, _nonuniform_nodes(schedule, ka, kpa, False))]
-    else:
-        parts = zip(_bitflip_factors(ka), _bitflip_nodes(schedule, ka))
+    if endpoint_order and kind != "uniform_x":
+        raise ValueError(f"endpoint_order applies only to the uniform_x channel, not {kind!r}")
     m = len(omegas)
     values = np.zeros(m, dtype=complex)
     errors = np.zeros(m)
     converged = np.ones(m, dtype=bool)
-    for factor, nodes in parts:
-        value, err, ok = _fourier_on_grid(nodes, schedule.T, omegas)
+    all_omega = endpoint_order == 0 and _evenly_spaced(omegas, schedule.T)
+    if kind == "uniform_x" and not all_omega:
+        for i, omega in enumerate(omegas):
+            r = amplitude_direct_uniform(ka, omega, schedule, endpoint_order=endpoint_order)
+            values[i], errors[i], converged[i] = r.value, r.quad_error, r.converged
+        return values, errors, converged
+    for factor, nodes in _channel_integrals(kind, ka, kpa, n_spins, schedule):
+        if all_omega:
+            value, err, ok = _fourier_on_grid(nodes, schedule.T, omegas)
+        else:
+            runs = [_filon_refined(nodes, schedule, w, _REL_TOL, _N_MAX) for w in omegas]
+            value, err, ok = map(np.array, zip(*runs))
         values += factor * value
         np.maximum(errors, err, out=errors)
         converged &= ok

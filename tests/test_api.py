@@ -93,3 +93,50 @@ def test_arpack_use_outside_is_reported():
     assert sorted((name, inside) for _, name, inside in _arpack_uses(tree, "_eigsh")) == [
         ("LinearOperator", True), ("eigsh", False), ("eigsh", True),
     ]
+
+
+# what a response row may not be computed from outside ``response``: the
+# per-frequency amplitudes and the helpers that split a channel and pick
+# the quadrature path
+_BEHIND_THE_GRID = {
+    "amplitude_direct_uniform", "amplitude_direct_nonuniform", "amplitude_bitflip",
+    "amplitude_saddle_uniform", "_channel_integrals", "_filon_refined", "_fourier_on_grid",
+    "_evenly_spaced",
+}
+
+
+def _amplitude_uses(tree):
+    """(line, name) for every load or definition of ``amplitudes_on_grid`` or
+    of a name in ``_BEHIND_THE_GRID``, by name or attribute."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.FunctionDef):
+            name = n.name
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            name = n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            name = n.attr
+        else:
+            continue
+        if name in _BEHIND_THE_GRID | {"amplitudes_on_grid"}:
+            found.append((n.lineno, name))
+    return found
+
+
+def test_cli_reaches_amplitudes_through_one_function():
+    # how a channel splits into integrals and which quadrature serves a grid
+    # are decided in response.amplitudes_on_grid alone
+    uses = _amplitude_uses(ast.parse((SRC / "cli.py").read_text()))
+    assert [name for _, name in uses] == ["amplitudes_on_grid"], uses
+
+
+def test_amplitude_use_outside_is_reported():
+    tree = ast.parse(
+        "def _evenly_spaced(grid):\n"
+        "    return grid\n"
+        "def f(w):\n"
+        "    return response.amplitude_bitflip(w), response.amplitudes_on_grid(w)\n"
+    )
+    assert sorted(name for _, name in _amplitude_uses(tree)) == [
+        "_evenly_spaced", "amplitude_bitflip", "amplitudes_on_grid",
+    ]

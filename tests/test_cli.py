@@ -152,9 +152,9 @@ def test_evenly_spaced_omega_grid_takes_the_all_omega_path(tmp_path, monkeypatch
     monkeypatch.setattr(response, "stream_filon", counting)
     base = {"n_spins": 16, "T": 20.0, "channel": channel, "ka_list": [float(np.pi / 16)]}
 
-    def run(name, **extra):
+    def run(name, code=0, **extra):
         cfg = write_config(tmp_path, f"{name}.json", {**base, **extra})
-        assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / name)]) == code
         count = len(calls)
         calls.clear()
         return count
@@ -162,11 +162,81 @@ def test_evenly_spaced_omega_grid_takes_the_all_omega_path(tmp_path, monkeypatch
     # a linspace grid, and a list that is evenly spaced to rounding
     assert run("linspace", omega_grid={"start": -0.5, "stop": 2.5, "num": 7}) == 0
     assert run("even_list", omega_grid=[-0.4 + 0.2 * i for i in range(5)]) == 0
-    # an endpoint correction, an uneven list and a single frequency stay per frequency
-    assert run("endpoint_order", omega_grid={"start": -0.5, "stop": 2.5, "num": 7},
-               endpoint_order=2) > 0
+    # an endpoint correction (uniform_x alone takes one), an uneven list and a
+    # single frequency stay per frequency
+    even = {"start": -0.5, "stop": 2.5, "num": 7}
+    if channel == "uniform_x":
+        assert run("endpoint_order", omega_grid=even, endpoint_order=2) > 0
+    else:
+        assert run("endpoint_order", code=1, omega_grid=even, endpoint_order=2) == 0
     assert run("uneven", omega_grid=[-0.2, 0.01, 0.08, 1.0]) > 0
     assert run("single", omega_grid=[0.5]) > 0
+
+
+@pytest.mark.parametrize("grid", ["even", "uneven", "single"])
+@pytest.mark.parametrize("kind", response.CHANNEL_KINDS)
+def test_response_rows_are_amplitudes_on_grid(tmp_path, kind, grid):
+    n, ka, kpa = 16, float(np.pi / 16), float(3 * np.pi / 16)
+    spec = {"even": {"start": -0.5, "stop": 2.5, "num": 5}, "uneven": [-0.2, 0.01, 0.08, 1.0],
+            "single": [0.5]}[grid]
+    doc = {"n_spins": n, "T": 20.0, "channel": kind, "omega_grid": spec, "ka_list": [ka]}
+    if kind == "nonuniform_x":
+        doc["kpa"] = kpa
+    else:
+        kpa = ka
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "response.csv")[1:]
+    omegas = cli._grid(spec, "omega_grid")
+    sched = cli._make_schedule(doc, n_spins=n)
+    values, errors, converged = response.amplitudes_on_grid(kind, ka, kpa, omegas, n, sched)
+    assert [float(r[4]) for r in rows] == omegas.tolist()
+    assert [complex(float(r[7]), float(r[8])) for r in rows] == values.tolist()
+    assert [float(r[10]) for r in rows] == errors.tolist()
+    assert [int(r[11]) for r in rows] == converged.astype(int).tolist()
+    if grid != "uneven":
+        return
+    # the per-frequency functions give the same values
+    for omega, value in zip(omegas, values):
+        if kind == "uniform_x":
+            assert value == response.amplitude_direct_uniform(ka, omega, sched).value
+        elif kind == "nonuniform_x":
+            assert value == response.amplitude_direct_nonuniform(ka, kpa, omega, n, sched).value
+        else:
+            b = response.amplitude_bitflip(ka, omega, sched)
+            want = b.a1 + b.a2
+            assert abs(value.real - want.real) <= np.spacing(abs(want.real))
+            assert abs(value.imag - want.imag) <= np.spacing(abs(want.imag))
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"endpoint_order": 3}, "0, 1 or 2"),
+    ({"endpoint_order": 2.7}, "0, 1 or 2"),
+    ({"endpoint_order": -1}, "0, 1 or 2"),
+    ({"endpoint_order": True}, "0, 1 or 2"),
+    ({"endpoint_order": "2"}, "0, 1 or 2"),
+    ({"endpoint_order": 1, "channel": "nonuniform_x"}, "only to the uniform_x"),
+    ({"endpoint_order": 2, "channel": "single_site_z"}, "only to the uniform_x"),
+], ids=["three", "fraction", "negative", "bool", "string", "nonuniform", "single_site"])
+def test_response_endpoint_order_checked(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+        "ka_list": [float(np.pi / 16)], **extra,
+    })
+    assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and message in err and "\n" not in err
+
+
+@pytest.mark.parametrize("channel,order", [
+    ("uniform_x", 0), ("uniform_x", 1), ("uniform_x", 2.0), ("single_site_z", 0),
+])
+def test_response_endpoint_order_accepts_whole_orders(tmp_path, channel, order):
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 16, "T": 20.0, "channel": channel, "omega_grid": [0.5],
+        "ka_list": [float(np.pi / 16)], "endpoint_order": order,
+    })
+    assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_grover_run_with_probe(tmp_path):

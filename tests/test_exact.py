@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qptsweep import exact, ising
+from qptsweep import exact, grover, ising
 
 
 def test_ising_n2_hand_diagonalization():
@@ -388,6 +388,32 @@ def test_subset_solve_matches_full_oracle():
             assert spec.parity_labels is None
             assert_allclose(spec.eigenvalues, vals[:m], rtol=0, atol=1e-12)
             assert np.all(spec.residuals <= 1e-8)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_grover_reduction_matches_dense_solve(n):
+    dim = 2**n
+    for mark in ("0" * n, ("10" * n)[:n]):
+        for g in np.linspace(0.0, 1.0, 11):
+            h = exact.build_hamiltonian("grover", n, float(g), mark)
+            m = dim if n <= 4 else 8
+            spec = exact.low_spectrum(h, m)
+            assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(h.matrix)[:m], rtol=0, atol=1e-12)
+            vecs = spec.eigenvectors
+            assert_allclose(vecs.T @ vecs, np.eye(m), rtol=0, atol=1e-12)
+            assert_allclose(h.matrix @ vecs, vecs * spec.eigenvalues, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
+def test_grover_levels_above_dense_max_match_the_closed_gap(n):
+    # beyond the dense matrix; g = 0 and 1 are where a Krylov solve from the
+    # uniform state breaks down (it is an eigenvector at g = 0)
+    for mark in (None, ("110" * n)[:n]):
+        for g in (0.0, 0.25, 0.5, 0.75, 1.0):
+            spec = exact.low_spectrum(exact.build_hamiltonian("grover", n, g, mark), 4)
+            gap = grover.grover_gap(g, 2**n)
+            assert_allclose(spec.eigenvalues, [0.5 - gap / 2, 0.5 + gap / 2, 1.0, 1.0], rtol=0, atol=1e-12)
+            assert np.all(spec.residuals <= 1e-12)
 
 
 def test_grover_rejects_parity_resolution():
