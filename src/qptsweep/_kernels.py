@@ -205,22 +205,27 @@ def default_n0(total_time, phase_rate):
 def refine(eval_at, n0, rel_tol, n_max, shrink=False):
     """Grid-doubling driver; returns (value, error_estimate, converged).
 
-    ``eval_at(n)`` evaluates the quadrature on n intervals, n = n0, 2*n0, ... <= n_max.
-    It may return an array: each element converges on its own and keeps the
-    value and relative difference of the grid where it first did, and the
-    doubling goes on while any element has not.  With ``shrink``, the value
-    is 1-d and ``eval_at(n, rows)`` gets the indices of the elements still
-    running (``slice(None)`` on the first grid) and returns theirs alone, so
-    an element is not evaluated again once it has converged.  An element that
-    never converges reports the value of the last grid and its last relative
-    difference, or inf when no doubling ran.  A scalar ``eval_at`` gets
-    Python scalars back.
+    ``eval_at(n)`` evaluates the quadrature on n intervals, n = n0, 2*n0, ...,
+    doubling while n < n_max.  It may return an array: each element
+    converges on its own and keeps the value and relative difference of the
+    grid where it first did, and the doubling goes on while any element has
+    not.  With ``shrink``, the first axis of the value indexes the elements
+    and ``eval_at(n, rows)`` gets the indices of the elements still running
+    (``slice(None)`` on the first grid) and returns theirs alone, so an
+    element is not evaluated again once it has converged; further axes hold
+    the components of an element (say a state (u, v)), whose difference is
+    the sum of its components' moduli, relative to their Euclidean norm.  An
+    element that never converges reports the value of the last grid and its
+    last relative difference, or inf when no doubling ran.  A scalar
+    ``eval_at`` gets Python scalars back.
     """
     n = n0
     prev = eval_at(n, slice(None)) if shrink else eval_at(n)
     value = np.asarray(prev)
-    err = np.full(value.shape, np.inf)
-    done = np.zeros(value.shape, dtype=bool)
+    parts = tuple(range(1, value.ndim)) if shrink else ()
+    err = np.full(value.shape[:value.ndim - len(parts)], np.inf)
+    done = np.zeros(err.shape, dtype=bool)
+    keep = (...,) + (None,) * len(parts)  # ``done`` broadcast over components
     while n < n_max and not done.all():
         n *= 2
         if shrink:
@@ -231,8 +236,11 @@ def refine(eval_at, n0, rel_tol, n_max, shrink=False):
             cur = eval_at(n)
         diff = abs(cur - prev)
         size = abs(cur)
+        if parts:
+            diff = diff.sum(axis=parts)
+            size = np.sqrt(np.sum(size * size, axis=parts))
         rel = diff / np.maximum(size, _ABS_FLOOR)
-        value = np.where(done, value, cur)
+        value = np.where(done[keep], value, cur)
         err = np.where(done, err, rel)
         done = done | (rel < rel_tol) | ((size < _ABS_FLOOR) & (diff < _ABS_FLOOR))
         prev = cur
@@ -456,6 +464,9 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
         while d < q.shape[2]:
             q[:, :, d:] = _quat_mul(q[:, :, d:], q[:, :, :-d])
             d *= 2
+        # the carry enters renormalised, so that the norm rounding of each
+        # block's steps does not add up over the blocks (identity: exact)
+        carry /= np.sqrt(np.sum(carry * carry, axis=0))
         q = _quat_mul(q, carry[:, :, None])
         u, v = _apply(q, u0[:, None], v0[:, None])
         defect = np.maximum(defect, np.max(np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0), axis=1))

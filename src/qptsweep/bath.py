@@ -219,7 +219,14 @@ def _abs_pieces(sf, edge, span, power, n0):
 
     def integrand(rows, x):
         t, jacobian = x
-        return jacobian * np.abs(evaluate(sf, edge[rows, None] + span[rows, None] * t))
+        w = edge[rows, None] + span[rows, None] * t
+        if jacobian[0] != 0.0:
+            return jacobian * np.abs(evaluate(sf, w))
+        # the node u = 0 of a graded side adds 0 whatever f reads there, so f
+        # is not evaluated there: at finite beta a sub-ohmic f(0) is infinite
+        out = np.zeros(w.shape)
+        out[:, 1:] = jacobian[1:] * np.abs(evaluate(sf, w[:, 1:]))
+        return out
 
     vals, errs, ok = nested_simpson(
         lambda u: (u**power, power * u ** (power - 1)), integrand, edge.shape[0], n0

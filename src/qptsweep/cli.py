@@ -181,7 +181,7 @@ def _run_ed(cfg):
 
 
 # Certificates a sweep row must pass: the criterion 05 bound on the norm
-# defect and a bound on the Richardson endpoint estimate.
+# defect and a bound on the difference between the last two Magnus grids.
 NORM_DEFECT_MAX = 1e-9
 ENDPOINT_ERROR_MAX = 1e-6
 
@@ -200,18 +200,18 @@ def _run_sweep(cfg):
         bad += int(np.count_nonzero(~ok))
         per_mode = zip(
             ka_list, end.excitation_probability(), end.norm_defect, end.endpoint_error,
-            end.adiabatic_mismatch(),
+            end.adiabatic_mismatch(), end.n_grid,
         )
-        for ka, pexc, defect, err, mis in per_mode:
+        for ka, pexc, defect, err, mis, steps in per_mode:
             rows.append([
                 n, float(ka), float(T), sched.kind,
-                float(pexc), float(defect), float(err), float(mis),
+                float(pexc), float(defect), float(err), float(mis), int(steps),
             ])
     return ResultBundle(
         name="sweep",
         columns=[
             "n_spins", "ka", "T", "schedule", "excitation_probability",
-            "norm_defect", "endpoint_error", "adiabatic_mismatch",
+            "norm_defect", "endpoint_error", "adiabatic_mismatch", "n_grid",
         ],
         rows=rows,
         nonconverged=bad,

@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import gauss_legendre_times, magnus4_modes
+from ._kernels import gauss_legendre_times, magnus4_modes, refine
 # unused here, but the traced benchmark (perfbench/layers.py) looks them up in this module
 from ._kernels import cumulative_simpson_uniform, rk4_mode  # noqa: F401
 
 DEGENERATE_NORM_THRESHOLD = 1e-10
+# Without explicit steps, each mode's Magnus grid doubles until the endpoints
+# of two successive grids differ by |du| + |dv| < ENDPOINT_TOL, 1000x below
+# the bound a ``sweep`` row must meet, from a first grid of at least
+# _STEPS_PER_TIME steps per unit time.
+ENDPOINT_TOL = 1e-9
+_STEPS_PER_TIME = 16
 
 
 class InvalidChainError(ValueError):
@@ -68,7 +74,8 @@ class ModeEndpoint:
     u: complex | np.ndarray
     v: complex | np.ndarray
     norm_defect: float | np.ndarray  # max |(|u|^2+|v|^2) - 1| along the path
-    endpoint_error: float | np.ndarray  # step-halving estimate at t=T
+    endpoint_error: float | np.ndarray  # |du| + |dv| between the last two grids at t=T
+    n_grid: int | np.ndarray  # Magnus steps of the last grid
 
     def _ground_at_end(self):
         g_end = self.schedule.g_of(self.schedule.T)
@@ -153,9 +160,8 @@ def adiabatic_bogoliubov(ka, schedule, t):
 
 
 def _default_steps(total_time):
-    # sets the accuracy only: the Magnus step is unitary, so the norm defect
-    # is rounding (<= 3e-13) at any step count; this rule gives Richardson
-    # endpoint estimates <= 3e-12 on the perfbench sweeps (bound 1e-6)
+    # the cap of the certified step doubling: a mode not certified on this
+    # grid is reported with the difference from the grid before it
     return max(8192, int(np.ceil(256.0 * max(total_time, 1.0))))
 
 
@@ -167,29 +173,60 @@ def _propagate(ka, schedule, steps):
     return magnus4_modes(g_nodes, ka, schedule.T / steps, u0, v0)
 
 
+def _doubled(modes, schedule):
+    """Each mode on grids n0, 2*n0, ... up to the cap, stopped by ``refine``
+    at the first grid within ENDPOINT_TOL of the grid before it.
+
+    n0 is the cap over the largest power of two (at least 2) that leaves at
+    least _STEPS_PER_TIME steps per unit time, so the last grid is the cap
+    rounded up to a multiple of that power.  Every mode is propagated alone
+    of the others (``magnus4_modes`` is elementwise in the modes), so its
+    result does not depend on which modes share the call.
+    """
+    cap = _default_steps(schedule.T)
+    first = max(8, int(np.ceil(_STEPS_PER_TIME * schedule.T)))
+    doublings = max(1, (cap // first).bit_length() - 1)
+    norm_defect = np.zeros(modes.shape)
+    n_grid = np.zeros(modes.shape, dtype=int)
+
+    def eval_at(n, rows):
+        u, v, norm_defect[rows] = _propagate(modes[rows], schedule, n)
+        n_grid[rows] = n
+        return np.stack((u, v), axis=1)
+
+    # the state has unit norm, so refine's relative difference is |du| + |dv|
+    pair, endpoint_error, _ = refine(eval_at, -(-cap >> doublings), ENDPOINT_TOL, cap, shrink=True)
+    return pair[:, 0], pair[:, 1], norm_defect, endpoint_error, n_grid
+
+
 def integrate_bogoliubov(ka, schedule, steps=None):
     """Integrate the mode equations of motion from the t=0 ground state.
 
     ``ka`` is a scalar or a 1-D array; all modes share one fourth-order
-    Magnus propagation.  The endpoint error estimate compares it with a
-    rerun at half the steps (Richardson comparison).
+    Magnus propagation per grid.  With ``steps`` the endpoint error compares
+    that grid with one of half the steps (at least 8).  Without, each mode's
+    grid doubles until two successive grids agree to ENDPOINT_TOL in
+    |du| + |dv| (see ``_doubled``), and the endpoint error is the difference
+    between its last two grids.
     """
     ka = _check_ka(ka)
     if ka.ndim > 1:
         raise ValueError(f"ka must be a scalar or 1-D, got shape {ka.shape}")
-    if steps is None:
-        steps = _default_steps(schedule.T)
-    if steps < 16:
-        raise ValueError(f"steps must be at least 16, got {steps}")
     modes = np.atleast_1d(ka)
-    u, v, norm_defect = _propagate(modes, schedule, steps)
-    u_half, v_half, _ = _propagate(modes, schedule, max(steps // 2, 8))
-    endpoint_error = np.abs(u - u_half) + np.abs(v - v_half)
+    if steps is None:
+        u, v, norm_defect, endpoint_error, n_grid = _doubled(modes, schedule)
+    else:
+        if steps < 16:
+            raise ValueError(f"steps must be at least 16, got {steps}")
+        u, v, norm_defect = _propagate(modes, schedule, steps)
+        u_half, v_half, _ = _propagate(modes, schedule, max(steps // 2, 8))
+        endpoint_error = np.abs(u - u_half) + np.abs(v - v_half)
+        n_grid = np.full(modes.shape, steps)
     if ka.ndim:
-        return ModeEndpoint(ka, schedule, u, v, norm_defect, endpoint_error)
+        return ModeEndpoint(ka, schedule, u, v, norm_defect, endpoint_error, n_grid)
     return ModeEndpoint(
         float(ka), schedule, complex(u[0]), complex(v[0]),
-        float(norm_defect[0]), float(endpoint_error[0]),
+        float(norm_defect[0]), float(endpoint_error[0]), int(n_grid[0]),
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qptsweep import cli, exact, grover, ising, response
+from qptsweep import cli, exact, grover, ising, response, schedules
 
 
 def write_config(tmp_path, name, doc):
@@ -100,6 +100,12 @@ def test_sweep_run(tmp_path):
     assert len(rows) == 3
     p20, p40 = float(rows[1][4]), float(rows[2][4])
     assert p40 < p20
+    # the certified Magnus grid goes last, after the columns it joined
+    assert rows[0] == ["n_spins", "ka", "T", "schedule", "excitation_probability",
+                       "norm_defect", "endpoint_error", "adiabatic_mismatch", "n_grid"]
+    for row, total_time in zip(rows[1:], (20.0, 40.0)):
+        end = ising.integrate_bogoliubov(float(row[1]), schedules.make_schedule("linear", total_time))
+        assert int(row[8]) == end.n_grid <= ising._default_steps(total_time)
 
 
 def test_sweep_flags_rows_failing_certificates(tmp_path, monkeypatch):

@@ -109,6 +109,76 @@ def test_vector_ka_matches_scalar_calls():
         ising.integrate_bogoliubov(ka[None, :], sched)
 
 
+def test_explicit_steps_keep_the_fixed_pair():
+    # steps=2048 and its half grid, 1024, against values recorded before the
+    # certified doubling; both fit one Magnus block, where the renormalised
+    # carry changes nothing
+    sched = schedules.make_schedule("gap_adapted", 30.0, n_spins=16)
+    ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16])
+    end = ising.integrate_bogoliubov(ka, sched, steps=2048)
+    assert end.u.tolist() == [
+        (0.21958145000488974-0.08925707591519977j), (0.025501383521483303-0.28999124090448364j),
+        (-0.24360144006513174+0.5925963100570504j)]
+    assert end.v.tolist() == [
+        (0.35006007310533993-0.9062423000667756j), (0.037018535416757425-0.9559730057238867j),
+        (-0.26093567104220416+0.7220806930549418j)]
+    assert end.norm_defect.tolist() == [2.531308496145357e-14, 1.532107773982716e-14, 2.5979218776228663e-14]
+    assert end.endpoint_error.tolist() == [
+        1.4420573021244102e-09, 4.246397202849734e-09, 8.213796901823625e-09]
+    assert end.n_grid.tolist() == [2048] * 3
+
+
+def test_certified_vector_ka_matches_scalar_calls_bitwise():
+    # the modes stop on different grids, and each mode's result does not
+    # depend on which modes share the call
+    sched = schedules.make_schedule("linear", 20.0)
+    ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16, -2.5, np.pi])
+    end = ising.integrate_bogoliubov(ka, sched)
+    assert len(set(end.n_grid.tolist())) > 1
+    assert np.all(end.endpoint_error < ising.ENDPOINT_TOL)
+    for i, k in enumerate(ka):
+        one = ising.integrate_bogoliubov(k, sched)
+        assert isinstance(one.n_grid, int)
+        assert (one.u, one.v, one.norm_defect, one.endpoint_error, one.n_grid) == (
+            end.u[i], end.v[i], end.norm_defect[i], end.endpoint_error[i], end.n_grid[i])
+        pair = ising.integrate_bogoliubov(ka[[i, -1 - i]], sched)
+        assert (pair.u[0], pair.v[0], pair.n_grid[0]) == (end.u[i], end.v[i], end.n_grid[i])
+
+
+@pytest.mark.parametrize("kind,total_time,ka", [
+    ("linear", 20.0, [np.pi / 64, 3 * np.pi / 64, 5 * np.pi / 64]),
+    ("linear", 100.0, [np.pi / 64, 3 * np.pi / 64, 5 * np.pi / 64]),
+    ("gap_adapted", 50.0, [np.pi / 64]),
+])
+def test_certified_grids_are_in_the_fourth_order_regime(kind, total_time, ka):
+    # two grids can agree by chance; on a certified grid n the difference
+    # n/4 -> n/2 must exceed the certified one n/2 -> n by 8x or more (16x for
+    # a fourth-order method), and the certified grid is the one reported
+    sched = schedules.make_schedule(kind, total_time, n_spins=64)
+    end = ising.integrate_bogoliubov(np.array(ka), sched)
+    assert np.all(end.endpoint_error < ising.ENDPOINT_TOL)
+    assert np.all(end.norm_defect < 1e-12)
+    for i, k in enumerate(ka):
+        n = int(end.n_grid[i])
+        assert n % 4 == 0 and n <= ising._default_steps(total_time)
+        u, v, _ = zip(*(ising._propagate(np.array([k]), sched, m) for m in (n, n // 2, n // 4)))
+        assert (u[0][0], v[0][0]) == (end.u[i], end.v[i])
+        last = abs(u[0][0] - u[1][0]) + abs(v[0][0] - v[1][0])
+        before = abs(u[1][0] - u[2][0]) + abs(v[1][0] - v[2][0])
+        assert last == pytest.approx(end.endpoint_error[i], rel=1e-12)
+        assert before >= 8.0 * last
+
+
+@pytest.mark.parametrize("total_time", [200.0, 800.0])
+@pytest.mark.parametrize("ka", [np.pi / 256, np.pi / 128, 3 * np.pi / 128])
+def test_linear_sweep_excitation_is_landau_zener(total_time, ka):
+    # a linear sweep through g = 1/2 excites mode ka with the Landau-Zener
+    # probability exp(-pi T (ka)^2 / 4) (Dziarmaga, PRL 95, 245701 (2005)),
+    # up to corrections that the sweep's finite start and end leave
+    p = ising.excitation_probability_mode(ka, schedules.make_schedule("linear", total_time))
+    assert abs(p - np.exp(-np.pi * total_time * ka**2 / 4.0)) < 5e-5
+
+
 def test_frozen_schedule_no_excitation():
     sched = schedules.make_schedule("frozen", 10.0, g_frozen=0.3)
     p = ising.excitation_probability_mode(np.pi / 8, sched)

@@ -390,13 +390,29 @@ def test_magnus4_blocks_match_sequential_product(steps):
 # one step of a large rotation: sin taken at the rounded angle pi*(theta/pi)
 # leaves a defect of 3.3e-12 here
 @example(knots=[0.0, 0.5], ka=0.90625, total_time=332.0, steps=1)
+# thousands of identical steps: without renormalising the carry at each block
+# boundary, the norm rounding of the blocks added up to 9.9e-13 here
+@example(knots=[0.96875, 0.96875], ka=np.pi - 1.0, total_time=1.133, steps=5373)
 def test_magnus4_norm_defect_on_monotone_profiles(knots, ka, total_time, steps):
     # any monotone g(t) on a piecewise-linear profile, any step size
+    _, _, defect = magnus_one(profile_nodes(knots, total_time, steps), ka, total_time / steps)
+    assert defect < 1e-12
+
+
+def profile_nodes(knots, total_time, steps):
     profile = np.sort(knots)
     t = gauss_legendre_times(total_time, steps) / total_time
-    g_nodes = np.interp(t, np.linspace(0.0, 1.0, len(profile)), profile)
-    _, _, defect = magnus_one(g_nodes, ka, total_time / steps)
-    assert defect < 1e-12
+    return np.interp(t, np.linspace(0.0, 1.0, len(profile)), profile)
+
+
+def test_magnus4_norm_does_not_drift_across_blocks():
+    # a constant profile repeats one step quaternion and its norm rounding;
+    # the carry renormalised at each block boundary keeps the defect at the
+    # level of one block (9.4e-13 without)
+    steps, total_time = 3 * MAGNUS_BLOCK, 1.133
+    g_nodes = profile_nodes([0.96875, 0.96875], total_time, steps)
+    _, _, defect = magnus_one(g_nodes, np.pi - 1.0, total_time / steps)
+    assert defect < 5e-13
 
 
 @pytest.mark.parametrize("n", [3, 11, 101])
@@ -470,6 +486,28 @@ def test_refine_converges_each_element_on_its_own():
     sequences.pop()
     assert refine(eval_at, 16, 1e-3, 2**17)[2].all()
     assert grids[-1] == 65536
+
+
+def test_refine_converges_elements_with_components():
+    # with shrink, axes after the first hold an element's components: its
+    # difference is summed over them, relative to their Euclidean norm
+    calls = []
+
+    def eval_at(n, rows):
+        rows = np.arange(3)[rows]
+        calls.append((n, rows.tolist()))
+        # element r is (3, 4) * (1 + 2^r / n): its difference from grid n/2
+        # sums to 7 * 2^r / n, its norm is 5 * (1 + 2^r / n)
+        return np.array([3.0, 4.0]) * (1.0 + 2.0 ** rows[:, None] / n)
+
+    value, err, ok = refine(eval_at, 8, 1e-3, 2**14, shrink=True)
+    assert value.shape == (3, 2) and err.shape == ok.shape == (3,)
+    assert ok.all()
+    # 1.4 * 2^r / n < 1e-3 first at n = 2048 * 2^r
+    assert calls[-3:] == [(2048, [0, 1, 2]), (4096, [1, 2]), (8192, [2])]
+    for r, n in enumerate((2048, 4096, 8192)):
+        assert value[r].tolist() == (np.array([3.0, 4.0]) * (1.0 + 2.0**r / n)).tolist()
+        assert err[r] == pytest.approx(7.0 * 2.0**r / n / (5.0 * (1.0 + 2.0**r / n)), rel=1e-12)
 
 
 @pytest.mark.parametrize("block", [2**13, 16])

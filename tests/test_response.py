@@ -236,6 +236,16 @@ def test_total_error_integrates_each_bath_window_once(monkeypatch):
     assert breakdown["negative"] > 0.0 and total > 0.0
 
 
+@pytest.mark.parametrize("kind", ["uniform_x", "single_site_z"])
+def test_total_error_of_a_warm_subohmic_bath(kind):
+    # f diverges at w = 0 as |w|^-1/2 but is integrable; every window that
+    # ends at 0 is graded there and never evaluates f(0)
+    sf = bath.SpectralFunction(kind="thermal_bosonic", epsilon=0.5, beta=1.0, omega_c=2.0)
+    total, breakdown = response.total_error(response.Channel(kind=kind, coupling=1.0), linear(50.0), sf, 16)
+    assert np.isfinite(total) and total > 0.0
+    assert total == pytest.approx(sum(breakdown.values()), rel=1e-12)
+
+
 def test_total_error_monotone_in_n():
     beta = 1.0 / (4.0 * np.sin(np.pi / 64.0))
     sf = bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=1.0, omega_c=2.0, beta=beta)
