@@ -103,17 +103,12 @@ def evaluate(sf, omega):
 def load_tabulated(samples):
     """SpectralFunction from (omega, f) samples; zero outside the range.
 
-    ``samples`` is a sequence of pairs or a path to a two-column CSV
-    (header row optional).
+    ``samples`` is a sequence of pairs or the path (str) of a two-column
+    CSV (header row optional).
     """
-    if isinstance(samples, (str, bytes)) or hasattr(samples, "read"):
+    if isinstance(samples, str):
         rows = []
-        close = False
-        fh = samples
-        if isinstance(samples, (str, bytes)):
-            fh = open(samples, newline="")
-            close = True
-        try:
+        with open(samples, newline="") as fh:
             for row in csv.reader(fh):
                 if not row:
                     continue
@@ -123,9 +118,6 @@ def load_tabulated(samples):
                     if rows:
                         raise
                     continue  # header row
-        finally:
-            if close:
-                fh.close()
         samples = rows
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:

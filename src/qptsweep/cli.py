@@ -22,7 +22,8 @@ import numpy as np
 import scipy
 
 from . import __version__, bath, exact, grover, ising, response, schedules
-from .fitting import fit_exponential, fit_power_law
+# fit_exponential is unused here, but the traced benchmark (perfbench/layers.py) looks it up here
+from .fitting import fit_exponential, fit_power_law  # noqa: F401
 
 EXPERIMENTS = ("spectrum", "ed", "sweep", "response", "grover", "scaling")
 
@@ -292,7 +293,7 @@ def _run_grover(cfg):
             n_qubits=int(n), coupling=coupling, schedule=sched, spectral_function=sf,
             marked_state=p.get("marked_state"),
         )
-        est = grover.error_estimate(params, float(p.get("gap_multiplier", 1.0))) if sf else np.nan
+        est = grover.error_estimate(params) if sf else np.nan
         err = np.nan
         if sf is not None and sf.kind == "dirac_comb":
             try:

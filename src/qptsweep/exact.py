@@ -11,8 +11,7 @@ eigensolvers; only the parity-resolved mixed model above N=10 still goes
 through symmetry-projected ARPACK.  The even sector of the mixed
 search/ferromagnet model is computed exactly from its wall-class
 reduction, which the minimal-gap scaling study uses; ``parity_resolve``
-and the dense matrix stay as test oracles.  Also ground-energy derivative
-diagnostics.
+and the dense matrix stay as test oracles.
 """
 
 import math
@@ -482,16 +481,16 @@ def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
     return labels
 
 
-def ground_energy(model, n_qubits, g, marked_state=None):
-    ham = build_hamiltonian(model, n_qubits, g, marked_state)
-    return float(low_spectrum(ham, 1).eigenvalues[0])
+def _even_levels(model, n_qubits, g):
+    """The even-parity levels among the lowest ``_EVEN_SEARCH_LEVELS`` of H(g)."""
+    ham = build_hamiltonian(model, n_qubits, g)
+    spec = low_spectrum(ham, min(_EVEN_SEARCH_LEVELS, ham.dim), resolve_parity=True)
+    return spec.eigenvalues[spec.parity_labels > 0]
 
 
 def even_parity_ground_energy(model, n_qubits, g):
     """Lowest eigenvalue whose bitflip parity is +1."""
-    ham = build_hamiltonian(model, n_qubits, g)
-    spec = low_spectrum(ham, min(_EVEN_SEARCH_LEVELS, ham.dim), resolve_parity=True)
-    even = spec.eigenvalues[spec.parity_labels > 0]
+    even = _even_levels(model, n_qubits, g)
     if len(even) == 0:
         raise NonConvergenceError("no even-parity state among the computed eigenpairs")
     return float(even[0])
@@ -499,33 +498,13 @@ def even_parity_ground_energy(model, n_qubits, g):
 
 def gap(model, n_qubits, g, marked_state=None, even_sector=False):
     """E1 - E0, optionally restricted to the even bitflip-parity sector."""
-    ham = build_hamiltonian(model, n_qubits, g, marked_state)
     if even_sector:
-        spec = low_spectrum(ham, min(_EVEN_SEARCH_LEVELS, ham.dim), resolve_parity=True)
-        even = spec.eigenvalues[spec.parity_labels > 0]
+        even = _even_levels(model, n_qubits, g)
         if len(even) < 2:
             raise NonConvergenceError("fewer than two even-parity states found")
         return float(even[1] - even[0])
-    spec = low_spectrum(ham, 2)
+    spec = low_spectrum(build_hamiltonian(model, n_qubits, g, marked_state), 2)
     return float(spec.eigenvalues[1] - spec.eigenvalues[0])
-
-
-def energy_derivatives(model, g_grid, n_qubits, marked_state=None):
-    """Central-difference dE0/dg and d2E0/dg2 of the ED ground energy.
-
-    The grid must be uniform.
-    """
-    g_grid = np.asarray(g_grid, dtype=float)
-    h = g_grid[1] - g_grid[0]
-    if not np.allclose(np.diff(g_grid), h, rtol=0, atol=1e-12):
-        raise ValueError("g_grid must be uniform")
-    e0 = np.array([ground_energy(model, n_qubits, g, marked_state) for g in g_grid])
-    d1 = np.gradient(e0, h, edge_order=2)
-    d2 = np.empty_like(e0)
-    d2[1:-1] = (e0[2:] - 2.0 * e0[1:-1] + e0[:-2]) / h**2
-    d2[0] = d2[1]
-    d2[-1] = d2[-2]
-    return e0, d1, d2
 
 
 def mixed_gap_scaling(n_list, coarse_points=41):

@@ -1,4 +1,4 @@
-"""Least-squares fits on transformed coordinates: power-law, exponential, linear.
+"""Least-squares fits on transformed coordinates: power-law and exponential.
 
 Plain OLS, no weights; the quantities of interest here are exponents, not
 error bars.
@@ -11,12 +11,12 @@ import numpy as np
 
 @dataclass
 class FitResult:
-    exponent: float  # power-law exponent, exponential rate, or linear slope
+    exponent: float  # power-law exponent or exponential rate
     prefactor: float
     r_squared: float
 
 
-def _check(xs, ys, positive_y=False, positive_x=False):
+def _check(xs, ys, positive_x=False):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -25,7 +25,7 @@ def _check(xs, ys, positive_y=False, positive_x=False):
         raise ValueError(f"need at least 4 points, got {len(xs)}")
     if len(np.unique(xs)) < 2:
         raise ValueError("xs are degenerate")
-    if positive_y and np.any(ys <= 0.0):
+    if np.any(ys <= 0.0):
         raise ValueError("ys must be positive for a log fit")
     if positive_x and np.any(xs <= 0.0):
         raise ValueError("xs must be positive for a log fit")
@@ -43,7 +43,7 @@ def _ols(x, y):
 
 def fit_power_law(xs, ys):
     """y = prefactor * x^exponent via OLS in log-log coordinates."""
-    xs, ys = _check(xs, ys, positive_y=True, positive_x=True)
+    xs, ys = _check(xs, ys, positive_x=True)
     slope, intercept, r2 = _ols(np.log(xs), np.log(ys))
     return FitResult(
         exponent=float(slope),
@@ -54,21 +54,10 @@ def fit_power_law(xs, ys):
 
 def fit_exponential(xs, ys):
     """y = prefactor * exp(rate * x) via OLS in semilog coordinates."""
-    xs, ys = _check(xs, ys, positive_y=True)
+    xs, ys = _check(xs, ys)
     slope, intercept, r2 = _ols(xs, np.log(ys))
     return FitResult(
         exponent=float(slope),
         prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-    )
-
-
-def fit_linear(xs, ys):
-    """y = prefactor + exponent * x (slope stored in ``exponent``)."""
-    xs, ys = _check(xs, ys)
-    slope, intercept, r2 = _ols(xs, ys)
-    return FitResult(
-        exponent=float(slope),
-        prefactor=float(intercept),
         r_squared=r2,
     )

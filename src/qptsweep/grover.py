@@ -1,8 +1,7 @@
 """Effective two-level treatment of the adiabatic search algorithm.
 
-Closed-form gap, the dominant sigma_x matrix element in the large-D limit,
-and the weak-coupling excitation-error quadrature plus its order-of-magnitude
-estimate.
+Closed-form gap, and the weak-coupling excitation-error quadrature plus its
+order-of-magnitude estimate.
 """
 
 import warnings
@@ -10,14 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    QuadratureError, cumulative_simpson_uniform, default_n0, filon_integral, refine, stream_filon,
-)
+from ._kernels import QuadratureError, default_n0, filon_integral, refine, stream_filon
+# unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
+from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .bath import SpectralFunction, evaluate as bath_evaluate
 
 _SOFT_LAMBDA = 0.1
-_LARGE_D = 16
-_PHASE_POINTS = 8193  # uniform grid of the dynamical phase in matrix_element_x
 
 
 @dataclass
@@ -62,21 +59,6 @@ def grover_gap(g, dim):
         raise ValueError(f"dim must be >= 2, got {dim}")
     val = np.sqrt(1.0 - 4.0 * g * (1.0 - g) * (1.0 - 1.0 / dim))
     return val if val.ndim else float(val)
-
-
-def matrix_element_x(g, t, dim, schedule):
-    """Dominant matrix element -(1-g)/(sqrt(D)*gap) * exp(-i int gap dt').
-
-    Large-D form: the O(1/sqrt(D)) corrections to the two-level reduction
-    are dropped, so require dim >= 16.
-    """
-    if dim < _LARGE_D:
-        raise ValueError(f"large-D formula needs dim >= {_LARGE_D}, got {dim}")
-    gap = grover_gap(g, dim)
-    tg = np.linspace(0.0, schedule.T, _PHASE_POINTS)
-    gap_t = grover_gap(np.asarray(schedule.g_of(tg), dtype=float), dim)
-    phi = float(np.interp(t, tg, cumulative_simpson_uniform(gap_t, tg[1] - tg[0])))
-    return -(1.0 - g) / (np.sqrt(dim) * gap) * np.exp(-1j * phi)
 
 
 def _amplitude_fixed_grid(params, omega, n):
@@ -126,19 +108,13 @@ def error_probability(params, omega_grid=None, rel_tol=1e-4):
     return float(lam2 * np.trapezoid(fvals * mods, omega_grid))
 
 
-def error_estimate(params, gap_multiplier=1.0):
-    """Order-of-magnitude error lambda^2 * f(m * gap_min) / gap_min.
-
-    ``gap_multiplier`` m in [1/2, 2] probes the sensitivity of the
-    order-of-magnitude argument inside f.
-    """
-    if not (0.5 <= gap_multiplier <= 2.0):
-        raise ValueError(f"gap_multiplier must lie in [1/2, 2], got {gap_multiplier}")
+def error_estimate(params):
+    """Order-of-magnitude error lambda^2 * f(gap_min) / gap_min."""
     sf = params.spectral_function
     if sf is None:
         raise ValueError("params.spectral_function is required")
     gap_min = params.min_gap
-    fval = float(bath_evaluate(sf, gap_multiplier * gap_min))
+    fval = float(bath_evaluate(sf, gap_min))
     if not np.isfinite(fval):
-        raise ValueError(f"f({gap_multiplier * gap_min}) is not finite")
+        raise ValueError(f"f({gap_min}) is not finite")
     return params.coupling**2 * fval / gap_min

@@ -1,13 +1,13 @@
 """Analytic machinery for the transverse Ising ring.
 
-Momentum grid, quasi-particle dispersion, Bogoliubov coefficients (adiabatic
-closed form, and the equations of motion integrated for many modes at once),
-ground-state energy and gap.  Units: lattice spacing a=1, hbar=1, energies
-in units of the coupling, so momenta appear as the dimensionless combination
-``ka``.
+Momentum grid, quasi-particle dispersion, Bogoliubov coefficients (the
+instantaneous pair, and the equations of motion integrated for many modes at
+once), ground-state energy and gap.  Units: lattice spacing a=1, hbar=1,
+energies in units of the coupling, so momenta appear as the dimensionless
+combination ``ka``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +42,6 @@ class ChainParams:
         n = self.n_spins
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise InvalidChainError(f"n_spins must be an even integer >= 2, got {n!r}")
-
-
-@dataclass
-class ChainSpectrum:
-    """Per-mode energies and (phase-free) Bogoliubov pairs at fixed g."""
-
-    params: ChainParams
-    momenta: np.ndarray
-    g: float
-    energies: np.ndarray
-    bogoliubov: np.ndarray  # shape (N, 2), columns (u, v)
 
 
 @dataclass(frozen=True)
@@ -149,14 +138,6 @@ def instantaneous_bogoliubov(ka, g):
         )
     norm = np.sqrt(norm_sq)
     return (coeff.alpha + energy) / norm, coeff.beta / norm
-
-
-def adiabatic_bogoliubov(ka, schedule, t):
-    """Adiabatic closed-form (u_k, v_k) at time t, phase exp(-i Phi) included."""
-    g, _ = schedule.evaluate(t)
-    u0, v0 = instantaneous_bogoliubov(ka, g)
-    phase = np.exp(-1j * schedule.phase_integral(ka, t))
-    return u0 * phase, v0 * phase
 
 
 def _default_steps(total_time):
@@ -257,14 +238,6 @@ def min_gap(params, g):
 def global_min_gap(params):
     """Minimum of the fundamental gap over g, attained at g=1/2."""
     return float(4.0 * np.sin(np.pi / (2.0 * params.n_spins)))
-
-
-def spectrum(params, g):
-    """ChainSpectrum at fixed g with phase-free Bogoliubov pairs."""
-    grid = momentum_grid(params)
-    energies = dispersion(grid, g)
-    pairs = np.array([instantaneous_bogoliubov(ka, g) for ka in grid], dtype=complex)
-    return ChainSpectrum(params=params, momenta=grid, g=float(g), energies=energies, bogoliubov=pairs)
 
 
 def excitation_probability_mode(ka, schedule, steps=None):

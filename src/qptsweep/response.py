@@ -46,20 +46,12 @@ class Channel:
         if self.coupling < 0.0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
 
-    @property
-    def final_state_excitations(self):
-        """Parity selection: x channels excite pairs, the z channel singles."""
-        return "single" if self.kind == "single_site_z" else "pair"
-
 
 @dataclass
 class AmplitudeResult:
     value: complex
-    method: str  # quadrature | saddle_point | phase_free_bound | contour_estimate
-    regime: str
     quad_error: float
-    modes: tuple
-    converged: bool = True
+    converged: bool
     validity: float | None = None  # saddle path: correction/leading ratio
 
     @property
@@ -116,11 +108,6 @@ def classify_regime(omega, ka):
 def _uniform_env(ka, g, energy):
     """Real envelope 2*g*sin(ka)/E of the uniform channel at energy E."""
     return 2.0 * g * np.sin(ka) / energy
-
-
-def matrix_element_uniform(ka, g):
-    """Pair-state element of the summed sigma_x coupling: 2i*g*sin(ka)/E_k."""
-    return 1j * _uniform_env(ka, g, dispersion(ka, g))
 
 
 def _default_n0(schedule, omega):
@@ -223,14 +210,7 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX
     value = factor * value
     if endpoint_order > 0:
         value = value - _endpoint_correction(ka, omega, schedule, endpoint_order)
-    return AmplitudeResult(
-        value=value,
-        method="quadrature",
-        regime=classify_regime(omega, ka),
-        quad_error=err,
-        modes=(float(ka),),
-        converged=ok,
-    )
+    return AmplitudeResult(value=value, quad_error=err, converged=ok)
 
 
 def suppression_rate_uniform(ka, omega, t_list, rel_tol=1e-6):
@@ -308,12 +288,7 @@ def amplitude_saddle_uniform(omega, ka, schedule):
     total, worst = _saddle_sum(np.array([float(omega)]), ka, schedule)
     worst_validity = float(worst[0])
     return AmplitudeResult(
-        value=complex(total[0]),
-        method="saddle_point",
-        regime=classify_regime(omega, ka),
-        quad_error=np.nan,
-        modes=(float(ka),),
-        converged=worst_validity <= 1.0,
+        value=complex(total[0]), quad_error=np.nan, converged=worst_validity <= 1.0,
         validity=worst_validity,
     )
 
@@ -340,14 +315,7 @@ def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_FIRST):
     the relative half-grid difference of ``_phase_free_bounds`` as its
     ``quad_error``; ``n_points`` sets the first grid."""
     value, err, ok = _phase_free_bounds(schedule, np.array([float(ka)]), _near_gap_env, n_points)
-    return AmplitudeResult(
-        value=complex(value[0]),
-        method="phase_free_bound",
-        regime="near_gap",
-        quad_error=float(err[0]),
-        modes=(float(ka),),
-        converged=bool(ok[0]),
-    )
+    return AmplitudeResult(value=complex(value[0]), quad_error=float(err[0]), converged=bool(ok[0]))
 
 
 def _pair_envelope(ka, g, energy):
@@ -374,14 +342,7 @@ def amplitude_direct_nonuniform(
 
     ((factor, nodes),) = _channel_integrals("nonuniform_x", ka, kpa, n_spins, schedule, pair_gap_phase)
     value, err, ok = _filon_refined(nodes, schedule, omega, rel_tol, n_max)
-    return AmplitudeResult(
-        value=factor * value,
-        method="quadrature",
-        regime=classify_regime(omega, ka),
-        quad_error=err,
-        modes=(float(ka), float(kpa)),
-        converged=ok,
-    )
+    return AmplitudeResult(value=factor * value, quad_error=err, converged=ok)
 
 
 def _a1_env(ka, g, energy):

@@ -1,4 +1,4 @@
-"""Interpolation schedules g(t) and run-time estimation.
+"""Interpolation schedules g(t).
 
 Three families: constant-speed, gap-adapted (dg/dt proportional to the
 fundamental gap) and gap-squared-adapted.  The adapted kinds solve
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import cumulative_simpson_uniform
-from .ising import ChainParams, _check_ka, dispersion, global_min_gap, min_gap
+from .ising import ChainParams, _check_ka, dispersion, min_gap
 
 KINDS = ("linear", "gap_adapted", "gap_squared_adapted", "frozen")
 
@@ -182,16 +182,3 @@ def make_schedule(kind, T, n_spins=None, g_frozen=None):
     f1 = float(_OUTER[p][0](_cot_half_step(n))) / (8.0 * c if p == 1 else 32.0 * c * s)
     # g(T) = 1: _c = (F(1) - F(0))/T, and F(0) = -F(1)
     return Schedule(kind=kind, T=float(T), n_spins=n, _c=2.0 * f1 / T, _p=p)
-
-
-# runtime_estimate uses a unit matrix-element normalization: the adiabatic
-# condition is an inequality, so only the gap scaling is meaningful.
-def runtime_estimate(model, n_spins):
-    """Required run-time max|<1|dH/dg|0>| / min(gap)^2 with unit numerator."""
-    if model == "ising":
-        gap_min = global_min_gap(ChainParams(n_spins))
-    elif model == "grover":
-        gap_min = 2.0 ** (-n_spins / 2.0)
-    else:
-        raise ValueError(f"model must be 'ising' or 'grover', got {model!r}")
-    return float(1.0 / gap_min**2)

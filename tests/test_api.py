@@ -1,6 +1,8 @@
 """Static checks on the library's interface."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import qptsweep
@@ -139,4 +141,145 @@ def test_amplitude_use_outside_is_reported():
     )
     assert sorted(name for _, name in _amplitude_uses(tree)) == [
         "_evenly_spaced", "amplitude_bitflip", "amplitudes_on_grid",
+    ]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree):
+    """(line, name, node) for every top-level function, class and constant
+    of a module, and every non-dunder method or property of its classes;
+    a method's name is ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id, node) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (m.lineno, f"{node.name}.{m.name}", m) for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            ]
+    return found
+
+
+def _loads(node):
+    """Names that ``node`` loads, by name or attribute."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    ]
+
+
+def _identifiers(tree):
+    """Every identifier a file names in code or in a string."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", n.value))
+    return found
+
+
+def _unreached(modules, named):
+    """``module:line name`` for every definition of ``_definitions`` in the
+    ``modules`` (name -> tree) that no module loads outside the definition
+    itself and that is not among the identifiers ``named``."""
+    loads = Counter(name for tree in modules.values() for name in _loads(tree))
+    found = []
+    for module, tree in modules.items():
+        for line, name, node in _definitions(tree):
+            short = name.split(".")[-1]
+            if short == "__version__" or short in named:
+                continue
+            if loads[short] - _loads(node).count(short) <= 0:
+                found.append(f"{module}:{line} {name}")
+    return found
+
+
+def test_every_definition_is_reached():
+    # a definition stays only if the library itself uses it, an acceptance
+    # criterion calls it, or the benchmark looks it up or calls it
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        named |= _identifiers(ast.parse(path.read_text()))
+    unreached = _unreached(modules, named)
+    assert not unreached, "definitions nothing reaches: " + ", ".join(unreached)
+
+
+def test_unreached_definition_is_reported():
+    lib = ast.parse(
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "def used(x):\n"
+        "    return x < LIMIT\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def benchmarked():\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.ok = used(1)\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    def read(self):\n"
+        "        return self.size\n"
+    )
+    user = ast.parse("from lib import Box, used\nBox()\n")
+    named = _identifiers(ast.parse('wrap(lib, "benchmarked")\n'))
+    assert _unreached({"lib": lib, "user": user}, named) == [
+        "lib:2 UNUSED", "lib:5 recursive", "lib:15 Box.read",
+    ]
+
+
+def _unused_imports(tree, lines):
+    """(line, name) for every name an import binds that the module never
+    loads, unless a line of the import carries ``# noqa: F401``."""
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in loaded:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()), path.read_text().splitlines())
+    ]
+    assert not unused, "imports never used: " + ", ".join(unused)
+
+
+def test_unused_import_is_reported():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import (\n"
+        "    pi, tau,  # noqa: F401\n"
+        ")\n"
+        "from json import dumps, loads\n"
+        "def f():\n"
+        "    from sys import argv\n"
+        "    return np.sum(loads('1'))\n"
+    )
+    assert _unused_imports(ast.parse(source), source.splitlines()) == [
+        (1, "os"), (6, "dumps"), (8, "argv"),
     ]

@@ -321,18 +321,27 @@ def test_residual_contract():
     assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
 
 
+def _energy_derivatives(model, g_grid, n):
+    """dE0/dg and d2E0/dg2 of the ED ground energy on the uniform ``g_grid``."""
+    e0 = [exact.low_spectrum(exact.build_hamiltonian(model, n, float(g)), 1).eigenvalues[0]
+          for g in g_grid]
+    h = g_grid[1] - g_grid[0]
+    d1 = np.gradient(e0, h, edge_order=2)
+    return d1, np.gradient(d1, h, edge_order=2)
+
+
 def test_energy_derivatives_grover_step_sharpens():
     g_grid = np.arange(0.4, 0.6001, 1e-3)
     jumps = {}
     for n in (6, 8):
-        _, d1, _ = exact.energy_derivatives("grover", g_grid, n)
+        d1, _ = _energy_derivatives("grover", g_grid, n)
         jumps[n] = np.max(np.abs(np.diff(d1)))
     assert jumps[8] > jumps[6]
 
 
 def test_energy_derivatives_ising_second_order():
     g_grid = np.arange(0.4, 0.6001, 1e-3)
-    _, d1, d2 = exact.energy_derivatives("ising_ring", g_grid, 8)
+    d1, d2 = _energy_derivatives("ising_ring", g_grid, 8)
     loc = g_grid[np.argmax(np.abs(d2[1:-1])) + 1]
     assert abs(loc - 0.5) <= 0.02
     # first derivative stays continuous: no macroscopic jump
@@ -341,7 +350,7 @@ def test_energy_derivatives_ising_second_order():
 
 def test_energy_derivatives_smooth_in_analytic_region():
     g_grid = np.arange(0.0, 0.2001, 2e-3)
-    _, _, d2 = exact.energy_derivatives("ising_ring", g_grid, 6)
+    _, d2 = _energy_derivatives("ising_ring", g_grid, 6)
     inner = d2[2:-2]
     assert np.max(np.abs(np.diff(inner, 2))) < 1e-3
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qptsweep.fitting import fit_exponential, fit_linear, fit_power_law
+from qptsweep.fitting import fit_exponential, fit_power_law
 
 
 def test_power_law_exact():
@@ -17,13 +17,6 @@ def test_exponential_exact():
     fit = fit_exponential(xs, 3.0 * np.exp(-0.7 * xs))
     assert fit.exponent == pytest.approx(-0.7, abs=1e-9)
     assert fit.prefactor == pytest.approx(3.0, rel=1e-9)
-
-
-def test_linear_fit():
-    xs = np.array([0.0, 1.0, 2.0, 3.0])
-    fit = fit_linear(xs, 2.0 * xs + 1.0)
-    assert fit.exponent == pytest.approx(2.0)
-    assert fit.prefactor == pytest.approx(1.0)
 
 
 def test_refit_on_emitted_values_is_stable():

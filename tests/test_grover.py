@@ -36,21 +36,6 @@ def test_gap_validation():
         grover.grover_gap(0.5, 1)
 
 
-def test_matrix_element_x():
-    sched = schedules.make_schedule("linear", 10.0)
-    assert matrix_abs(1.0, sched) == 0.0
-    # g=1/2, D=256: modulus (1/2)/(16 * 1/16) = 1/2
-    assert matrix_abs(0.5, sched, dim=256) == pytest.approx(0.5, rel=1e-12)
-    mods = [matrix_abs(g, sched, dim=64) for g in np.linspace(0.0, 0.5, 20)]
-    assert np.all(np.diff(mods) > 0.0)
-    with pytest.raises(ValueError):
-        grover.matrix_element_x(0.5, 1.0, 8, sched)
-
-
-def matrix_abs(g, sched, dim=64):
-    return abs(grover.matrix_element_x(g, 5.0, dim, sched))
-
-
 def test_coupling_warning():
     with pytest.warns(UserWarning):
         params(coupling=0.2)
@@ -90,14 +75,6 @@ def test_error_estimate_examples():
     assert v8 / v6 == pytest.approx(2.0, rel=1e-10)
     # lambda = 0
     assert grover.error_estimate(params(coupling=0.0, sf=flat)) == 0.0
-
-
-def test_error_estimate_multiplier_knob():
-    sf = bath.SpectralFunction(kind="thermal_bosonic", theta=0.5, epsilon=0.0)
-    p = params(sf=sf)
-    assert grover.error_estimate(p, 0.5) > 0.0
-    with pytest.raises(ValueError):
-        grover.error_estimate(p, 3.0)
 
 
 def test_scalability_dichotomy_slopes():

@@ -193,31 +193,6 @@ def test_excitation_probability_decreases_with_t():
     assert ps[0] > ps[1] > ps[2]
 
 
-def test_adiabatic_bogoliubov_satisfies_equations_of_motion():
-    # finite-difference time derivative of the closed form vs i(alpha u + beta v)
-    sched = schedules.make_schedule("linear", 200.0)
-    ka = np.pi / 8
-    t0, h = 90.0, 1e-4
-    um, vm = ising.adiabatic_bogoliubov(ka, sched, t0 - h)
-    up, vp = ising.adiabatic_bogoliubov(ka, sched, t0 + h)
-    u0, v0 = ising.adiabatic_bogoliubov(ka, sched, t0)
-    coeff = ising.mode_coefficients(ka, sched.g_of(t0))
-    du = (up - um) / (2.0 * h)
-    dv = (vp - vm) / (2.0 * h)
-    # adiabatic ansatz obeys the mode equations up to O(gdot) corrections
-    assert abs(1j * du - (coeff.alpha * u0 + coeff.beta * v0)) < 0.02
-    assert abs(1j * dv - (-coeff.alpha * v0 + coeff.beta * u0)) < 0.02
-
-
-def test_spectrum_bundle():
-    p = ising.ChainParams(8)
-    spec = ising.spectrum(p, 0.4)
-    assert spec.energies.shape == (8,)
-    assert np.all(spec.energies > 0.0)
-    norms = np.sum(np.abs(spec.bogoliubov) ** 2, axis=1)
-    assert_allclose(norms, 1.0, atol=1e-12)
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         ising.dispersion(0.5, 1.5)

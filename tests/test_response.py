@@ -28,15 +28,6 @@ def test_regime_bounds_partition():
     assert b.intermediate[1] == 2.0
 
 
-def test_matrix_element_uniform():
-    assert response.matrix_element_uniform(np.pi / 4, 0.0) == 0.0
-    got = response.matrix_element_uniform(np.pi / 2, 0.5)
-    assert got == pytest.approx(1j / np.sqrt(2.0))
-    a = response.matrix_element_uniform(0.3, 0.4)
-    b = response.matrix_element_uniform(-0.3, 0.4)
-    assert a == pytest.approx(-b)
-
-
 def test_amplitude_direct_t0_limit():
     r = response.amplitude_direct_uniform(np.pi / 8, 0.3, linear(1e-6))
     assert abs(r.value) < 1e-5
@@ -201,8 +192,6 @@ def test_energy_conservation_locality():
 
 
 def test_channel_parity_bookkeeping():
-    assert response.Channel(kind="uniform_x", coupling=0.1).final_state_excitations == "pair"
-    assert response.Channel(kind="single_site_z", coupling=0.1).final_state_excitations == "single"
     with pytest.raises(ValueError):
         response.Channel(kind="uniform_y", coupling=0.1)
     with pytest.raises(ValueError):

@@ -77,18 +77,6 @@ def test_phase_integral_grid_stability():
     assert np.all(np.diff(phi) > 0.0)
 
 
-def test_runtime_estimate_scalings():
-    # ising quadratic growth, grover one bit per qubit
-    r = [schedules.runtime_estimate("ising", n) for n in (64, 128, 256)]
-    assert r[1] / r[0] == pytest.approx(4.0, rel=0.01)
-    assert r[2] / r[1] == pytest.approx(4.0, rel=0.005)
-    lg = [np.log2(schedules.runtime_estimate("grover", n)) for n in (10, 11, 12)]
-    assert lg[1] - lg[0] == pytest.approx(1.0)
-    assert schedules.runtime_estimate("ising", 4) == pytest.approx(
-        1.0 / (4.0 * np.sin(np.pi / 8.0)) ** 2
-    )
-
-
 def test_runtime_ordering_at_fixed_time():
     # adapted schedules excite less at equal T, so they need shorter runs
     ps = []
