@@ -496,15 +496,12 @@ def even_parity_ground_energy(model, n_qubits, g):
     return float(even[0])
 
 
-def gap(model, n_qubits, g, marked_state=None, even_sector=False):
-    """E1 - E0, optionally restricted to the even bitflip-parity sector."""
-    if even_sector:
-        even = _even_levels(model, n_qubits, g)
-        if len(even) < 2:
-            raise NonConvergenceError("fewer than two even-parity states found")
-        return float(even[1] - even[0])
-    spec = low_spectrum(build_hamiltonian(model, n_qubits, g, marked_state), 2)
-    return float(spec.eigenvalues[1] - spec.eigenvalues[0])
+def gap(model, n_qubits, g):
+    """E1 - E0 within the even bitflip-parity sector."""
+    even = _even_levels(model, n_qubits, g)
+    if len(even) < 2:
+        raise NonConvergenceError("fewer than two even-parity states found")
+    return float(even[1] - even[0])
 
 
 def mixed_gap_scaling(n_list, coarse_points=41):
@@ -558,7 +555,7 @@ def _even_gap(model, n_qubits, g):
     if model == "mixed_grover_ising":
         e0, e1 = mixed_even_levels(n_qubits, g, 2)
         return float(e1 - e0)
-    return gap(model, n_qubits, g, even_sector=True)
+    return gap(model, n_qubits, g)
 
 
 def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
@@ -573,7 +570,7 @@ def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     resolved relative to its own width.  Every evaluated gap bounds the
     minimum from above, so the lowest one is returned.  The mixed model
     takes its gap from the exact reduction (``mixed_even_levels``); the
-    other models from ``gap(..., even_sector=True)``.
+    other models from ``gap``.
     """
     g_coarse = np.linspace(0.02, 0.98, coarse_points)
     vals = np.array([_even_gap(model, n_qubits, g) for g in g_coarse])

@@ -4,6 +4,11 @@ Three decoherence channels (uniform transverse, nonuniform transverse,
 single-site longitudinal), each evaluated by direct oscillatory quadrature
 and by the asymptotic stationary-phase / phase-free-bound machinery, with
 frequency-regime classification and total-error assembly.
+
+The uniform channel couples the bath through lambda * sum_j S^x_j with
+S = sigma/2: its envelope 2g sin(ka)/E_k is half the element
+<pair k|sum_j sigma^x_j|0> that exact diagonalization gives, and the +-k
+pair is one final state (tests/test_channel_oracle.py).
 """
 
 from dataclasses import dataclass

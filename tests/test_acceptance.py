@@ -35,7 +35,7 @@ def test_criterion_01_spectrum_oracle_equivalence():
 def test_criterion_02_gap_law():
     worst = 0.0
     for n in (2, 4, 6, 8, 10):
-        ed_gap = exact.gap("ising_ring", n, 0.5, even_sector=True)
+        ed_gap = exact.gap("ising_ring", n, 0.5)
         worst = max(worst, abs(ed_gap - 4.0 * np.sin(np.pi / (2.0 * n))))
     ns = np.array([2**k for k in range(3, 11)], dtype=float)
     gaps = np.array([ising.global_min_gap(ising.ChainParams(int(n))) for n in ns])

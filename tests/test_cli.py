@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -306,19 +308,63 @@ _IMPORT_GUARD = textwrap.dedent("""
 """)
 
 
-def test_slow_scipy_modules_stay_off_the_import_path(tmp_path):
-    # a fresh interpreter: pytest itself (and other tests) may import scipy.optimize
+def _fresh_python(code, *args):
+    """Run ``python -c code *args`` in a fresh interpreter that imports this qptsweep."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
-        capture_output=True, text=True, check=True, env=env,
-    ).stdout
-    doc, tabulated = out.rsplit(" ", 1)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+def test_slow_scipy_modules_stay_off_the_import_path(tmp_path):
+    # a fresh interpreter: pytest itself (and other tests) may import scipy.optimize
+    proc = _fresh_python(_IMPORT_GUARD, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    doc, tabulated = proc.stdout.rsplit(" ", 1)
     assert float(tabulated) == pytest.approx(2.0)
     loaded = json.loads(doc)
     assert set(loaded) == {"import", "spectrum", "sweep", "sweep_adapted", "response", "scaling"}
     assert all(mods == [] for mods in loaded.values()), loaded
+
+
+def test_import_freezes_the_import_time_heap():
+    proc = _fresh_python(
+        "import gc, numpy\n"
+        "before = gc.get_freeze_count(), len(gc.get_objects())\n"
+        "import qptsweep.cli\n"
+        "print(*before, gc.get_freeze_count())"
+    )
+    assert proc.returncode == 0, proc.stderr
+    frozen_before, numpy_tracked, frozen = map(int, proc.stdout.split())
+    # the objects of numpy's import and of qptsweep's own are frozen, and only at import
+    assert frozen_before == 0
+    assert frozen > numpy_tracked
+
+
+def test_garbage_made_after_import_is_still_collected():
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("spectrum", {"n_spins": 8, "g_grid": [0.0, 0.25, 0.5, 0.75, 1.0]}),
+    ("sweep", {"n_spins": 8, "schedule": "linear", "T_list": [10.0]}),
+])
+def test_fresh_process_exit_writes_what_main_writes(tmp_path, subcommand, doc):
+    # the real exit path: frozen objects must not cost a flush or a close at shutdown
+    cfg = write_config(tmp_path, "c.json", doc)
+    code = cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "inproc")])
+    argv = [subcommand, "--config", cfg, "--out", str(tmp_path / "fresh")]
+    proc = _fresh_python(f"import sys; from qptsweep.cli import main; sys.exit(main({argv!r}))")
+    assert proc.returncode == code, proc.stderr
+    for name in (f"{subcommand}.csv", f"{subcommand}.json"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "inproc" / name).read_bytes()
 
 
 def test_json_mirror_roundtrip(tmp_path):

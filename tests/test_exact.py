@@ -75,7 +75,8 @@ def test_grover_gap_closed_form_grid():
     for n in (2, 4, 6):
         dim = 2**n
         for g in np.linspace(0.0, 1.0, 101):
-            got = exact.gap("grover", n, float(g))
+            levels = exact.low_spectrum(exact.build_hamiltonian("grover", n, float(g)), 2).eigenvalues
+            got = levels[1] - levels[0]
             want = np.sqrt(1.0 - 4.0 * g * (1.0 - g) * (1.0 - 1.0 / dim))
             assert abs(got - want) < 1e-10
 
@@ -465,9 +466,7 @@ def test_mixed_reduction_property(n, g):
 def test_mixed_gap_scaling_matches_brute_force(monkeypatch):
     _, reduced = exact.mixed_gap_scaling([4, 6, 8, 10], coarse_points=13)
     # the same coarse scan and refinement, with every gap from the full sector solve
-    monkeypatch.setattr(
-        exact, "_even_gap", lambda model, n, g: exact.gap(model, n, g, even_sector=True)
-    )
+    monkeypatch.setattr(exact, "_even_gap", exact.gap)
     _, brute = exact.mixed_gap_scaling([4, 6, 8, 10], coarse_points=13)
     for n, want in brute.items():
         assert reduced[n] == pytest.approx(want, rel=1e-10)
