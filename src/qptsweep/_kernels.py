@@ -330,12 +330,12 @@ def linear_fourier(h, dt, omegas):
     return dt * s
 
 
-def rk4_mode(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):
+def rk4_mode(g2, ka, dt):
     """RK4 for i u' = a u + b v, i v' = -a v + b u with a, b functions of g.
 
     ``g2`` holds g at the step points and midpoints (length 2n+1).  Returns
     the full (u, v) trajectory at the n+1 step points, starting from
-    (u0, v0).  A step-by-step Python loop: the brute-force oracle the tests
+    (1, 0).  A step-by-step Python loop: the brute-force oracle the tests
     check ``magnus4_modes`` against.
     """
     n = (g2.shape[0] - 1) // 2
@@ -343,9 +343,8 @@ def rk4_mode(g2, ka, dt, u0=1.0 + 0.0j, v0=0.0 + 0.0j):
     ska = np.sin(ka)
     u = np.empty(n + 1, dtype=complex)
     v = np.empty(n + 1, dtype=complex)
-    u[0] = u0
-    v[0] = v0
-    uc, vc = complex(u0), complex(v0)
+    uc, vc = 1.0 + 0.0j, 0.0 + 0.0j
+    u[0], v[0] = uc, vc
     for i in range(n):
         g0 = g2[2 * i]
         gm = g2[2 * i + 1]

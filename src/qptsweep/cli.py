@@ -161,13 +161,11 @@ def _run_ed(cfg):
     if isinstance(m, bool) or not isinstance(m, (int, float)) or not float(m).is_integer():
         raise ConfigError(f"m must be a whole number of levels, got {m!r}")
     parity = model in ("ising_ring", "mixed_grover_ising")
-    if parity and p.get("marked_state") is not None:
-        raise ConfigError(f"marked_state applies only to the grover model, not {model!r}")
     rows, bad = [], 0
     for n in p["n_list"]:
         for g in g_grid:
             try:
-                ham = exact.build_hamiltonian(model, int(n), float(g), p.get("marked_state"))
+                ham = exact.build_hamiltonian(model, int(n), float(g))
                 spec = exact.low_spectrum(ham, int(m), resolve_parity=parity)
             except exact.NonConvergenceError:
                 bad += 1
@@ -228,7 +226,9 @@ def _run_response(cfg):
     p = cfg.params
     _require(p, "n_spins", "T", "omega_grid", "channel")
     n = int(p["n_spins"])
-    kind = response.Channel(kind=p["channel"], coupling=float(p.get("coupling", 1.0))).kind
+    kind = p["channel"]
+    if kind not in response.CHANNEL_KINDS:
+        raise ConfigError(f"channel must be one of {response.CHANNEL_KINDS}, got {kind!r}")
     sched = _make_schedule(p, n_spins=n)
     omega_grid = _grid(p["omega_grid"], "omega_grid")
     order = p.get("endpoint_order", 0)
@@ -294,10 +294,7 @@ def _run_grover(cfg):
         )
     rows, bad = [], 0
     for n in p["n_list"]:
-        params = grover.GroverParams(
-            n_qubits=int(n), coupling=coupling, schedule=sched, spectral_function=sf,
-            marked_state=p.get("marked_state"),
-        )
+        params = grover.GroverParams(n_qubits=int(n), coupling=coupling, schedule=sched, spectral_function=sf)
         est = grover.error_estimate(params) if sf else np.nan
         err = np.nan
         if sf is not None and sf.kind == "dirac_comb":

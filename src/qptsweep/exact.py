@@ -31,6 +31,9 @@ ITER_MAX = 14
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EVEN_SEARCH_LEVELS = 6  # levels solved when looking for the lowest even ones
 _TIE_TOL = 1e-12  # levels this close to a neighbour are ordered even parity first
+# mixed_gap_scaling's largest N: its cost does not grow like 2^N, but its gap is a difference
+# of O(1) levels, off by 1.4e-8 relative at N=60 (gap 2.5e-9), 8e-7 at N=70 and 4e-5 at N=80
+_MIXED_N_MAX = 60
 
 
 class NonConvergenceError(RuntimeError):
@@ -97,7 +100,7 @@ def _domain_wall_counts(n):
     return counts
 
 
-def build_hamiltonian(model, n_qubits, g, marked_state=None):
+def build_hamiltonian(model, n_qubits, g):
     """H(g) of one of the three models in the operator form of ``SpinHamiltonian``."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -110,11 +113,7 @@ def build_hamiltonian(model, n_qubits, g, marked_state=None):
         walls = _domain_wall_counts(n_qubits)
         return SpinHamiltonian(n_qubits, model, -g * (n_qubits - 2.0 * walls), 1.0 - g, 0.0)
     if model == "grover":
-        if marked_state is None:
-            marked_state = "0" * n_qubits
-        if len(marked_state) != n_qubits or set(marked_state) - {"0", "1"}:
-            raise ValueError(f"marked_state must be an {n_qubits}-bit string, got {marked_state!r}")
-        marked = np.arange(2**n_qubits) == int(marked_state, 2)
+        marked = np.arange(2**n_qubits) == 0  # |w> = |0...0>; any choice has the same spectrum
         return SpinHamiltonian(n_qubits, model, 1.0 - g * marked, 0.0, 1.0 - g)
     # mixed_grover_ising: (1-g)(1 - |s><s|) + g * (domain walls)
     walls = _domain_wall_counts(n_qubits)
@@ -329,11 +328,11 @@ def _grover_solve(ham, m):
     H is 1 on the states orthogonal to |w> and |s>, so only its 2x2 block
     on span{|w>, |s>} needs a solve; in the orthonormal basis |w>, |r> with
     |s> = c|w> + c'|r>, c = 1/sqrt(2^N), its levels are 1/2 -+ gap/2.  The
-    vectors of the level 1 come from a QR factorisation of |w>, |s> and
-    further basis states other than |w>.
+    marked state |w> is basis state 0.  The vectors of the level 1 come
+    from a QR factorisation of |w>, |s> and the basis states 1, 2, ...
     """
     dim = ham.dim
-    w = int(np.argmin(ham.diag))  # at g = 0 no state is marked and any one serves
+    w = 0
     c = 1.0 / np.sqrt(dim)
     cr = np.sqrt(1.0 - 1.0 / dim)
     block = np.diag([ham.diag[w], 1.0]) - ham.rank_one * np.outer([c, cr], [c, cr])
@@ -343,12 +342,10 @@ def _grover_solve(ham, m):
     vecs[w] = y[0]
     k = max(m - 2, 0)
     if k:
-        others = np.arange(k + 1)
-        others = others[others != w][:k]
         span = np.zeros((dim, k + 2))
         span[w, 0] = 1.0
         span[:, 1] = c
-        span[others, np.arange(2, k + 2)] = 1.0
+        span[np.arange(1, k + 1), np.arange(2, k + 2)] = 1.0
         vecs = np.column_stack([vecs, np.linalg.qr(span)[0][:, 2:]])
     vals = np.concatenate([pair, np.ones(k)])
     order = np.argsort(vals, kind="stable")[:m]
@@ -419,7 +416,7 @@ def low_spectrum(ham, m, resolve_parity=False):
     labels = None
     if ham.model == "grover":
         if resolve_parity:
-            raise ValueError("grover with a generic marked state is not bitflip symmetric")
+            raise ValueError("grover is not bitflip symmetric: the flip takes its marked |0...0> to |1...1>")
         vals, vecs = _grover_solve(ham, m)
     elif resolve_parity and ham.model == "mixed_grover_ising" and ham.n_qubits > DENSE_MAX:
         # stays on ARPACK while perfbench/reference/ed_scaling.json holds this path's levels
@@ -441,14 +438,16 @@ def low_spectrum(ham, m, resolve_parity=False):
 
 
 # Test oracle for the block solve; the traced benchmark (perfbench/layers.py) looks it up here
-def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
+def parity_resolve(ham, spectrum):
     """Label each eigenvector by the global-bitflip expectation value +-1.
 
-    Degenerate subspaces are rotated to diagonalize the parity operator
-    first, since their raw eigenvectors are basis-ambiguous.
+    Degenerate subspaces (runs of levels each within 1e-8 of the one
+    before) are rotated to diagonalize the parity operator first, since
+    their raw eigenvectors are basis-ambiguous; a run is never cut inside
+    a multiplet, even where g*d spaces the levels by the tolerance itself.
     """
     if ham.model == "grover":
-        raise ValueError("grover with a generic marked state is not bitflip symmetric")
+        raise ValueError("grover is not bitflip symmetric: the flip takes its marked |0...0> to |1...1>")
     perm = bitflip_parity_operator_indices(ham.n_qubits)
     vals = spectrum.eigenvalues
     vecs = spectrum.eigenvectors
@@ -456,7 +455,7 @@ def parity_resolve(ham, spectrum, degeneracy_tol=1e-8):
     i = 0
     while i < len(vals):
         j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[i]) < degeneracy_tol:
+        while j < len(vals) and abs(vals[j] - vals[j - 1]) < 1e-8:
             j += 1
         block = vecs[:, i:j]
         pblock = block[perm, :]
@@ -511,8 +510,8 @@ def mixed_gap_scaling(n_list, coarse_points=41):
     by a coarse scan refined with a golden-section search.
     """
     n_list = sorted(int(n) for n in n_list)
-    if any(n % 2 or n < 4 or n > ITER_MAX for n in n_list):
-        raise ValueError(f"n_list must hold even values in [4, {ITER_MAX}], got {n_list}")
+    if any(n % 2 or n < 4 or n > _MIXED_N_MAX for n in n_list):
+        raise ValueError(f"n_list must hold even values in [4, {_MIXED_N_MAX}], got {n_list}")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"n_list must not repeat a value, got {n_list}")
     gaps = []

@@ -2,6 +2,9 @@
 
 Closed-form gap, and the weak-coupling excitation-error quadrature plus its
 order-of-magnitude estimate.
+
+The bath couples through lambda * |w><w|, the marked-state projector, not
+through sum_j sigma^x_j (``projector_element``).
 """
 
 import warnings
@@ -23,7 +26,6 @@ class GroverParams:
     coupling: float
     schedule: object
     spectral_function: SpectralFunction | None = None
-    marked_state: str | None = None
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -36,10 +38,6 @@ class GroverParams:
                 "response is only reliable for weak coupling",
                 stacklevel=2,
             )
-        if self.marked_state is None:
-            self.marked_state = "0" * self.n_qubits
-        if len(self.marked_state) != self.n_qubits or set(self.marked_state) - {"0", "1"}:
-            raise ValueError(f"marked_state must be a {self.n_qubits}-bit string")
 
     @property
     def dim(self):
@@ -61,11 +59,17 @@ def grover_gap(g, dim):
     return val if val.ndim else float(val)
 
 
+def projector_element(g, dim):
+    """(<1|w><w|0>, gap) at g: the element -(1-g)/(sqrt(D)*gap) of the
+    marked-state projector between the instantaneous ground and first
+    excited states, to O(1/D), and the gap that sets its phase rate."""
+    gap = grover_gap(g, dim)
+    return -(1.0 - g) / (np.sqrt(dim) * gap), gap
+
+
 def _amplitude_fixed_grid(params, omega, n):
     def nodes(t):
-        g = np.asarray(params.schedule.g_of(t), dtype=float)
-        gap = grover_gap(g, params.dim)
-        return -(1.0 - g) / (np.sqrt(params.dim) * gap), gap
+        return projector_element(np.asarray(params.schedule.g_of(t), dtype=float), params.dim)
 
     return stream_filon(params.schedule.T, n, omega, nodes, filon_integral)
 
@@ -79,33 +83,19 @@ def amplitude_omega(params, omega, rel_tol=1e-4, n_max=2**21):
     return value, err
 
 
-def error_probability(params, omega_grid=None, rel_tol=1e-4):
-    """Excitation error lambda^2 * int dw f(w) |amplitude(w)|^2.
-
-    A dirac_comb spectral function reduces to the weighted sum over its
-    atoms; continuous kinds are integrated on ``omega_grid`` (trapezoid).
-    """
+def error_probability(params):
+    """Excitation error lambda^2 * int dw f(w) |amplitude(w)|^2 of a
+    dirac_comb spectral function: the weighted sum over its atoms."""
     sf = params.spectral_function
     if sf is None:
         raise ValueError("params.spectral_function is required")
-    lam2 = params.coupling**2
-    if sf.kind == "dirac_comb":
-        total = 0.0
-        for w0, wt in zip(*sf.probes):
-            amp, _ = amplitude_omega(params, w0, rel_tol=rel_tol)
-            total += wt * abs(amp) ** 2
-        return lam2 * total
-    if omega_grid is None:
-        raise ValueError("omega_grid is required for a continuous spectral function")
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    fvals = np.asarray(bath_evaluate(sf, omega_grid), dtype=float)
-    mods = np.zeros_like(omega_grid)
-    for i, w in enumerate(omega_grid):
-        if fvals[i] == 0.0:
-            continue
-        amp, _ = amplitude_omega(params, w, rel_tol=rel_tol)
-        mods[i] = abs(amp) ** 2
-    return float(lam2 * np.trapezoid(fvals * mods, omega_grid))
+    if sf.kind != "dirac_comb":
+        raise ValueError(f"error_probability needs a dirac_comb spectral function, got {sf.kind!r}")
+    total = 0.0
+    for w0, wt in zip(*sf.probes):
+        amp, _ = amplitude_omega(params, w0)
+        total += wt * abs(amp) ** 2
+    return params.coupling**2 * total
 
 
 def error_estimate(params):

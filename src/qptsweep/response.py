@@ -218,12 +218,13 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX
     return AmplitudeResult(value=value, quad_error=err, converged=ok)
 
 
-def suppression_rate_uniform(ka, omega, t_list, rel_tol=1e-6):
+def suppression_rate_uniform(ka, omega, t_list):
     """Fitted exponential decay rate of the interior amplitude vs T.
 
-    Uses endpoint-corrected quadrature (order 2) so the sharp-ramp corner
-    contributions do not mask the adiabatic suppression; returns the
-    (positive) rate of ln|amplitude| against T.
+    Uses endpoint-corrected quadrature (order 2, grid doubling to 1e-6
+    relative) so the sharp-ramp corner contributions do not mask the
+    adiabatic suppression; returns the (positive) rate of ln|amplitude|
+    against T.
     """
     t_list = np.asarray(sorted(t_list), dtype=float)
     if len(t_list) < 2:
@@ -231,7 +232,7 @@ def suppression_rate_uniform(ka, omega, t_list, rel_tol=1e-6):
     mods = []
     for T in t_list:
         res = amplitude_direct_uniform(
-            ka, omega, make_schedule("linear", float(T)), rel_tol=rel_tol, endpoint_order=2
+            ka, omega, make_schedule("linear", float(T)), rel_tol=1e-6, endpoint_order=2
         )
         mods.append(res.modulus)
     slope = np.polyfit(t_list, np.log(mods), 1)[0]
@@ -510,7 +511,8 @@ def total_error(channel, schedule, spectral_function, n_spins):
                 if hi > lo:
                     terms.append((i, regime, windows.setdefault((lo, hi), len(windows))))
         window_list = list(windows)
-        weights = integrate_abs(spectral_function, *np.array(window_list).T)[0]
+        lows, highs = np.array(window_list).T
+        weights = integrate_abs(spectral_function, lows, highs)[0]
         mode_bound = _certified_bounds(schedule, ka_positive, _near_gap_env)
         for i, regime, j in terms:
             if weights[j] != 0.0:

@@ -138,11 +138,11 @@ class Schedule:
             out = np.clip(0.5 * self.T * (1.0 + u), 0.0, self.T)
         return out if out.ndim else float(out)
 
-    def phase_integral(self, ka, t, n_points=_PHASE_POINTS):
+    def phase_integral(self, ka, t):
         """Accumulated single-particle phase int_0^t E_k(g(t')) dt'.
 
         Closed form for the linear and frozen kinds.  The adapted kinds
-        tabulate it by cumulative Simpson on ``n_points`` nodes and
+        tabulate it by cumulative Simpson on ``_PHASE_POINTS`` nodes and
         interpolate by cubic Hermite with the exact slope E_k(g(t)).
         """
         t = self._check_t(t)
@@ -151,12 +151,13 @@ class Schedule:
         elif self.kind == "linear":
             out = self.T * (_linear_phase(ka, t / self.T - 0.5) + _linear_phase(ka, 0.5))
         else:
-            key = (float(ka), n_points)
+            # keyed by a tuple with ka first, which perfbench/layers.py reads
+            key = (float(ka),)
             nodes = self._phase_cache.get(key)
             if nodes is None:
-                t_grid = np.linspace(0.0, self.T, n_points)
+                t_grid = np.linspace(0.0, self.T, _PHASE_POINTS)
                 g_grid = np.asarray(self.g_of(t_grid), dtype=float)
-                energies = dispersion(np.full(n_points, float(ka)), g_grid)
+                energies = dispersion(np.full(_PHASE_POINTS, float(ka)), g_grid)
                 cum = cumulative_simpson_uniform(energies, t_grid[1] - t_grid[0])
                 nodes = self._phase_cache[key] = (t_grid, cum, energies)
             out = _hermite(*nodes, t)

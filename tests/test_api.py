@@ -283,3 +283,110 @@ def test_unused_import_is_reported():
     assert _unused_imports(ast.parse(source), source.splitlines()) == [
         (1, "os"), (6, "dumps"), (8, "argv"),
     ]
+
+
+def _options(tree):
+    """(definition, parameter, position) for every parameter with a default
+    of a top-level function or of a method of a top-level class.  A method's
+    definition is ``Class.method``.  ``position`` is the index among the
+    positional arguments of a call (a method's ``self`` or ``cls`` is
+    bound), or None for a keyword-only parameter."""
+    found = []
+
+    def add(fn, name, bound):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        found.extend((name, p.arg, i - bound) for i, p in enumerate(positional[first:], first))
+        found.extend((name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            add(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    add(m, f"{node.name}.{m.name}", 1)
+    return found
+
+
+def _calls(tree):
+    """(callee, positional count, keywords) for every call, by name or
+    attribute.  A call that unpacks ``*args`` or ``**kwargs`` reads as
+    setting every parameter (keywords None)."""
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        callee = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+        keywords = {k.arg for k in n.keywords}
+        if None in keywords or any(isinstance(a, ast.Starred) for a in n.args):
+            keywords = None
+        found.append((callee, len(n.args), keywords))
+    return found
+
+
+def _unset_options(modules, callers):
+    """``definition.parameter`` for every option of ``_options`` in the
+    ``modules`` that no call in the ``callers`` (trees) passes, by position
+    or by keyword.  A call of a class's name calls its ``__init__``."""
+    calls = [c for tree in callers for c in _calls(tree)]
+    found = []
+    for tree in modules:
+        for name, param, position in _options(tree):
+            parts = name.split(".")
+            callee = parts[0] if parts[-1] == "__init__" else parts[-1]
+            if not any(
+                c == callee and (kw is None or param in kw or (position is not None and npos > position))
+                for c, npos, kw in calls
+            ):
+                found.append(f"{name}.{param}")
+    return found
+
+
+# options whose only setters lie outside the scanned callers, each with its reason
+_OPTION_ALLOWED = {
+    # both readings of the nonuniform pair phase stay until an ED check of the channel picks one
+    "amplitude_direct_nonuniform.pair_gap_phase",
+    # perfbench/make_reference.py sets it through functools.partial
+    "integrate_abs.n_points",
+}
+
+
+def test_every_option_is_set_outside_the_tests():
+    # an option stays only if the library, an acceptance criterion or the
+    # benchmark passes it; one that only the tests set changes no output
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    callers = modules + [
+        ast.parse(path.read_text())
+        for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    ]
+    unset = _unset_options(modules, callers)
+    assert not set(unset) - _OPTION_ALLOWED, "options no caller sets: " + ", ".join(
+        name for name in unset if name not in _OPTION_ALLOWED)
+    assert _OPTION_ALLOWED <= set(unset), "allowed options a caller now sets: " + ", ".join(
+        sorted(_OPTION_ALLOWED - set(unset)))
+
+
+def test_unset_option_is_reported():
+    lib = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "def g(x=0):\n"
+        "    pass\n"
+        "def h(y=0):\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, color=None):\n"
+        "        pass\n"
+        "    def fill(self, level=0, spill=False):\n"
+        "        pass\n"
+    )
+    user = ast.parse(
+        "f(0, 1, d=2)\n"
+        "g(*args)\n"
+        "Box(3).fill(1)\n"
+    )
+    assert _unset_options([lib], [lib, user]) == [
+        "f.c", "f.e", "h.y", "Box.__init__.color", "Box.fill.spill",
+    ]

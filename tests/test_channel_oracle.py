@@ -1,15 +1,16 @@
-"""Channel matrix elements against exact diagonalization of the Ising ring.
+"""Channel matrix elements against exact diagonalization.
 
 The closed-form envelopes that ``response._channel_integrals`` hands to the
 quadrature carry the overall factor of every amplitude, which the energy
 and scaling criteria cannot see.  Here the eigenvectors of
-``SpinHamiltonian.matrix`` fix that factor.
+``SpinHamiltonian.matrix`` fix that factor for the Ising ring, and those of
+``exact._grover_solve`` fix it for Grover's ``grover.projector_element``.
 """
 
 import numpy as np
 import pytest
 
-from qptsweep import exact, ising, response
+from qptsweep import exact, grover, ising, response
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -36,3 +37,20 @@ def test_uniform_x_envelope_is_half_the_sigma_x_pair_element(n, g):
     element = np.sqrt(np.bincount(pair_of, weights=overlaps[reached] ** 2, minlength=len(ka)))
     envelope = np.abs(response._uniform_env(ka, g, e_k))
     np.testing.assert_allclose(element, 2.0 * envelope, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_grover_envelope_is_the_marked_projector_element(n):
+    # grover's bath couples through |w><w|, w = |0...0>; its envelope is the
+    # large-D form of <1|w><w|0>, off by O(1/D)
+    dim = 2**n
+    # the gauge that turns continuously from g=0 to g=1: both levels have a
+    # positive component along the part of |s> orthogonal to |w>
+    r = np.ones(dim)
+    r[0] = 0.0
+    for g in np.arange(1, 10) / 10:
+        vecs = exact._grover_solve(exact.build_hamiltonian("grover", n, g), 2)[1]
+        vecs = vecs * np.sign(r @ vecs)
+        element = vecs[0, 1] * vecs[0, 0]
+        envelope, _ = grover.projector_element(g, dim)
+        assert abs(envelope - element) <= abs(element) / dim

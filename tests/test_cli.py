@@ -258,6 +258,13 @@ def test_grover_run_with_probe(tmp_path):
     assert float(rows[1][3]) > 0.0
 
 
+def test_scaling_mixed_gap_reaches_n_60(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"study": "mixed_gap", "n_list": [54, 56, 58, 60]})
+    assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "scaling_mixed_gap.csv")
+    assert [int(row[0]) for row in rows[1:]] == [54, 56, 58, 60]
+
+
 def test_manifest_hash_tracks_config(tmp_path):
     cfg1 = write_config(tmp_path, "c1.json", {"study": "gap_law", "n_list": [8, 16, 32, 64]})
     cfg2 = write_config(tmp_path, "c2.json", {"study": "gap_law", "n_list": [8, 16, 32, 128]})
@@ -391,13 +398,12 @@ def test_json_mirror_roundtrip(tmp_path):
                   "ka_list": []}),
     ("scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10, 10], "coarse_points": 9}),
     ("ed", {"model": "ising_ring", "n_list": [6], "g_grid": [0.5], "m": 2.5}),
-    ("ed", {"model": "ising_ring", "n_list": [6], "g_grid": [0.5], "marked_state": "010101"}),
-    ("ed", {"model": "mixed_grover_ising", "n_list": [6], "g_grid": [0.5],
-            "marked_state": "010101"}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_z", "omega_grid": [0.5]}),
+    ("scaling", {"study": "mixed_gap", "n_list": [58, 60, 62], "coarse_points": 9}),
 ], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
-        "ed_ising_marked_state", "ed_mixed_marked_state"])
+        "response_unknown_channel", "mixed_gap_n_above_60"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -55,10 +55,21 @@ def test_parity_labels_ising():
 
 
 def test_parity_resolve_rejects_generic_grover():
-    h = exact.build_hamiltonian("grover", 4, 0.5, marked_state="0110")
+    h = exact.build_hamiltonian("grover", 4, 0.5)
     spec = exact.low_spectrum(h, 2)
     with pytest.raises(ValueError):
         exact.parity_resolve(h, spec)
+
+
+@pytest.mark.parametrize("n,g", [(6, 1e-8), (10, 1e-8), (10, 5e-9)])
+def test_parity_oracle_keeps_multiplets_whole(n, g):
+    # near g = 0 the mixed model's multiplets sit g*d apart, on the oracle's
+    # own degeneracy scale; a run measured from its first level cut one
+    h = exact.build_hamiltonian("mixed_grover_ising", n, g)
+    vals, vecs = np.linalg.eigh(h.matrix)
+    labels = exact.parity_resolve(h, exact.LowSpectrum(vals, vecs, None, None))
+    want = exact.low_spectrum(h, h.dim, resolve_parity=True).parity_labels
+    assert np.array_equal(np.sort(labels), np.sort(want))
 
 
 def test_even_sector_matches_analytic_ground_energy():
@@ -118,8 +129,9 @@ def _on_site(op, j, n):
     return out
 
 
-def _pauli_hamiltonian(model, n, g, marked_state):
-    """The model written out in Pauli matrices and explicit projectors."""
+def _pauli_hamiltonian(model, n, g):
+    """The model written out in Pauli matrices and explicit projectors;
+    grover's marked state is |0...0>."""
     dim = 2**n
     one = np.eye(dim)
     bonds = sum(_on_site(_Z, j, n) @ _on_site(_Z, (j + 1) % n, n) for j in range(n))
@@ -128,9 +140,7 @@ def _pauli_hamiltonian(model, n, g, marked_state):
     s = np.full(dim, 1.0 / np.sqrt(dim))
     search = (1.0 - g) * (one - np.outer(s, s))
     if model == "grover":
-        w = np.ones(1)
-        for bit in marked_state:
-            w = np.kron(w, np.eye(2)[int(bit)])
+        w = one[0]
         return search + g * (one - np.outer(w, w))
     # each bond with unequal spins is one domain wall
     return search + g * 0.5 * (n * one - bonds)
@@ -139,19 +149,16 @@ def _pauli_hamiltonian(model, n, g, marked_state):
 @pytest.mark.parametrize("model", exact.MODELS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_operator_form_matches_pauli_oracle(model, n):
-    marks = ["0" * n, "1" * n, ("10" * n)[:n], ("110" * n)[-n:]] if model == "grover" else [None]
     for g in (0.0, 0.2, 0.5, 0.83, 1.0):
-        for mark in marks:
-            h = exact.build_hamiltonian(model, n, g, mark)
-            want = _pauli_hamiltonian(model, n, g, mark)
-            assert_allclose(h.matrix, want, rtol=0, atol=1e-14)
+        h = exact.build_hamiltonian(model, n, g)
+        assert_allclose(h.matrix, _pauli_hamiltonian(model, n, g), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("model", exact.MODELS)
 @pytest.mark.parametrize("n", [2, 5, 8, 10])
 def test_apply_to_identity_is_the_matrix(model, n):
     for g in (0.0, 0.37, 1.0):
-        h = exact.build_hamiltonian(model, n, g, "01" * (n // 2) + "1" * (n % 2))
+        h = exact.build_hamiltonian(model, n, g)
         assert np.array_equal(h.apply(np.eye(h.dim)), h.matrix)
 
 
@@ -364,6 +371,14 @@ def test_mixed_gap_scaling_exponential():
     assert np.all(np.diff(vals) < 0.0)
 
 
+def test_mixed_gap_scaling_rate_at_large_n():
+    # far beyond ED's reach the gap closes as 2^(-N/2), the Grover rate
+    fit, gaps = exact.mixed_gap_scaling(range(40, 62, 2))
+    assert fit.exponent == pytest.approx(-np.log(2.0) / 2.0, rel=0.01)
+    assert fit.r_squared > 0.9999
+    assert 2e-9 < gaps[60] < 3e-9
+
+
 @pytest.mark.parametrize("model", ["ising_ring", "mixed_grover_ising"])
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 @pytest.mark.parametrize("g", [0.0, 0.3, 0.5, 1.0])
@@ -403,27 +418,25 @@ def test_subset_solve_matches_full_oracle():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_grover_reduction_matches_dense_solve(n):
     dim = 2**n
-    for mark in ("0" * n, ("10" * n)[:n]):
-        for g in np.linspace(0.0, 1.0, 11):
-            h = exact.build_hamiltonian("grover", n, float(g), mark)
-            m = dim if n <= 4 else 8
-            spec = exact.low_spectrum(h, m)
-            assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(h.matrix)[:m], rtol=0, atol=1e-12)
-            vecs = spec.eigenvectors
-            assert_allclose(vecs.T @ vecs, np.eye(m), rtol=0, atol=1e-12)
-            assert_allclose(h.matrix @ vecs, vecs * spec.eigenvalues, rtol=0, atol=1e-12)
+    for g in np.linspace(0.0, 1.0, 11):
+        h = exact.build_hamiltonian("grover", n, float(g))
+        m = dim if n <= 4 else 8
+        spec = exact.low_spectrum(h, m)
+        assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(h.matrix)[:m], rtol=0, atol=1e-12)
+        vecs = spec.eigenvectors
+        assert_allclose(vecs.T @ vecs, np.eye(m), rtol=0, atol=1e-12)
+        assert_allclose(h.matrix @ vecs, vecs * spec.eigenvalues, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [11, 12, 13, 14])
 def test_grover_levels_above_dense_max_match_the_closed_gap(n):
     # beyond the dense matrix; g = 0 and 1 are where a Krylov solve from the
     # uniform state breaks down (it is an eigenvector at g = 0)
-    for mark in (None, ("110" * n)[:n]):
-        for g in (0.0, 0.25, 0.5, 0.75, 1.0):
-            spec = exact.low_spectrum(exact.build_hamiltonian("grover", n, g, mark), 4)
-            gap = grover.grover_gap(g, 2**n)
-            assert_allclose(spec.eigenvalues, [0.5 - gap / 2, 0.5 + gap / 2, 1.0, 1.0], rtol=0, atol=1e-12)
-            assert np.all(spec.residuals <= 1e-12)
+    for g in (0.0, 0.25, 0.5, 0.75, 1.0):
+        spec = exact.low_spectrum(exact.build_hamiltonian("grover", n, g), 4)
+        gap = grover.grover_gap(g, 2**n)
+        assert_allclose(spec.eigenvalues, [0.5 - gap / 2, 0.5 + gap / 2, 1.0, 1.0], rtol=0, atol=1e-12)
+        assert np.all(spec.residuals <= 1e-12)
 
 
 def test_grover_rejects_parity_resolution():
@@ -516,8 +529,6 @@ def test_build_validation():
         exact.build_hamiltonian("ising_ring", 16, 0.5)
     with pytest.raises(ValueError):
         exact.build_hamiltonian("ising_ring", 4, 1.5)
-    with pytest.raises(ValueError):
-        exact.build_hamiltonian("grover", 4, 0.5, marked_state="012")
     with pytest.raises(ValueError):
         exact.mixed_even_levels(1, 0.5, 2)
     with pytest.raises(ValueError):

@@ -4,11 +4,11 @@ import pytest
 from qptsweep import bath, exact, grover, schedules
 
 
-def params(n=8, coupling=0.01, T=50.0, sf=None, **kw):
+def params(n=8, coupling=0.01, T=50.0, sf=None):
     return grover.GroverParams(
         n_qubits=n, coupling=coupling,
         schedule=schedules.make_schedule("linear", T),
-        spectral_function=sf, **kw,
+        spectral_function=sf,
     )
 
 
@@ -42,9 +42,10 @@ def test_coupling_warning():
         params(coupling=0.2)
 
 
-def test_error_probability_zero_bath():
-    p = params(sf=bath.load_tabulated([(0.0, 0.0), (1.0, 0.0)]))
-    assert grover.error_probability(p, omega_grid=np.linspace(0.0, 1.0, 5)) == 0.0
+def test_error_probability_needs_a_dirac_comb():
+    for sf in (None, bath.load_tabulated([(0.0, 0.0), (1.0, 0.0)])):
+        with pytest.raises(ValueError):
+            grover.error_probability(params(sf=sf))
 
 
 def test_positive_frequency_suppressed_vs_gap_probe():

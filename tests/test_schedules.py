@@ -69,9 +69,6 @@ def test_phase_integral_frozen():
 
 def test_phase_integral_grid_stability():
     sched = schedules.make_schedule("linear", 1.0)
-    a = sched.phase_integral(np.pi / 2, 1.0, n_points=16385)
-    b = sched.phase_integral(np.pi / 2, 1.0, n_points=32769)
-    assert abs(a - b) < 1e-10
     t = np.linspace(0.0, 1.0, 50)
     phi = np.asarray(sched.phase_integral(np.pi / 2, t))
     assert np.all(np.diff(phi) > 0.0)
@@ -212,11 +209,14 @@ def test_hermite_phase_against_pchip_oracle(kind, nodes):
     t_grid = np.linspace(0.0, T, nodes)
     energy = ising.dispersion(np.full(nodes, ka), sched.g_of(t_grid))
     cum = cumulative_simpson_uniform(energy, t_grid[1] - t_grid[0])
-    assert np.array_equal(sched.phase_integral(ka, t_grid, n_points=nodes), cum)
     rng = np.random.default_rng(3)
     i = rng.integers(0, nodes - 1, 200)
     t = t_grid[i] + rng.uniform(0.05, 0.95, 200) * (t_grid[1] - t_grid[0])
-    herm = sched.phase_integral(ka, t, n_points=nodes)
+    if nodes == schedules._PHASE_POINTS:  # the table phase_integral builds
+        assert np.array_equal(sched.phase_integral(ka, t_grid), cum)
+        herm = sched.phase_integral(ka, t)
+    else:
+        herm = schedules._hermite(t_grid, cum, energy, t)
     # the interpolant adds less error than the node values carry: the
     # Simpson rule's own error over one node interval
     exact = cum[i] + _simpson_from_nodes(sched, ka, t_grid[i], t)
