@@ -202,50 +202,35 @@ def default_n0(total_time, phase_rate):
     return int(max(4096, 16 * cycles))
 
 
-def refine(eval_at, n0, rel_tol, n_max, shrink=False):
-    """Grid-doubling driver; returns (value, error_estimate, converged).
+def refine(eval_at, n0, rel_tol, n_max):
+    """Grid-doubling driver; returns (values, error_estimates, converged) arrays.
 
-    ``eval_at(n)`` evaluates the quadrature on n intervals, n = n0, 2*n0, ...,
-    doubling while n < n_max.  It may return an array: each element
-    converges on its own and keeps the value and relative difference of the
-    grid where it first did, and the doubling goes on while any element has
-    not.  With ``shrink``, the first axis of the value indexes the elements
-    and ``eval_at(n, rows)`` gets the indices of the elements still running
-    (``slice(None)`` on the first grid) and returns theirs alone, so an
-    element is not evaluated again once it has converged; further axes hold
-    the components of an element (say a state (u, v)), whose difference is
-    the sum of its components' moduli, relative to their Euclidean norm.  An
-    element that never converges reports the value of the last grid and its
-    last relative difference, or inf when no doubling ran.  A scalar
-    ``eval_at`` gets Python scalars back.
+    ``eval_at(n, rows)`` returns the values on n intervals, n = n0, 2*n0, ...
+    while n < n_max, of the elements ``rows``: all (``slice(None)``) on the
+    first grid, then those still running, for each element stops on its own
+    and keeps the value and relative difference of the grid where it first
+    converged (its last ones, or inf when no doubling ran, if it never does).
+    Axes after the first hold an element's components (say a state (u, v)),
+    whose difference is the sum of their moduli, relative to their Euclidean
+    norm.  A scalar quadrature is one element; its caller takes element 0.
     """
     n = n0
-    prev = eval_at(n, slice(None)) if shrink else eval_at(n)
-    value = np.asarray(prev)
-    parts = tuple(range(1, value.ndim)) if shrink else ()
-    err = np.full(value.shape[:value.ndim - len(parts)], np.inf)
+    value = np.array(eval_at(n, slice(None)))
+    parts = tuple(range(1, value.ndim))
+    err = np.full(value.shape[:1], np.inf)
     done = np.zeros(err.shape, dtype=bool)
-    keep = (...,) + (None,) * len(parts)  # ``done`` broadcast over components
     while n < n_max and not done.all():
         n *= 2
-        if shrink:
-            rows = np.flatnonzero(~done)
-            cur = value.copy()
-            cur[rows] = eval_at(n, rows)
-        else:
-            cur = eval_at(n)
-        diff = abs(cur - prev)
+        rows = np.flatnonzero(~done)
+        cur = np.asarray(eval_at(n, rows))
+        diff = abs(cur - value[rows])
         size = abs(cur)
         if parts:
             diff = diff.sum(axis=parts)
             size = np.sqrt(np.sum(size * size, axis=parts))
-        rel = diff / np.maximum(size, _ABS_FLOOR)
-        value = np.where(done[keep], value, cur)
-        err = np.where(done, err, rel)
-        done = done | (rel < rel_tol) | ((size < _ABS_FLOOR) & (diff < _ABS_FLOOR))
-        prev = cur
-    if value.ndim == 0:
-        return value.item(), err.item(), bool(done)
+        err[rows] = rel = diff / np.maximum(size, _ABS_FLOOR)
+        done[rows] = (rel < rel_tol) | ((size < _ABS_FLOOR) & (diff < _ABS_FLOOR))
+        value[rows] = cur
     return value, err, done
 
 
@@ -566,4 +551,4 @@ def nested_simpson(grid, integrand, count, n0):
             interior[rows] += total
         return (ends[rows] + 2.0 * interior[rows] + 2.0 * odd[rows]) / (3.0 * n)
 
-    return refine(eval_at, n0 + n0 % 2, _NESTED_TOL, _NESTED_N_MAX, shrink=True)
+    return refine(eval_at, n0 + n0 % 2, _NESTED_TOL, _NESTED_N_MAX)

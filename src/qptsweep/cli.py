@@ -111,36 +111,43 @@ def _grid(spec, name):
     return arr
 
 
-def _require(params, *keys):
-    missing = [k for k in keys if k not in params]
+def _check_config(params, required, optional):
+    """Reject, before any computation, a missing ``required`` key, a key that
+    the run will not read (it reads ``required`` and ``optional``), a value
+    of an ``*_list`` key that is not a list, and an empty list."""
+    missing = [k for k in required if k not in params]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
-    for k in keys:
-        if isinstance(params[k], (list, tuple)) and len(params[k]) == 0:
+    unread = sorted(set(params) - {*required, *optional})
+    if unread:
+        raise ConfigError(f"config keys {unread} are not read by this run")
+    for k, v in params.items():
+        if k.endswith("_list") and not isinstance(v, list):
+            raise ConfigError(f"config key {k!r} must be a list, got {v!r}")
+        if isinstance(v, list) and len(v) == 0:
             raise ConfigError(f"config key {k!r} must be a nonempty list")
+
+
+def _schedule_keys(params):
+    """The config keys a schedule reads: ``g_frozen`` for a frozen one alone."""
+    return ("schedule", "g_frozen") if params.get("schedule") == "frozen" else ("schedule",)
 
 
 def _ka_list(params, n_spins):
     """The config's ``ka_list`` in its given order, or [pi/N] when it is absent."""
-    if params.get("ka_list") is None:
-        return np.array([np.pi / n_spins])
-    _require(params, "ka_list")
-    return np.asarray(params["ka_list"], dtype=float)
+    return np.asarray(params.get("ka_list", [np.pi / n_spins]), dtype=float)
 
 
 def _make_schedule(params, n_spins=None, T=None):
-    if T is None:
-        _require(params, "T")
-        T = params["T"]
     return schedules.make_schedule(
-        params.get("schedule", "linear"), float(T), n_spins=n_spins,
+        params.get("schedule", "linear"), float(params["T"] if T is None else T), n_spins=n_spins,
         g_frozen=params.get("g_frozen"),
     )
 
 
 def _run_spectrum(cfg):
     p = cfg.params
-    _require(p, "n_spins")
+    _check_config(p, ("n_spins",), ("g_grid",))
     n = int(p["n_spins"])
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 101}), "g_grid")
     momenta = ising.momentum_grid(ising.ChainParams(n))
@@ -154,7 +161,7 @@ def _run_spectrum(cfg):
 
 def _run_ed(cfg):
     p = cfg.params
-    _require(p, "model", "n_list")
+    _check_config(p, ("model", "n_list"), ("g_grid", "m"))
     model = p["model"]
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 21}), "g_grid")
     m = p.get("m", 4)
@@ -192,7 +199,7 @@ ENDPOINT_ERROR_MAX = 1e-6
 
 def _run_sweep(cfg):
     p = cfg.params
-    _require(p, "n_spins", "T_list")
+    _check_config(p, ("n_spins", "T_list"), ("ka_list", *_schedule_keys(p)))
     n = int(p["n_spins"])
     ka_list = _ka_list(p, n)
     rows, bad = [], 0
@@ -224,7 +231,9 @@ def _run_sweep(cfg):
 
 def _run_response(cfg):
     p = cfg.params
-    _require(p, "n_spins", "T", "omega_grid", "channel")
+    pair_key = ("kpa",) if p.get("channel") == "nonuniform_x" else ()
+    _check_config(p, ("n_spins", "T", "omega_grid", "channel"),
+                  ("endpoint_order", "ka_list", *pair_key, *_schedule_keys(p)))
     n = int(p["n_spins"])
     kind = p["channel"]
     if kind not in response.CHANNEL_KINDS:
@@ -258,32 +267,33 @@ def _run_response(cfg):
     )
 
 
+_BATH_KEYS = {  # the required and the optional keys of each bath kind
+    "thermal_bosonic": ((), ("kind", "theta", "omega_ph", "epsilon", "omega_c", "beta")),
+    "tabulated": (("path",), ("kind",)),
+    "dirac_comb": (("omega0", "weight"), ("kind",)),
+}
+
+
 def _bath_from_config(p):
     spec = p.get("bath")
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"bath must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "thermal_bosonic")
-    if kind == "thermal_bosonic":
-        return bath.SpectralFunction(
-            kind=kind,
-            theta=float(spec.get("theta", 0.5)),
-            omega_ph=float(spec.get("omega_ph", 1.0)),
-            epsilon=float(spec.get("epsilon", 1.0)),
-            omega_c=float(spec.get("omega_c", np.inf)),
-            beta=float(spec.get("beta", np.inf)),
-        )
+    if not isinstance(kind, str) or kind not in _BATH_KEYS:
+        raise ConfigError(f"unknown bath kind {kind!r}")
+    _check_config(spec, *_BATH_KEYS[kind])
+    if kind == "thermal_bosonic":  # a parameter left out takes SpectralFunction's default
+        return bath.SpectralFunction(kind=kind, **{k: float(v) for k, v in spec.items() if k != "kind"})
     if kind == "tabulated":
-        _require(spec, "path")
         return bath.load_tabulated(spec["path"])
-    if kind == "dirac_comb":
-        _require(spec, "omega0", "weight")
-        return bath.dirac_probe(spec["omega0"], spec["weight"])
-    raise ConfigError(f"unknown bath kind {kind!r}")
+    return bath.dirac_probe(spec["omega0"], spec["weight"])
 
 
 def _run_grover(cfg):
     p = cfg.params
-    _require(p, "n_list", "T")
+    _check_config(p, ("n_list", "T"), ("bath", "coupling", *_schedule_keys(p)))
     sf = _bath_from_config(p)
     coupling = float(p.get("coupling", 0.01))
     sched = _make_schedule(p)
@@ -314,6 +324,8 @@ def _run_grover(cfg):
 def _run_scaling(cfg):
     p = cfg.params
     study = p.get("study", "gap_law")
+    extra = ("coarse_points",) if study == "mixed_gap" else ()
+    _check_config(p, (), ("study", "n_list", *extra))
     rows, fits = [], {}
     if study == "gap_law":
         n_list = [int(n) for n in p.get("n_list", [8, 16, 32, 64, 128, 256, 512, 1024])]

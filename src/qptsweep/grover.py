@@ -77,10 +77,12 @@ def _amplitude_fixed_grid(params, omega, n):
 def amplitude_omega(params, omega, rel_tol=1e-4, n_max=2**21):
     """Per-frequency amplitude integral with a grid-doubling certificate."""
     n0 = default_n0(params.schedule.T, abs(omega) + 1.0)
-    value, err, ok = refine(lambda n: _amplitude_fixed_grid(params, omega, n), n0, rel_tol, n_max)
+    (value,), (err,), (ok,) = refine(
+        lambda n, rows: np.array([_amplitude_fixed_grid(params, omega, n)])[rows], n0, rel_tol, n_max
+    )
     if not ok:
         raise QuadratureError(f"amplitude at omega={omega} not converged by n={n_max}")
-    return value, err
+    return value.item(), err.item()
 
 
 def error_probability(params):

@@ -1,7 +1,7 @@
 """Analytic machinery for the transverse Ising ring.
 
 Momentum grid, quasi-particle dispersion, Bogoliubov coefficients (the
-instantaneous pair, and the equations of motion integrated for many modes at
+instantaneous pair, and the equations of motion, each for many modes at
 once), ground-state energy and gap.  Units: lattice spacing a=1, hbar=1,
 energies in units of the coupling, so momenta appear as the dimensionless
 combination ``ka``.
@@ -29,7 +29,7 @@ class InvalidChainError(ValueError):
 
 
 class DegenerateNormalizationError(ArithmeticError):
-    """Bogoliubov normalization below threshold (g=1/2 with |ka| -> pi)."""
+    """Bogoliubov normalization below threshold (E_k -> 0: g=1/2 with ka -> 0)."""
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ class ChainParams:
         n = self.n_spins
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise InvalidChainError(f"n_spins must be an even integer >= 2, got {n!r}")
-
-
-@dataclass(frozen=True)
-class ModeCoefficients:
-    alpha: float
-    beta: float
 
 
 @dataclass
@@ -68,9 +62,7 @@ class ModeEndpoint:
 
     def _ground_at_end(self):
         g_end = self.schedule.g_of(self.schedule.T)
-        pairs = [instantaneous_bogoliubov(ka, g_end) for ka in np.atleast_1d(self.ka)]
-        u_inst, v_inst = np.array(pairs).T
-        return (u_inst, v_inst) if np.ndim(self.ka) else (u_inst[0], v_inst[0])
+        return bogoliubov_pair(self.ka, g_end, dispersion(self.ka, g_end))
 
     def excitation_probability(self):
         """Overlap of the endpoint with the instantaneous excited state at t=T."""
@@ -119,25 +111,41 @@ def dispersion(ka, g):
     return val if val.ndim else float(val)
 
 
-def mode_coefficients(ka, g):
-    ka = float(_check_ka(ka))
-    g = float(_check_g(g))
-    alpha = 2.0 - 4.0 * g * np.cos(ka / 2.0) ** 2
-    beta = 2.0 * g * np.sin(ka)
-    return ModeCoefficients(alpha=float(alpha), beta=float(beta))
+def bogoliubov_pair(ka, g, energy):
+    """Instantaneous ground pair (u_k, v_k) of modes ``ka`` at couplings ``g``
+    and energies E = ``energy`` (``dispersion(ka, g)``); all three broadcast.
 
-
-def instantaneous_bogoliubov(ka, g):
-    """Phase-free Bogoliubov pair ((alpha+E)/norm, beta/norm) at fixed g."""
-    coeff = mode_coefficients(ka, g)
-    energy = dispersion(ka, g)
-    norm_sq = 2.0 * energy**2 + 2.0 * coeff.alpha * energy
-    if norm_sq < DEGENERATE_NORM_THRESHOLD**2 or np.sqrt(norm_sq) < DEGENERATE_NORM_THRESHOLD:
-        raise DegenerateNormalizationError(
-            f"normalization {np.sqrt(norm_sq):.3e} below threshold at ka={ka}, g={g}"
-        )
-    norm = np.sqrt(norm_sq)
-    return (coeff.alpha + energy) / norm, coeff.beta / norm
+    With alpha = 2 - 4g cos^2(ka/2), beta = 2g sin(ka), E^2 = alpha^2 + beta^2:
+    u = sqrt((E + alpha)/2E) >= 0 and v = sign(beta) sqrt((E - alpha)/2E), so
+    u^2 + v^2 = 1, 2E u v = beta and E (u^2 - v^2) = alpha.  The smaller of
+    E +- alpha cancels as alpha -> -E (g -> 1, ka -> 0) or alpha -> E (g -> 0),
+    but it is at most |beta|, as (E + alpha)(E - alpha) = beta^2.  So
+    u = max(E + alpha, |beta|)/R and |v| = max(E - alpha, |beta|)/R, with
+    R^2 = 2E(E + |alpha|), lose no digits.  The pair is undefined where E = 0
+    (g = 1/2, ka = 0); R below DEGENERATE_NORM_THRESHOLD raises
+    ``DegenerateNormalizationError``.
+    """
+    ka = np.asarray(ka, dtype=float)
+    sin_ka, cos_half = np.sin(ka), np.cos(ka / 2.0)
+    # in place: a fresh temporary per Filon block costs about as much as the operation filling it
+    shape = np.broadcast(ka, g, energy).shape
+    n_u = np.multiply(-4.0 * cos_half * cos_half, g, out=np.empty(shape))  # not ** 2: a scalar's is pow()
+    n_u += 2.0  # alpha
+    n_v = np.subtract(energy, n_u, out=np.empty(shape))
+    n_u += energy
+    scale = np.multiply(2.0 * np.abs(sin_ka), g, out=np.empty(shape))  # |beta|
+    np.maximum(n_u, scale, out=n_u)
+    np.maximum(n_v, scale, out=n_v)
+    np.maximum(n_u, n_v, out=scale)
+    scale *= energy  # R^2/2
+    if scale.min() < 0.5 * DEGENERATE_NORM_THRESHOLD**2:
+        raise DegenerateNormalizationError(f"E_k down to {np.min(energy):.3e}: no pair at E_k = 0")
+    np.divide(0.5, scale, out=scale)
+    np.sqrt(scale, out=scale)  # 1/R
+    n_u *= scale
+    n_v *= scale
+    n_v *= np.copysign(1.0, sin_ka)
+    return n_u, n_v
 
 
 def _default_steps(total_time):
@@ -150,7 +158,7 @@ def _propagate(ka, schedule, steps):
     times = gauss_legendre_times(schedule.T, steps)
     g_nodes = np.asarray(schedule.g_of(times), dtype=float)
     g_start = float(schedule.g_of(0.0))
-    u0, v0 = np.array([instantaneous_bogoliubov(k, g_start) for k in ka], dtype=complex).T
+    u0, v0 = bogoliubov_pair(ka, g_start, dispersion(ka, g_start))
     return magnus4_modes(g_nodes, ka, schedule.T / steps, u0, v0)
 
 
@@ -176,7 +184,7 @@ def _doubled(modes, schedule):
         return np.stack((u, v), axis=1)
 
     # the state has unit norm, so refine's relative difference is |du| + |dv|
-    pair, endpoint_error, _ = refine(eval_at, -(-cap >> doublings), ENDPOINT_TOL, cap, shrink=True)
+    pair, endpoint_error, _ = refine(eval_at, -(-cap >> doublings), ENDPOINT_TOL, cap)
     return pair[:, 0], pair[:, 1], norm_defect, endpoint_error, n_grid
 
 

@@ -1,14 +1,23 @@
 """First-order-response spectral excitation amplitudes for the Ising chain.
 
-Three decoherence channels (uniform transverse, nonuniform transverse,
-single-site longitudinal), each evaluated by direct oscillatory quadrature
-and by the asymptotic stationary-phase / phase-free-bound machinery, with
-frequency-regime classification and total-error assembly.
+Three decoherence channels, each written once, in the channel table
+``_channel_terms``, as terms whose envelopes are products of the
+instantaneous Bogoliubov pair (u_k, v_k) of ``ising.bogoliubov_pair``:
 
-The uniform channel couples the bath through lambda * sum_j S^x_j with
-S = sigma/2: its envelope 2g sin(ka)/E_k is half the element
-<pair k|sum_j sigma^x_j|0> that exact diagonalization gives, and the +-k
-pair is one final state (tests/test_channel_oracle.py).
+- uniform_x, lambda * sum_j S^x_j with S = sigma/2: one term,
+  2 u_k v_k = 2g sin(ka)/E_k at phase rate 2E_k.  It is half the element
+  <pair k|sum_j sigma^x_j|0> that exact diagonalization gives, and the
+  +-k pair is one final state (tests/test_channel_oracle.py).
+- nonuniform_x, a transverse coupling lambda_j S^x_j whose site profile
+  lambda_j is not written down yet: one term per pair (ka, kpa),
+  2 u_k v_k'/N at phase rate 2E_k.
+- single_site_z, lambda * sigma^z on one site: per unit coupling/sqrt(N),
+  a1 = i e^{-ika} v_k with no dynamical phase and a2 = e^{ika} u_k at
+  phase rate 2E_k.
+
+Each amplitude is evaluated by direct oscillatory quadrature, and bounded by
+the asymptotic stationary-phase / phase-free-bound machinery, with
+frequency-regime classification and total-error assembly.
 """
 
 from dataclasses import dataclass
@@ -20,7 +29,7 @@ from ._kernels import (
     nested_simpson, refine, stream_filon,
 )
 from .bath import integrate_abs
-from .ising import dispersion
+from .ising import bogoliubov_pair, dispersion
 from .schedules import make_schedule
 
 CHANNEL_KINDS = ("uniform_x", "nonuniform_x", "single_site_z")
@@ -110,13 +119,34 @@ def classify_regime(omega, ka):
     return "sub_gap"
 
 
-def _uniform_env(ka, g, energy):
-    """Real envelope 2*g*sin(ka)/E of the uniform channel at energy E."""
-    return 2.0 * g * np.sin(ka) / energy
+def _channel_terms(kind, kpa, n_spins, pair_gap_phase):
+    """The channel table: channel ``kind`` as the (factor, integrand) terms
+    of the module docstring.  A mode's amplitude per unit coupling is the sum
+    over them of factor(ka) * int_0^T env e^{i(phase - w t)} dt, where
+    (env, rate) = integrand(ka, g, E_k) at g = g(t), E_k = dispersion(ka, g),
+    and the phase integrates the rate (none where it is None).  ka and g
+    broadcast, so one call takes every mode on a (modes x nodes) grid.
+    2 u_k v_k is written as beta_k/E_k, its exact value; nonuniform_x pairs
+    ka with k' = ``kpa`` over N = ``n_spins``, at rate E_k + E_k' with
+    ``pair_gap_phase``.
+    """
+    if kind == "uniform_x":
+        return [(np.ones_like, lambda ka, g, e_k: (2.0 * g * np.sin(ka) / e_k, 2.0 * e_k))]
+    if kind == "nonuniform_x":
+
+        def pair(ka, g, e_k):
+            e_kp = dispersion(kpa, g)
+            env = 2.0 * bogoliubov_pair(ka, g, e_k)[0] * bogoliubov_pair(kpa, g, e_kp)[1] / n_spins
+            return env, e_k + e_kp if pair_gap_phase else 2.0 * e_k
+
+        return [(np.ones_like, pair)]
+    return [
+        (lambda ka: 1j * np.exp(-1j * ka), lambda ka, g, e_k: (bogoliubov_pair(ka, g, e_k)[1], None)),
+        (lambda ka: np.exp(1j * ka), lambda ka, g, e_k: (bogoliubov_pair(ka, g, e_k)[0], 2.0 * e_k)),
+    ]
 
 
-def _default_n0(schedule, omega):
-    return default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
+_UNIFORM_TERM = _channel_terms("uniform_x", None, None, False)[0]
 
 
 def _filon_refined(nodes, schedule, omega, rel_tol, n_max):
@@ -124,10 +154,17 @@ def _filon_refined(nodes, schedule, omega, rel_tol, n_max):
     ``stream_filon`` nodes closure ``nodes``, by Filon grid doubling;
     returns (value, error, converged)."""
 
-    def eval_at(n):
-        return stream_filon(schedule.T, n, -omega, nodes, filon_integral)
+    n0 = default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
+    (value,), (err,), (ok,) = refine(
+        lambda n, rows: np.array([stream_filon(schedule.T, n, -omega, nodes, filon_integral)])[rows],
+        n0, rel_tol, n_max)
+    return value.item(), err.item(), bool(ok)
 
-    return refine(eval_at, _default_n0(schedule, omega), rel_tol, n_max)
+
+def _filon_terms(kind, ka, kpa, n_spins, schedule, omega, pair_gap_phase, rel_tol, n_max):
+    """``_channel_integrals`` at frequency ``omega`` by ``_filon_refined``."""
+    return _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase,
+                              lambda nodes: _filon_refined(nodes, schedule, omega, rel_tol, n_max))
 
 
 def _evenly_spaced(grid, total_time):
@@ -162,8 +199,8 @@ def _fourier_on_grid(nodes, total_time, omegas):
             integrals[n] = linear_fourier(h, t[1], omegas)
         return integrals[n]
 
-    def richardson(n):
-        return (4.0 * integral(2 * n) - integral(n)) / 3.0
+    def richardson(n, rows):
+        return (4.0 * integral(2 * n)[rows] - integral(n)[rows]) / 3.0
 
     n0 = default_n0(total_time, 2.0 * _INITIAL_ENERGY)
     return refine(richardson, n0, _REL_TOL, _N_MAX // 2)
@@ -179,9 +216,9 @@ def _endpoint_correction(ka, omega, schedule, order):
     """
 
     def f_and_rate(g):
-        energy = dispersion(ka, g)
-        rate = 1j * (2.0 * energy - omega)
-        return _uniform_env(ka, g, energy) / rate, rate
+        env, phase_rate = _UNIFORM_TERM[1](ka, g, dispersion(ka, g))
+        rate = 1j * (phase_rate - omega)
+        return env / rate, rate
 
     total = 0.0 + 0.0j
     for t_end, sign in ((schedule.T, 1.0), (0.0, -1.0)):
@@ -210,9 +247,7 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX
     that carries the adiabatic suppression.
     """
 
-    ((factor, nodes),) = _channel_integrals("uniform_x", ka, ka, None, schedule)
-    value, err, ok = _filon_refined(nodes, schedule, omega, rel_tol, n_max)
-    value = factor * value
+    ((value, err, ok),) = _filon_terms("uniform_x", ka, ka, None, schedule, omega, False, rel_tol, n_max)
     if endpoint_order > 0:
         value = value - _endpoint_correction(ka, omega, schedule, endpoint_order)
     return AmplitudeResult(value=value, quad_error=err, converged=ok)
@@ -272,7 +307,7 @@ def _saddle_sum(omega, ka, schedule):
     for g_star in (g_minus, g_plus):
         t_star = schedule.invert(g_star)
         _, gdot = schedule.evaluate(t_star)
-        env = _uniform_env(ka, g_star, omega / 2.0)
+        env = _UNIFORM_TERM[1](ka, g_star, omega / 2.0)[0]
         # d(2E)/dt at the saddle; E' (in g) = 8*cos^2(ka/2)*(2g-1)/E
         ddphase = 2.0 * gdot * 8.0 * chalf * (2.0 * g_star - 1.0) / (omega / 2.0)
         phase = -omega * t_star + 2.0 * schedule.phase_integral(ka, t_star)
@@ -299,112 +334,79 @@ def amplitude_saddle_uniform(omega, ka, schedule):
     )
 
 
-def _phase_free_bounds(schedule, ka, envelope, n_points=_BOUND_FIRST):
-    """int_0^T envelope(ka, g, E_k) dt for every mode of the 1-d ``ka``, on
-    one t grid shared by all modes, by ``nested_simpson`` from a first grid
-    of ``n_points`` nodes.  Returns (values, relative errors, converged)."""
-    values, errors, ok = nested_simpson(
-        lambda u: np.asarray(schedule.g_of(u * schedule.T), dtype=float),
-        lambda rows, g: envelope(ka[rows, None], g, dispersion(ka[rows, None], g)),
-        ka.shape[0], n_points - 1,
-    )
-    return schedule.T * values, errors, ok
-
-
-def _near_gap_env(ka, g, energy):
-    """|2g sin(ka)/E_k| = 2g|sin(ka)|/E_k, the integrand of the near-gap bound."""
-    return np.abs(_uniform_env(ka, g, energy))
+def _phase_free_bounds(schedule, ka, terms, n_points=_BOUND_FIRST):
+    """The phase-free bound sum |factor(ka)| int_0^T |env| dt over the channel
+    ``terms`` for every mode of the 1-d ``ka``, each integral by
+    ``nested_simpson`` on t grids shared by all modes, the first of
+    ``n_points`` nodes: (values, relative errors, converged) arrays."""
+    values, errors, converged = 0.0, 0.0, True
+    for factor, integrand in terms:
+        integrals, err, ok = nested_simpson(
+            lambda u: np.asarray(schedule.g_of(u * schedule.T), dtype=float),
+            lambda rows, g: np.abs(integrand(ka[rows, None], g, dispersion(ka[rows, None], g))[0]),
+            ka.shape[0], n_points - 1,
+        )
+        values = values + np.abs(factor(ka)) * (schedule.T * integrals)
+        errors = np.maximum(errors, err)
+        converged = converged & ok
+    return values, errors, converged
 
 
 def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_FIRST):
     """Phase-free bound int_0^T 2*g|sin(ka)|/E_k dt, per unit coupling, with
     the relative half-grid difference of ``_phase_free_bounds`` as its
     ``quad_error``; ``n_points`` sets the first grid."""
-    value, err, ok = _phase_free_bounds(schedule, np.array([float(ka)]), _near_gap_env, n_points)
+    value, err, ok = _phase_free_bounds(schedule, np.array([float(ka)]), [_UNIFORM_TERM], n_points)
     return AmplitudeResult(value=complex(value[0]), quad_error=float(err[0]), converged=bool(ok[0]))
-
-
-def _pair_envelope(ka, g, energy):
-    """sqrt(1/2 + (1 - 2g cos^2(ka/2))/E_k), shared by the nonuniform and
-    bitflip integrands."""
-    return np.sqrt(0.5 + (1.0 - 2.0 * g * np.cos(ka / 2.0) ** 2) / energy)
-
-
-def _bogoliubov_norm(ka, g, energy):
-    alpha = 2.0 - 4.0 * g * np.cos(ka / 2.0) ** 2
-    return np.sqrt(2.0 * energy**2 + 2.0 * alpha * energy)
 
 
 def amplitude_direct_nonuniform(
     ka, kpa, omega, n_spins, schedule, rel_tol=_REL_TOL, n_max=_N_MAX, pair_gap_phase=False
 ):
-    """Quadrature of the nonuniform-channel pair amplitude, per unit coupling.
-
-    (1/N) * int dt [C_{k,k'}/norm_{k'}] * exp(i*(-w*t + phase)) with
-    C_{k,k'} = 4g sin(k'a) sqrt(1/2 + (1-2g cos^2(ka/2))/E_k).  The default
-    phase is 2*int E_k; ``pair_gap_phase`` switches to int (E_k + E_k'),
-    the alternative reading of the pair gap E_s0 = E_k + E_k'.
+    """Quadrature of the nonuniform-channel pair amplitude, per unit coupling:
+    int dt (2 u_k v_k'/N) exp(i*(-w*t + phase)).  The default phase is
+    2*int E_k; ``pair_gap_phase`` switches to int (E_k + E_k'), the
+    alternative reading of the pair gap E_s0 = E_k + E_k'.
     """
-
-    ((factor, nodes),) = _channel_integrals("nonuniform_x", ka, kpa, n_spins, schedule, pair_gap_phase)
-    value, err, ok = _filon_refined(nodes, schedule, omega, rel_tol, n_max)
-    return AmplitudeResult(value=factor * value, quad_error=err, converged=ok)
-
-
-def _a1_env(ka, g, energy):
-    """2g/norm_k, the envelope of the a1 integral of ``amplitude_bitflip``."""
-    return 2.0 * g / _bogoliubov_norm(ka, g, energy)
+    ((value, err, ok),) = _filon_terms(
+        "nonuniform_x", ka, kpa, n_spins, schedule, omega, pair_gap_phase, rel_tol, n_max
+    )
+    return AmplitudeResult(value=value, quad_error=err, converged=ok)
 
 
-def _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase=False):
-    """How the amplitude of channel ``kind`` splits into integrals: (factor,
-    nodes) pairs whose sum of factor * int_0^T env e^{i(phase - w t)} dt,
-    with (env, phase rate) = nodes(t) as ``stream_filon`` reads them, is the
-    amplitude per unit coupling.  uniform_x: one integral.  nonuniform_x:
-    one, of pair (ka, ``kpa``), its 1/N in the envelope.  single_site_z: a1
-    with no dynamical phase, then a2.
-    """
+def _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase, quadrature):
+    """Each term of ``_channel_terms`` at mode ka as (factor * integral, error,
+    converged), the integral by ``quadrature(nodes)``, nodes(t) giving the
+    term's integrand at the times t as ``stream_filon`` reads it."""
 
-    def nodes_of(env_and_rate):
+    def nodes_of(integrand):
         def nodes(t):
             g = np.asarray(schedule.g_of(t), dtype=float)
-            return env_and_rate(g, dispersion(ka, g))
+            return integrand(ka, g, dispersion(ka, g))
 
         return nodes
 
-    if kind == "uniform_x":
-        return [(1.0, nodes_of(lambda g, e_k: (_uniform_env(ka, g, e_k), 2.0 * e_k)))]
-    if kind == "nonuniform_x":
-
-        def pair(g, e_k):
-            e_kp = dispersion(kpa, g)
-            env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _bogoliubov_norm(kpa, g, e_kp)
-            return env / n_spins, e_k + e_kp if pair_gap_phase else 2.0 * e_k
-
-        return [(1.0, nodes_of(pair))]
     return [
-        (1j * np.exp(-1j * ka) * np.sin(ka), nodes_of(lambda g, e_k: (_a1_env(ka, g, e_k), None))),
-        (np.exp(1j * ka), nodes_of(lambda g, e_k: (_pair_envelope(ka, g, e_k), 2.0 * e_k))),
+        (factor(ka) * value, err, ok)
+        for factor, integrand in _channel_terms(kind, kpa, n_spins, pair_gap_phase)
+        for value, err, ok in [quadrature(nodes_of(integrand))]
     ]
 
 
 def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     """Single-site sigma_z channel amplitudes, per unit coupling/sqrt(N).
 
-    a1 = i e^{-i ka} sin(ka) * int Xi(t) e^{-i w t} dt carries no dynamical
-    phase; a2 = e^{i ka} * int sqrt(1/2 + (1-2g cos^2(ka/2))/E) e^{i(-wt +
-    2 int E)} dt.  ``a2_bound`` is the phase-free bound on |a2|, which grows
-    exactly linearly in T for schedules with fixed g-profile; its relative
-    half-grid difference is ``a2_bound_error``.  ``converged`` covers all
-    three certificates.
+    a1 = i e^{-i ka} * int v_k e^{-i w t} dt carries no dynamical phase;
+    a2 = e^{i ka} * int u_k e^{i(-wt + 2 int E)} dt.  ``a2_bound`` is the
+    phase-free bound on |a2|, which grows exactly linearly in T for
+    schedules with fixed g-profile; its relative half-grid difference is
+    ``a2_bound_error``.  ``converged`` covers all three certificates.
     """
-
-    (f1, a1_nodes), (f2, a2_nodes) = _channel_integrals("single_site_z", ka, ka, None, schedule)
-    raw1, err1, ok1 = _filon_refined(a1_nodes, schedule, omega, rel_tol, n_max)
-    raw2, err2, ok2 = _filon_refined(a2_nodes, schedule, omega, rel_tol, n_max)
-    a1 = f1 * raw1
-    a2 = f2 * raw2
-    bound, bound_err, ok3 = _phase_free_bounds(schedule, np.array([float(ka)]), _pair_envelope)
+    (a1, err1, ok1), (a2, err2, ok2) = _filon_terms(
+        "single_site_z", ka, ka, None, schedule, omega, False, rel_tol, n_max
+    )
+    a2_terms = _channel_terms("single_site_z", None, None, False)[1:]
+    bound, bound_err, ok3 = _phase_free_bounds(schedule, np.array([float(ka)]), a2_terms)
     return BitflipAmplitudes(
         a1=a1, a2=a2, a2_bound=float(bound[0]), a2_bound_error=float(bound_err[0]),
         quad_error=max(err1, err2), converged=ok1 and ok2 and bool(ok3[0]),
@@ -417,8 +419,8 @@ def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule, endpoint_order=
     arrays, an error the largest of its integrals' (``_channel_integrals``).
     ``endpoint_order`` (uniform_x alone) is ``amplitude_direct_uniform``'s.
     An evenly spaced grid with ``endpoint_order`` 0 takes ``_fourier_on_grid``
-    for all frequencies at once; any other grid one Filon grid-doubling run
-    per frequency, uniform_x rows through ``amplitude_direct_uniform``.
+    for all frequencies at once; any other grid ``_filon_terms`` per
+    frequency, uniform_x rows through ``amplitude_direct_uniform``.
     """
     if endpoint_order and kind != "uniform_x":
         raise ValueError(f"endpoint_order applies only to the uniform_x channel, not {kind!r}")
@@ -426,21 +428,21 @@ def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule, endpoint_order=
     values = np.zeros(m, dtype=complex)
     errors = np.zeros(m)
     converged = np.ones(m, dtype=bool)
-    all_omega = endpoint_order == 0 and _evenly_spaced(omegas, schedule.T)
-    if kind == "uniform_x" and not all_omega:
-        for i, omega in enumerate(omegas):
-            r = amplitude_direct_uniform(ka, omega, schedule, endpoint_order=endpoint_order)
-            values[i], errors[i], converged[i] = r.value, r.quad_error, r.converged
-        return values, errors, converged
-    for factor, nodes in _channel_integrals(kind, ka, kpa, n_spins, schedule):
-        if all_omega:
-            value, err, ok = _fourier_on_grid(nodes, schedule.T, omegas)
-        else:
-            runs = [_filon_refined(nodes, schedule, w, _REL_TOL, _N_MAX) for w in omegas]
-            value, err, ok = map(np.array, zip(*runs))
-        values += factor * value
-        np.maximum(errors, err, out=errors)
-        converged &= ok
+    if endpoint_order == 0 and _evenly_spaced(omegas, schedule.T):
+        runs = [(slice(None), _channel_integrals(
+            kind, ka, kpa, n_spins, schedule, False,
+            lambda nodes: _fourier_on_grid(nodes, schedule.T, omegas)))]
+    elif kind == "uniform_x":
+        results = [amplitude_direct_uniform(ka, w, schedule, endpoint_order=endpoint_order) for w in omegas]
+        runs = [(i, [(r.value, r.quad_error, r.converged)]) for i, r in enumerate(results)]
+    else:
+        runs = [(i, _filon_terms(kind, ka, kpa, n_spins, schedule, w, False, _REL_TOL, _N_MAX))
+                for i, w in enumerate(omegas)]
+    for i, terms in runs:
+        for value, err, ok in terms:
+            values[i] += value
+            errors[i] = np.maximum(errors[i], err)
+            converged[i] &= ok
     return values, errors, converged
 
 
@@ -475,64 +477,54 @@ def _uniform_regime_estimate(regime, ka, schedule, window):
     return float(np.max(np.abs(_saddle_sum(omegas, ka, schedule)[0])))
 
 
-def _certified_bounds(schedule, ka, envelope):
-    """``_phase_free_bounds`` of the modes ``ka``; raises ``QuadratureError``
-    if one is not certified."""
-    values, _, ok = _phase_free_bounds(schedule, ka, envelope)
-    if not ok.all():
-        raise QuadratureError(f"phase-free bound of mode ka={ka[~ok][0]} not certified")
-    return values
-
-
 def total_error(channel, schedule, spectral_function, n_spins):
     """Regime-resolved bound on the total excitation amplitude.
 
     Sum over modes and regimes of (regime amplitude estimate) * int_regime
-    |f| dw, scaled by the channel coupling.  Returns (total, breakdown)
-    where breakdown maps regime -> summed contribution.  The window
-    integrals and the phase-free bounds are certified to ``nested_simpson``'s
-    tolerance; one that is not raises ``QuadratureError``.
+    |f| dw, scaled by the channel coupling.  A mode's phase-free bound is
+    sum |factor| int |envelope| dt over its channel's terms
+    (``_phase_free_bounds``).  Returns (total, breakdown) where breakdown
+    maps regime -> summed contribution.  The window integrals and the
+    phase-free bounds are certified to ``nested_simpson``'s tolerance; one
+    that is not raises ``QuadratureError``.
     """
     if n_spins % 2 or n_spins < 2:
         raise ValueError(f"n_spins must be even and >= 2, got {n_spins}")
+    if channel.kind == "nonuniform_x":
+        raise NotImplementedError(
+            "total_error supports uniform_x and single_site_z; the nonuniform "
+            "channel is evaluated per pair via amplitude_direct_nonuniform"
+        )
     lam = channel.coupling
     breakdown = {r: 0.0 for r in REGIMES}
     ka_positive = (2 * np.arange(n_spins // 2) + 1) * np.pi / n_spins
+    terms = _channel_terms(channel.kind, None, n_spins, False)
+    mode_bound, _, ok = _phase_free_bounds(schedule, ka_positive, terms)
+    if not ok.all():
+        raise QuadratureError(f"phase-free bound of mode ka={ka_positive[~ok][0]} not certified")
 
     if channel.kind == "uniform_x":
         # modes share windows: the negative one [_OMEGA_FLOOR, 0] always, and
         # one mode's near_gap window can be another's intermediate window
-        windows, terms = {}, []
+        windows, regimes = {}, []
         for i, ka in enumerate(ka_positive):
             bounds = regime_bounds(ka)
             for regime in REGIMES:
                 lo, hi = getattr(bounds, regime)
                 lo = max(lo, _OMEGA_FLOOR)
                 if hi > lo:
-                    terms.append((i, regime, windows.setdefault((lo, hi), len(windows))))
+                    regimes.append((i, regime, windows.setdefault((lo, hi), len(windows))))
         window_list = list(windows)
         lows, highs = np.array(window_list).T
         weights = integrate_abs(spectral_function, lows, highs)[0]
-        mode_bound = _certified_bounds(schedule, ka_positive, _near_gap_env)
-        for i, regime, j in terms:
+        for i, regime, j in regimes:
             if weights[j] != 0.0:
                 amp = _uniform_regime_estimate(regime, ka_positive[i], schedule, window_list[j])
                 breakdown[regime] += lam * (mode_bound[i] if amp is None else amp) * weights[j]
-        total = sum(breakdown.values())
-        return total, breakdown
-
-    if channel.kind == "single_site_z":
-        # phase-free bound per single-particle mode; both momentum signs
+    else:
+        # single_site_z: every mode near the gap, over one window; each |ka|
+        # appears for both momentum signs
         weight = integrate_abs(spectral_function, _OMEGA_FLOOR, _INITIAL_ENERGY)[0]
-        b1 = np.abs(np.sin(ka_positive)) * _certified_bounds(schedule, ka_positive, _a1_env)
-        b2 = _certified_bounds(schedule, ka_positive, _pair_envelope)
-        for ka_b1, ka_b2 in zip(b1, b2):
-            # each |ka| appears for both momentum signs
-            breakdown["near_gap"] += 2.0 * lam / np.sqrt(n_spins) * (ka_b1 + ka_b2) * weight
-        total = sum(breakdown.values())
-        return total, breakdown
-
-    raise NotImplementedError(
-        "total_error supports uniform_x and single_site_z; the nonuniform "
-        "channel is evaluated per pair via amplitude_direct_nonuniform"
-    )
+        for bound in mode_bound:
+            breakdown["near_gap"] += 2.0 * lam / np.sqrt(n_spins) * bound * weight
+    return sum(breakdown.values()), breakdown

@@ -98,12 +98,12 @@ def test_arpack_use_outside_is_reported():
 
 
 # what a response row may not be computed from outside ``response``: the
-# per-frequency amplitudes and the helpers that split a channel and pick
-# the quadrature path
+# per-frequency amplitudes, the channel table and the helpers that split a
+# channel and pick the quadrature path
 _BEHIND_THE_GRID = {
     "amplitude_direct_uniform", "amplitude_direct_nonuniform", "amplitude_bitflip",
-    "amplitude_saddle_uniform", "_channel_integrals", "_filon_refined", "_fourier_on_grid",
-    "_evenly_spaced",
+    "amplitude_saddle_uniform", "_channel_terms", "_channel_integrals", "_filon_refined",
+    "_filon_terms", "_fourier_on_grid", "_evenly_spaced",
 }
 
 

@@ -1,7 +1,7 @@
 """Channel matrix elements against exact diagonalization.
 
-The closed-form envelopes that ``response._channel_integrals`` hands to the
-quadrature carry the overall factor of every amplitude, which the energy
+The closed-form envelopes of the channel table ``response._channel_terms``
+carry the overall factor of every amplitude, which the energy
 and scaling criteria cannot see.  Here the eigenvectors of
 ``SpinHamiltonian.matrix`` fix that factor for the Ising ring, and those of
 ``exact._grover_solve`` fix it for Grover's ``grover.projector_element``.
@@ -10,7 +10,7 @@ and scaling criteria cannot see.  Here the eigenvectors of
 import numpy as np
 import pytest
 
-from qptsweep import exact, grover, ising, response
+from qptsweep import exact, grover, ising
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -35,7 +35,7 @@ def test_uniform_x_envelope_is_half_the_sigma_x_pair_element(n, g):
     assert set(pair_of) == set(range(len(ka)))
     # summed over each pair energy's eigenspace, so a degenerate level is split any way
     element = np.sqrt(np.bincount(pair_of, weights=overlaps[reached] ** 2, minlength=len(ka)))
-    envelope = np.abs(response._uniform_env(ka, g, e_k))
+    envelope = np.abs(2.0 * g * np.sin(ka) / e_k)  # 2 u_k v_k
     np.testing.assert_allclose(element, 2.0 * envelope, rtol=0, atol=1e-10)
 
 

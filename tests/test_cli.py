@@ -400,15 +400,49 @@ def test_json_mirror_roundtrip(tmp_path):
     ("ed", {"model": "ising_ring", "n_list": [6], "g_grid": [0.5], "m": 2.5}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_z", "omega_grid": [0.5]}),
     ("scaling", {"study": "mixed_gap", "n_list": [58, 60, 62], "coarse_points": 9}),
+    # a scalar where a list is required
+    ("ed", {"model": "ising_ring", "n_list": 5}),
+    ("sweep", {"n_spins": 16, "T_list": 20}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+                  "ka_list": 0.2}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": 5}),
+    # a key the run does not read
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+                  "coupling": 0.5}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "single_site_z", "omega_grid": [0.5],
+                  "kpa": 0.5}),
+    ("sweep", {"n_spins": 16, "T_list": [20.0], "g_frozen": 0.5}),
+    ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64], "coarse_points": 9}),
+    ("grover", {"n_list": [4], "T": 50.0,
+                "bath": {"kind": "dirac_comb", "omega0": [0.5], "weight": [1.0], "beta": 1.0}}),
 ], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
-        "response_unknown_channel", "mixed_gap_n_above_60"])
+        "response_unknown_channel", "mixed_gap_n_above_60", "ed_scalar_n_list",
+        "sweep_scalar_T_list", "response_scalar_ka_list", "grover_scalar_bath",
+        "response_unread_coupling", "response_kpa_without_nonuniform_x",
+        "sweep_g_frozen_without_frozen", "gap_law_unread_coarse_points", "grover_unread_bath_key"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand,doc,computes", [
+    ("sweep", {"n_spins": 16, "T_list": [20.0, 20], "g_frozen": 0.5}, (ising, "integrate_bogoliubov")),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+                  "ka_list": [0.2, 0.4], "kpa": 0.6}, (response, "amplitudes_on_grid")),
+    ("grover", {"n_list": [4], "T": 50.0, "coupling": 0.01, "bath": 5}, (grover, "error_estimate")),
+], ids=["sweep", "response", "grover"])
+def test_config_is_checked_before_any_computation(tmp_path, monkeypatch, subcommand, doc, computes):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the config was checked")
+
+    monkeypatch.setattr(*computes, computed)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
 def test_threads_flag_accepted_and_ignored(tmp_path):
@@ -470,7 +504,9 @@ def test_bitflip_nonconverged_rows_exit_2(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "c.json", {
         "n_spins": 8, "T": 50.0, "channel": "single_site_z", "omega_grid": [0.3, 0.5],
     })
-    monkeypatch.setattr(response, "refine", lambda *args: (0j, 1.0, False))
+    monkeypatch.setattr(
+        response, "refine", lambda *args: (np.zeros(1, dtype=complex), np.ones(1), np.zeros(1, dtype=bool))
+    )
     assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     with open(tmp_path / "out" / "response.csv") as fh:
         rows = list(csv.DictReader(fh))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -32,6 +32,10 @@ def test_dispersion_known_values():
     assert ising.dispersion(np.pi, 0.5) == pytest.approx(2.0)
 
 
+def _alpha_beta(ka, g):
+    return 2.0 - 4.0 * g * np.cos(ka / 2.0) ** 2, 2.0 * g * np.sin(ka)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     ka=st.floats(min_value=-np.pi, max_value=np.pi),
@@ -39,26 +43,60 @@ def test_dispersion_known_values():
 )
 def test_dispersion_identity_alpha_beta(ka, g):
     # alpha^2 + beta^2 = E^2 everywhere on the domain
-    coeff = ising.mode_coefficients(ka, g)
+    alpha, beta = _alpha_beta(ka, g)
     energy = ising.dispersion(ka, g)
-    assert coeff.alpha**2 + coeff.beta**2 == pytest.approx(energy**2, abs=1e-10)
+    assert alpha**2 + beta**2 == pytest.approx(energy**2, abs=1e-10)
     assert 0.0 <= energy <= 2.0 + 1e-12
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    ka=st.floats(min_value=0.05, max_value=3.0),
-    g=st.floats(min_value=0.0, max_value=1.0),
+_MODE = st.tuples(
+    st.floats(min_value=0.0, max_value=np.pi, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0),
 )
-def test_instantaneous_bogoliubov_normalized(ka, g):
-    u, v = ising.instantaneous_bogoliubov(ka, g)
-    assert u**2 + v**2 == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(modes=st.lists(_MODE, min_size=1, max_size=8))
+@example(modes=[(np.pi / 1024, 1.0)])
+def test_bogoliubov_pair_identities(modes):
+    # at the energy E = |alpha + i beta| of each (ka, g), the pair is the
+    # rotation that diagonalizes alpha sz + beta sx: u^2 + v^2 = 1,
+    # 2E u v = beta and E (u^2 - v^2) = alpha, with u >= 0; g = 1 at small
+    # ka is alpha -> -E, where u^2 = (E + alpha)/2E cancels
+    ka, g = np.array(modes).T
+    alpha, beta = _alpha_beta(ka, g)
+    energy = np.hypot(alpha, beta)
+    degenerate = np.sqrt(2.0 * energy * (energy + np.abs(alpha))) < ising.DEGENERATE_NORM_THRESHOLD
+    for k, gg, e in zip(ka[degenerate], g[degenerate], energy[degenerate]):
+        with pytest.raises(ising.DegenerateNormalizationError):
+            ising.bogoliubov_pair(k, gg, e)
+    ka, g, alpha, beta, energy = (x[~degenerate] for x in (ka, g, alpha, beta, energy))
+    if not ka.size:
+        return
+    u, v = ising.bogoliubov_pair(ka, g, energy)
+    assert np.all(u >= 0.0)
+    np.testing.assert_allclose(u**2 + v**2, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(2.0 * energy * u * v, beta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(energy * (u**2 - v**2), alpha, rtol=0, atol=1e-12)
+    # an array call is the per-element calls, bit for bit
+    single = np.array([ising.bogoliubov_pair(*x) for x in zip(ka, g, energy)], dtype=float)
+    assert single[:, 0].tobytes() == u.tobytes() and single[:, 1].tobytes() == v.tobytes()
+
+
+def test_bogoliubov_pair_broadcasts_modes_against_couplings():
+    ka = np.pi * np.arange(1, 16, 2)[:, None] / 16
+    g = np.linspace(0.0, 1.0, 11)
+    u, v = ising.bogoliubov_pair(ka, g, ising.dispersion(ka, g))
+    assert u.shape == v.shape == (8, 11)
+    for i in range(8):
+        row = ising.bogoliubov_pair(ka[i, 0], g, ising.dispersion(ka[i, 0], g))
+        assert row[0].tobytes() == u[i].tobytes() and row[1].tobytes() == v[i].tobytes()
 
 
 def test_degenerate_normalization_raises():
     # at g=1/2 and ka -> 0 the quasi-particle branch touches zero
     with pytest.raises(ising.DegenerateNormalizationError):
-        ising.instantaneous_bogoliubov(1e-12, 0.5)
+        ising.bogoliubov_pair(1e-12, 0.5, ising.dispersion(1e-12, 0.5))
 
 
 def test_ground_energy_closed_form_n2():

@@ -422,15 +422,20 @@ def test_cumulative_simpson_monotone_for_positive(n):
     assert np.all(np.diff(out) > 0.0)
 
 
+def _one(f):
+    """A scalar sequence f(n) as one element, in ``refine``'s convention."""
+    return lambda n, rows: np.array([f(n)])[rows]
+
+
 def test_refine_converges_on_settling_sequence():
     # 1 + 1/n: successive values differ by about 1/(2n) relative, first below 1e-3 at 512 -> 1024
     grids = []
 
-    def eval_at(n):
+    def f(n):
         grids.append(n)
         return 1.0 + 1.0 / n
 
-    value, err, ok = refine(eval_at, 16, 1e-3, 2**21)
+    (value,), (err,), (ok,) = refine(_one(f), 16, 1e-3, 2**21)
     assert ok
     assert grids == [16, 32, 64, 128, 256, 512, 1024]
     assert value == 1.0 + 1.0 / 1024
@@ -440,22 +445,23 @@ def test_refine_converges_on_settling_sequence():
 def test_refine_reports_nonconvergence_at_n_max():
     grids = []
 
-    def eval_at(n):
+    def f(n):
         grids.append(n)
         return float(n)
 
-    value, err, ok = refine(eval_at, 4, 1e-3, 64)
-    assert not ok
+    value, err, ok = refine(_one(f), 4, 1e-3, 64)
+    assert not ok[0]
     assert grids == [4, 8, 16, 32, 64]
     # the last value comes back, with its last relative difference as the error
-    assert (value, err) == (64.0, (64.0 - 32.0) / 64.0)
+    assert (value.tolist(), err.tolist()) == ([64.0], [(64.0 - 32.0) / 64.0])
     # with no doubling there is no difference to report
-    assert refine(eval_at, 128, 1e-3, 64) == (128.0, math.inf, False)
+    value, err, ok = refine(_one(f), 128, 1e-3, 64)
+    assert (value.tolist(), err.tolist(), ok.tolist()) == ([128.0], [math.inf], [False])
 
 
 def test_refine_accepts_values_below_roundoff_floor():
     vals = iter([3e-14, -4e-14])
-    value, err, ok = refine(lambda n: next(vals), 8, 1e-6, 2**10)
+    (value,), (err,), (ok,) = refine(_one(lambda n: next(vals)), 8, 1e-6, 2**10)
     assert ok and value == -4e-14
     assert err == pytest.approx(7e-14 / 1e-13)
 
@@ -468,29 +474,33 @@ def test_refine_converges_each_element_on_its_own():
     # a constant settles at the first doubling, 1 + 1/n at 512 -> 1024 and
     # 1 + 64/n at 32768 -> 65536; n itself never does
     sequences = [lambda n: 2.0, lambda n: 1.0 + 1.0 / n, lambda n: 1.0 + 64.0 / n, float]
-    grids = []
+    calls = []
 
-    def eval_at(n):
-        grids.append(n)
-        return np.array([f(n) for f in sequences])
+    def eval_at(n, rows):
+        rows = np.arange(len(sequences))[rows]
+        calls.append((n, rows.tolist()))
+        return np.array([sequences[r](n) for r in rows])
 
     value, err, ok = refine(eval_at, 16, 1e-3, 2**17)
-    assert grids == [16 * 2**k for k in range(14)]
+    assert [n for n, _ in calls] == [16 * 2**k for k in range(14)]
     assert ok.tolist() == [True, True, True, False]
     assert value.tolist()[:3] == [2.0, 1.0 + 1.0 / 1024, 1.0 + 64.0 / 65536]
-    # each element gets exactly what a scalar run on it alone gets
+    # a converged element is not evaluated again
+    assert calls[1] == (32, [0, 1, 2, 3]) and calls[2] == (64, [1, 2, 3])
+    assert calls[-1] == (2**17, [3])
+    # each element gets exactly what a run on it alone gets
     for f, v, e, c in zip(sequences, value.tolist(), err.tolist(), ok.tolist()):
-        assert refine(f, 16, 1e-3, 2**17) == (v, e, c)
+        assert [x.tolist() for x in refine(_one(f), 16, 1e-3, 2**17)] == [[v], [e], [c]]
     # once every element has converged the doubling stops
-    grids.clear()
+    calls.clear()
     sequences.pop()
     assert refine(eval_at, 16, 1e-3, 2**17)[2].all()
-    assert grids[-1] == 65536
+    assert calls[-1][0] == 65536
 
 
 def test_refine_converges_elements_with_components():
-    # with shrink, axes after the first hold an element's components: its
-    # difference is summed over them, relative to their Euclidean norm
+    # axes after the first hold an element's components: its difference is
+    # summed over them, relative to their Euclidean norm
     calls = []
 
     def eval_at(n, rows):
@@ -500,7 +510,7 @@ def test_refine_converges_elements_with_components():
         # sums to 7 * 2^r / n, its norm is 5 * (1 + 2^r / n)
         return np.array([3.0, 4.0]) * (1.0 + 2.0 ** rows[:, None] / n)
 
-    value, err, ok = refine(eval_at, 8, 1e-3, 2**14, shrink=True)
+    value, err, ok = refine(eval_at, 8, 1e-3, 2**14)
     assert value.shape == (3, 2) and err.shape == ok.shape == (3,)
     assert ok.all()
     # 1.4 * 2^r / n < 1e-3 first at n = 2048 * 2^r

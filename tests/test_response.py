@@ -284,3 +284,59 @@ def test_all_omega_amplitudes_match_per_omega_filon(kind, schedule_kind):
         want, want_err = _filon_oracle(kind, ka, kpa, omega, n_spins, sched)
         # each certificate bounds the relative error of its own value
         assert abs(value - want) <= (err + want_err) * abs(want)
+
+
+# The channel terms in the closed forms they had before the channel table,
+# as the oracle: factor * envelope and the phase rate of every term
+def _alpha(ka, g):
+    return 2.0 - 4.0 * g * np.cos(ka / 2.0) ** 2
+
+
+def _pair_envelope(ka, g, e_k):
+    return np.sqrt(0.5 + (1.0 - 2.0 * g * np.cos(ka / 2.0) ** 2) / e_k)
+
+
+def _norm(ka, g, e_k):
+    return np.sqrt(2.0 * e_k**2 + 2.0 * _alpha(ka, g) * e_k)
+
+
+def _oracle_terms(kind, ka, kpa, n_spins, g, e_k):
+    if kind == "uniform_x":
+        return [(2.0 * g * np.sin(ka) / e_k, 2.0 * e_k)]
+    if kind == "nonuniform_x":
+        e_kp = dispersion(kpa, g)
+        env = 4.0 * g * np.sin(kpa) * _pair_envelope(ka, g, e_k) / _norm(kpa, g, e_kp) / n_spins
+        return [(env, 2.0 * e_k)]
+    return [
+        (1j * np.exp(-1j * ka) * np.sin(ka) * 2.0 * g / _norm(ka, g, e_k), None),
+        (np.exp(1j * ka) * _pair_envelope(ka, g, e_k), 2.0 * e_k),
+    ]
+
+
+@pytest.mark.parametrize("kind", response.CHANNEL_KINDS)
+def test_channel_table_matches_the_closed_forms(kind):
+    # every mode of N = 1024 against every coupling in one call, the modes
+    # on the first axis; g -> 1 at small ka is alpha -> -E, where the closed
+    # forms of u_k and of 2g/norm lose digits that the table keeps
+    n_spins, kpa = 1024, 3 * np.pi / 1024
+    ka = (2 * np.arange(n_spins // 2) + 1)[:, None] * np.pi / n_spins
+    g = np.concatenate([np.linspace(0.0, 1.0, 201), 1.0 - np.logspace(-12, -2, 11)])
+    e_k = dispersion(ka, g)
+    terms = response._channel_terms(kind, kpa, n_spins, False)
+    oracle = _oracle_terms(kind, ka, kpa, n_spins, g, e_k)
+    assert len(terms) == len(oracle)
+    for (factor, integrand), (want, want_rate) in zip(terms, oracle):
+        env, rate = integrand(ka, g, e_k)
+        assert env.shape == (n_spins // 2, g.size)
+        np.testing.assert_allclose(factor(ka) * env, want, rtol=1e-9, atol=0)
+        if want_rate is None:
+            assert rate is None
+        else:
+            assert rate.tobytes() == want_rate.tobytes()
+
+
+def test_channel_table_pair_gap_phase_rate():
+    ka, kpa, g = np.pi / 64, 3 * np.pi / 64, np.linspace(0.0, 1.0, 33)
+    e_k = dispersion(ka, g)
+    ((_, integrand),) = response._channel_terms("nonuniform_x", kpa, 64, True)
+    assert integrand(ka, g, e_k)[1].tobytes() == (e_k + dispersion(kpa, g)).tobytes()

@@ -13,7 +13,7 @@ import pytest
 
 from qptsweep import grover, response, schedules
 from qptsweep._kernels import _QUAD_BLOCK, cumulative_simpson_uniform, filon_integral
-from qptsweep.ising import dispersion
+from qptsweep.ising import bogoliubov_pair, dispersion
 
 GRID_SIZES = [4096, _QUAD_BLOCK, _QUAD_BLOCK + 1, 3 * _QUAD_BLOCK + 517]
 SCHEDULES = [("linear", None), ("gap_adapted", 64)]
@@ -38,24 +38,24 @@ def oracle_nonuniform(ka, kpa, omega, n_spins, schedule, n, pair_gap_phase):
     g = np.asarray(schedule.g_of(t), dtype=float)
     e_k = dispersion(np.full(n + 1, float(ka)), g)
     e_kp = dispersion(np.full(n + 1, float(kpa)), g)
-    env = (4.0 * g * np.sin(kpa) * response._pair_envelope(ka, g, e_k)
-           / response._bogoliubov_norm(kpa, g, e_kp))
+    # 2 u_k v_k'/N
+    env = 2.0 * bogoliubov_pair(ka, g, e_k)[0] * bogoliubov_pair(kpa, g, e_kp)[1] / n_spins
     gap = e_k + e_kp if pair_gap_phase else 2.0 * e_k
     phase = -omega * t + cumulative_simpson_uniform(gap, t[1] - t[0])
-    return filon_integral(env, phase, t[1] - t[0]) / n_spins, env / n_spins, t[1] - t[0]
+    return filon_integral(env, phase, t[1] - t[0]), env, t[1] - t[0]
 
 
 def oracle_bitflip_a1(ka, omega, schedule, n):
     t = np.linspace(0.0, schedule.T, n + 1)
     g = np.asarray(schedule.g_of(t), dtype=float)
     energy = dispersion(np.full(n + 1, float(ka)), g)
-    env = 2.0 * g / response._bogoliubov_norm(ka, g, energy)
+    env = bogoliubov_pair(ka, g, energy)[1]  # v_k
     return filon_integral(env, -omega * t, t[1] - t[0]), env, t[1] - t[0]
 
 
 def oracle_bitflip_a2(ka, omega, schedule, n):
     t, g, energy, phase = _time_grid(schedule, ka, omega, n)
-    env = response._pair_envelope(ka, g, energy)
+    env = bogoliubov_pair(ka, g, energy)[0]  # u_k
     return filon_integral(env, phase, t[1] - t[0]), env, t[1] - t[0]
 
 
@@ -69,12 +69,13 @@ def oracle_grover(params, omega, n):
 
 
 def grid_evaluations(monkeypatch, module, call):
-    """The eval_at(n) closures that ``call`` hands to ``module.refine``."""
+    """The evaluations on n intervals that ``call`` hands to ``module.refine``,
+    each as a function of n alone (its one element)."""
     seen = []
 
     def capture(eval_at, n0, rel_tol, n_max):
-        seen.append(eval_at)
-        return 0j, 0.0, True
+        seen.append(lambda n: eval_at(n, slice(None))[0])
+        return np.zeros(1, dtype=complex), np.zeros(1), np.ones(1, dtype=bool)
 
     monkeypatch.setattr(module, "refine", capture)
     call()

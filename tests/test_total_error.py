@@ -16,6 +16,21 @@ from qptsweep._kernels import _ABS_FLOOR
 SCHEDULES = ("linear", "gap_adapted", "gap_squared_adapted")
 
 
+# the phase-free integrands in their closed forms: |2 u_k v_k| = 2g|sin(ka)|/E,
+# v_k/sin(ka) = 2g/sqrt(2E^2 + 2 alpha E) and u_k = sqrt(1/2 + alpha/2E)
+def near_gap_env(ka, g, energy):
+    return np.abs(2.0 * g * np.sin(ka) / energy)
+
+
+def a1_env(ka, g, energy):
+    alpha = 2.0 - 4.0 * g * np.cos(ka / 2.0) ** 2
+    return 2.0 * g / np.sqrt(2.0 * energy**2 + 2.0 * alpha * energy)
+
+
+def pair_env(ka, g, energy):
+    return np.sqrt(0.5 + (1.0 - 2.0 * g * np.cos(ka / 2.0) ** 2) / energy)
+
+
 @functools.lru_cache(maxsize=None)
 def _window(sf_key, lo, hi, n_points):
     return fixed_window(BATHS[sf_key](), lo, hi, n_points)
@@ -33,8 +48,8 @@ def _oracle_total(channel, schedule, sf_key, n_spins, bound_points, window_point
     if channel.kind == "single_site_z":
         weight = _window(sf_key, -2.0, 2.0, window_points)
         for ka in ka_positive:
-            b1 = abs(np.sin(ka)) * fixed_bound(ka, response._a1_env, grid)
-            b2 = fixed_bound(ka, response._pair_envelope, grid)
+            b1 = abs(np.sin(ka)) * fixed_bound(ka, a1_env, grid)
+            b2 = fixed_bound(ka, pair_env, grid)
             total += 2.0 * lam / np.sqrt(n_spins) * (b1 + b2) * weight
         return total
     T = schedule.T
@@ -64,7 +79,7 @@ def _oracle_total(channel, schedule, sf_key, n_spins, bound_points, window_point
                             continue
                         amp, used_saddle = max(amp, res.modulus), True
                 if not used_saddle:
-                    amp = fixed_bound(ka, response._near_gap_env, grid)
+                    amp = fixed_bound(ka, near_gap_env, grid)
             total += lam * amp * weight
     return total
 
@@ -164,8 +179,8 @@ def test_phase_free_bounds_lie_within_their_certificate(ka, T, kind, n_spins):
         flip = response.amplitude_bitflip(ka, 0.5, sched)
         n_flip = finest[0]
     cases = [
-        (near.modulus, near.quad_error, near.converged, response._near_gap_env, n_near),
-        (flip.a2_bound, flip.a2_bound_error, flip.converged, response._pair_envelope, n_flip),
+        (near.modulus, near.quad_error, near.converged, near_gap_env, n_near),
+        (flip.a2_bound, flip.a2_bound_error, flip.converged, pair_env, n_flip),
     ]
     for value, err, ok, envelope, n in cases:
         assert ok
