@@ -1,7 +1,8 @@
 """Hot numeric kernels: oscillatory quadrature and the two-level mode propagators.
 
 Every kernel is plain numpy.  ``stream_filon`` evaluates an oscillatory
-amplitude block by block on a uniform grid, one frequency per call;
+amplitude block by block on a uniform grid, one frequency per call, and
+``filon_refined`` certifies every such amplitude, of any model, by ``refine``;
 ``linear_fourier`` evaluates one at every frequency of an evenly spaced
 grid at once, through the chirp-z transform ``chirp_z``; ``nested_simpson``
 integrates many smooth integrands at once, each certified by grid doubling;
@@ -23,8 +24,8 @@ _ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
 # fit in a 2 MB L2 cache, a whole grid of 1e5-1e6 nodes does not.  Blocks of
 # 2048-16384 segments measured the same.
 _QUAD_BLOCK = 8192
-# The certified rule of ``nested_simpson``: grid doubling until the half-grid
-# difference is below _NESTED_TOL, relative, up to _NESTED_N_MAX intervals.
+# ``nested_simpson`` doubles grids until two successive half-grid differences
+# are below _NESTED_TOL, relative, up to _NESTED_N_MAX intervals.
 _NESTED_TOL = 1e-9
 _NESTED_N_MAX = 2**21
 # ``nested_simpson`` samples at most this many values at a time (64 kB of
@@ -232,6 +233,17 @@ def refine(eval_at, n0, rel_tol, n_max):
         done[rows] = (rel < rel_tol) | ((size < _ABS_FLOOR) & (diff < _ABS_FLOOR))
         value[rows] = cur
     return value, err, done
+
+
+def filon_refined(nodes, total_time, omega, rate_bound, filon, rel_tol, n_max):
+    """int_0^T env e^{i(phase - w t)} dt at w = ``omega`` by ``refine`` over
+    ``stream_filon(..., nodes, filon)``, from ``default_n0`` at |w| +
+    ``rate_bound`` (a bound on the rate of ``nodes``): (value, error, converged)."""
+    n0 = default_n0(total_time, abs(omega) + rate_bound)
+    (value,), (err,), (ok,) = refine(
+        lambda n, rows: np.array([stream_filon(total_time, n, -omega, nodes, filon)])[rows],
+        n0, rel_tol, n_max)
+    return value.item(), err.item(), bool(ok)
 
 
 def chirp_z(x, theta0, dtheta, m):
@@ -508,19 +520,22 @@ def nested_simpson(grid, integrand, count, n0):
     ``grid(u)`` returns what every integrand needs at the nodes u (say g(t)
     of a schedule), and ``integrand(rows, x)`` the values there of the
     integrands ``rows``, shape (len(rows), len(x)).  The first grid has n0
-    intervals, rounded up to even.  Each integral is kept as three sums, of
-    its two end samples, of its interior samples and of its samples at odd
-    nodes, for the rule is h/3 (ends + 2 interior + 2 odd).  Grid 2n samples
-    only its new, odd nodes, so the difference from grid n, which ``refine``
-    takes as the certificate, costs no evaluations.  Each integral stops on its own,
-    below ``_NESTED_TOL`` relative or below the absolute floor of an
-    integral that vanishes, and is not sampled again.  Samples are taken in
-    blocks of about ``_NESTED_BLOCK`` values, long grids in blocks of nodes.
-    Returns (values, errors, converged), arrays of length ``count``.
+    intervals, rounded up to a multiple of 4.  Each integral is kept as three
+    sums, of its two end samples, of its interior samples and of its samples
+    at odd nodes, for the rule is h/3 (ends + 2 interior + 2 odd); grid 2n
+    samples only its new, odd nodes.  One agreement of two grids can be a
+    coincidence (Lyness, SIAM Rev. 25, 1983), so ``refine`` gets the pair
+    (S_n, S_n/2) of rules, S_n/2 on the first grid from its even nodes: an
+    integral stops, and reports S_2n, once S_2n - S_n and S_n - S_n/2 are
+    both below ``_NESTED_TOL`` relative (or the absolute floor of one that
+    vanishes), and is not sampled again.  Samples are taken in blocks of
+    about ``_NESTED_BLOCK`` values, long grids in blocks of nodes.  Returns
+    (values, errors, converged), arrays of length ``count``.
     """
     ends = np.zeros(count)
     interior = np.zeros(count)
     odd = np.zeros(count)
+    rule = np.zeros(count)  # S_n of the last grid each integral was sampled on
 
     def eval_at(n, rows):
         first = isinstance(rows, slice)
@@ -530,7 +545,8 @@ def nested_simpson(grid, integrand, count, n0):
         if first:
             ends[:] = 0.0
             odd[:] = 0.0
-        # blocks start at even nodes, so u[start + 1::2] are odd nodes
+            half_odd = np.zeros(count)  # the odd nodes of grid n/2, 2 mod 4 here
+        # blocks start at nodes 0 mod 4, so u[start + 1::2] are odd nodes
         for start in range(0, u.shape[0], _NESTED_BLOCK):
             x = grid(u[start:start + _NESTED_BLOCK])
             step = _NESTED_BLOCK // min(_NESTED_BLOCK, u.shape[0] - start)
@@ -540,15 +556,20 @@ def nested_simpson(grid, integrand, count, n0):
                 total[a:a + step] += vals.sum(axis=1)
                 if first:
                     odd[r] += vals[:, 1::2].sum(axis=1)
+                    half_odd[r] += vals[:, 2::4].sum(axis=1)
                     if start == 0:
                         ends[r] += vals[:, 0]
                     if start + _NESTED_BLOCK >= u.shape[0]:
                         ends[r] += vals[:, -1]
         if first:
             interior[:] = total - ends
+            half = (ends + 2.0 * (interior - odd) + 2.0 * half_odd) / (1.5 * n)
         else:
+            half = rule[rows]
             odd[rows] = total
             interior[rows] += total
-        return (ends[rows] + 2.0 * interior[rows] + 2.0 * odd[rows]) / (3.0 * n)
+        rule[rows] = (ends[rows] + 2.0 * interior[rows] + 2.0 * odd[rows]) / (3.0 * n)
+        return np.stack((rule[rows], half), axis=1)
 
-    return refine(eval_at, n0 + n0 % 2, _NESTED_TOL, _NESTED_N_MAX)
+    values, errors, converged = refine(eval_at, n0 + (-n0) % 4, _NESTED_TOL, _NESTED_N_MAX)
+    return values[:, 0], errors, converged

@@ -1,7 +1,8 @@
 """Effective two-level treatment of the adiabatic search algorithm.
 
 Closed-form gap, and the weak-coupling excitation-error quadrature plus its
-order-of-magnitude estimate.
+order-of-magnitude estimate.  Each amplitude is certified by the grid doubling
+of the Ising amplitudes, ``_kernels.filon_refined``, at -omega (see amplitude_omega).
 
 The bath couples through lambda * |w><w|, the marked-state projector, not
 through sum_j sigma^x_j (``projector_element``).
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import QuadratureError, default_n0, filon_integral, refine, stream_filon
+from ._kernels import QuadratureError, filon_integral, filon_refined
 # unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
 from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .bath import SpectralFunction, evaluate as bath_evaluate
@@ -67,22 +68,18 @@ def projector_element(g, dim):
     return -(1.0 - g) / (np.sqrt(dim) * gap), gap
 
 
-def _amplitude_fixed_grid(params, omega, n):
+def amplitude_omega(params, omega, rel_tol=1e-4, n_max=2**21):
+    """int_0^T element e^{i(int gap + w t)} dt at w = ``omega`` (the gap is at
+    most 1), certified by ``filon_refined``: (value, error)."""
+
     def nodes(t):
         return projector_element(np.asarray(params.schedule.g_of(t), dtype=float), params.dim)
 
-    return stream_filon(params.schedule.T, n, omega, nodes, filon_integral)
-
-
-def amplitude_omega(params, omega, rel_tol=1e-4, n_max=2**21):
-    """Per-frequency amplitude integral with a grid-doubling certificate."""
-    n0 = default_n0(params.schedule.T, abs(omega) + 1.0)
-    (value,), (err,), (ok,) = refine(
-        lambda n, rows: np.array([_amplitude_fixed_grid(params, omega, n)])[rows], n0, rel_tol, n_max
-    )
+    # -omega: whether the bath pairs with this sign or response's is open (ROADMAP: one frequency convention)
+    value, err, ok = filon_refined(nodes, params.schedule.T, -omega, 1.0, filon_integral, rel_tol, n_max)
     if not ok:
         raise QuadratureError(f"amplitude at omega={omega} not converged by n={n_max}")
-    return value.item(), err.item()
+    return value, err
 
 
 def error_probability(params):

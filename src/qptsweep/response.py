@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    QuadratureError, cumulative_simpson_uniform, default_n0, filon_integral, linear_fourier,
-    nested_simpson, refine, stream_filon,
+    QuadratureError, cumulative_simpson_uniform, default_n0, filon_integral, filon_refined,
+    linear_fourier, nested_simpson, refine,
 )
 from .bath import integrate_abs
 from .ising import bogoliubov_pair, dispersion
@@ -149,22 +149,11 @@ def _channel_terms(kind, kpa, n_spins, pair_gap_phase):
 _UNIFORM_TERM = _channel_terms("uniform_x", None, None, False)[0]
 
 
-def _filon_refined(nodes, schedule, omega, rel_tol, n_max):
-    """int_0^T env e^{i(phase - w t)} dt at w = ``omega`` for the
-    ``stream_filon`` nodes closure ``nodes``, by Filon grid doubling;
-    returns (value, error, converged)."""
-
-    n0 = default_n0(schedule.T, abs(omega) + 2.0 * _INITIAL_ENERGY)
-    (value,), (err,), (ok,) = refine(
-        lambda n, rows: np.array([stream_filon(schedule.T, n, -omega, nodes, filon_integral)])[rows],
-        n0, rel_tol, n_max)
-    return value.item(), err.item(), bool(ok)
-
-
 def _filon_terms(kind, ka, kpa, n_spins, schedule, omega, pair_gap_phase, rel_tol, n_max):
-    """``_channel_integrals`` at frequency ``omega`` by ``_filon_refined``."""
-    return _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase,
-                              lambda nodes: _filon_refined(nodes, schedule, omega, rel_tol, n_max))
+    """``_channel_integrals`` at frequency ``omega`` by ``filon_refined``
+    (every phase rate is at most 2 ``_INITIAL_ENERGY``)."""
+    return _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase, lambda nodes: filon_refined(
+        nodes, schedule.T, omega, 2.0 * _INITIAL_ENERGY, filon_integral, rel_tol, n_max))
 
 
 def _evenly_spaced(grid, total_time):

@@ -7,19 +7,23 @@ dg/dt = c * gap(g)^p with c fixed by g(T) = 1.  The fundamental gap
 and x = g - 1/2, makes both exactly solvable: t(g) is proportional to
 F(g) - F(0) with F(g) = asinh(2cx/s)/(8c) for p=1 and
 F(g) = arctan(2cx/s)/(32cs) for p=2, and g(t) inverts it in closed form.
+The phase integral int E_k dt is closed form for the linear and frozen
+kinds and a certified ``nested_simpson`` integral for the adapted ones.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cumulative_simpson_uniform
+from ._kernels import QuadratureError, nested_simpson
+# unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
+from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .ising import ChainParams, _check_ka, dispersion, min_gap
 
 KINDS = ("linear", "gap_adapted", "gap_squared_adapted", "frozen")
 
-_PHASE_POINTS = 16385
+_PHASE_FIRST = 64  # intervals of the first grid of an adapted kind's phase integral
 
 # F(g) = outer(2cx/s) / k: outer and its inverse per power p of the gap
 _OUTER = {1: (np.arcsinh, np.sinh), 2: (np.arctan, np.tan)}
@@ -51,18 +55,6 @@ def _linear_phase(ka, x):
     return root + s * x * ratio
 
 
-def _hermite(t_grid, y, dy, t):
-    """Cubic Hermite interpolant of nodes (t_grid, y) with slopes dy, at t."""
-    i = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
-    h = t_grid[i + 1] - t_grid[i]
-    u = (t - t_grid[i]) / h
-    v = 1.0 - u
-    return (
-        v * v * ((1.0 + 2.0 * u) * y[i] + u * h * dy[i])
-        + u * u * ((1.0 + 2.0 * v) * y[i + 1] - v * h * dy[i + 1])
-    )
-
-
 @dataclass
 class Schedule:
     """Monotone interpolation with g(0)=0 and g(T)=1 (except ``frozen``).
@@ -78,7 +70,6 @@ class Schedule:
     g_frozen: float | None = None
     _c: float | None = None
     _p: int | None = None
-    _phase_cache: dict = field(default_factory=dict, repr=False)
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)
@@ -142,8 +133,9 @@ class Schedule:
         """Accumulated single-particle phase int_0^t E_k(g(t')) dt'.
 
         Closed form for the linear and frozen kinds.  The adapted kinds
-        tabulate it by cumulative Simpson on ``_PHASE_POINTS`` nodes and
-        interpolate by cubic Hermite with the exact slope E_k(g(t)).
+        integrate t E_k(g(t u)) over u in [0, 1] for every t at once, by
+        ``nested_simpson``; a value it does not certify raises
+        ``QuadratureError``.
         """
         t = self._check_t(t)
         if self.kind == "frozen":
@@ -151,16 +143,14 @@ class Schedule:
         elif self.kind == "linear":
             out = self.T * (_linear_phase(ka, t / self.T - 0.5) + _linear_phase(ka, 0.5))
         else:
-            # keyed by a tuple with ka first, which perfbench/layers.py reads
-            key = (float(ka),)
-            nodes = self._phase_cache.get(key)
-            if nodes is None:
-                t_grid = np.linspace(0.0, self.T, _PHASE_POINTS)
-                g_grid = np.asarray(self.g_of(t_grid), dtype=float)
-                energies = dispersion(np.full(_PHASE_POINTS, float(ka)), g_grid)
-                cum = cumulative_simpson_uniform(energies, t_grid[1] - t_grid[0])
-                nodes = self._phase_cache[key] = (t_grid, cum, energies)
-            out = _hermite(*nodes, t)
+            upper = t.reshape(-1, 1)
+            out, _, ok = nested_simpson(
+                lambda u: u, lambda rows, u: upper[rows] * dispersion(ka, self.g_of(upper[rows] * u)),
+                upper.shape[0], _PHASE_FIRST,
+            )
+            if not ok.all():
+                raise QuadratureError(f"phase integral to t={upper[~ok][0, 0]} at ka={ka} not certified")
+            out = out.reshape(t.shape)
         return out if np.ndim(t) else float(out)
 
 

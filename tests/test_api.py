@@ -55,10 +55,10 @@ def test_unread_parameter_is_reported():
 _ARPACK = {"eigsh", "LinearOperator"}
 
 
-def _arpack_uses(tree, home):
-    """(line, name, inside) for every load of ``eigsh`` or ``LinearOperator``,
-    by name or attribute; ``inside`` tells whether it lies in a function named
-    ``home``.  Imports are not uses."""
+def _uses(tree, names, home):
+    """(line, name, inside) for every load of a name in ``names``, by name or
+    attribute; ``inside`` tells whether it lies in a function named ``home``.
+    Imports are not uses."""
     inside = {
         id(n) for f in ast.walk(tree)
         if isinstance(f, ast.FunctionDef) and f.name == home for n in ast.walk(f)
@@ -66,7 +66,7 @@ def _arpack_uses(tree, home):
     found = []
     for n in ast.walk(tree):
         name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
-        if name in _ARPACK:
+        if name in names:
             found.append((n.lineno, name, id(n) in inside))
     return found
 
@@ -76,7 +76,7 @@ def test_arpack_is_reached_through_one_function():
     # solve must go through exact._eigsh
     outside, home = [], set()
     for path in sorted(SRC.glob("*.py")):
-        for line, name, inside in _arpack_uses(ast.parse(path.read_text()), "_eigsh"):
+        for line, name, inside in _uses(ast.parse(path.read_text()), _ARPACK, "_eigsh"):
             if inside and path.name == "exact.py":
                 home.add(name)
             else:
@@ -92,9 +92,59 @@ def test_arpack_use_outside_is_reported():
         "def f(A):\n"
         "    return scipy.sparse.linalg.eigsh(A)\n"
     )
-    assert sorted((name, inside) for _, name, inside in _arpack_uses(tree, "_eigsh")) == [
+    assert sorted((name, inside) for _, name, inside in _uses(tree, _ARPACK, "_eigsh")) == [
         ("LinearOperator", True), ("eigsh", False), ("eigsh", True),
     ]
+
+
+# kernels that only the shared certified quadratures may run: a module that
+# reaches them itself keeps an integrator of its own
+_NOT_IN = dict.fromkeys(("grover", "schedules"), {"refine", "cumulative_simpson_uniform"})
+
+
+def _private_integrators(modules):
+    """``module:line name`` for every use of ``stream_filon`` outside
+    ``_kernels.filon_refined``, and of a name of ``_NOT_IN`` in its module;
+    and the set of names ``filon_refined`` uses."""
+    outside, home = [], set()
+    for module, tree in modules.items():
+        for line, name, inside in _uses(tree, {"stream_filon"} | _NOT_IN.get(module, set()), "filon_refined"):
+            if name == "stream_filon" and inside and module == "_kernels":
+                home.add(name)
+            else:
+                outside.append(f"{module}:{line} {name}")
+    return outside, home
+
+
+def test_every_per_frequency_amplitude_goes_through_filon_refined():
+    # one grid doubling, filon_refined, certifies every per-frequency amplitude, of
+    # the Ising chain and of Grover's search, and the adapted phase integral
+    # runs through nested_simpson, not a table of its own
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    outside, home = _private_integrators(modules)
+    assert not outside, "integrators outside the shared quadratures: " + ", ".join(outside)
+    assert home == {"stream_filon"}
+
+
+def test_private_integrator_is_reported():
+    kernels = ast.parse(
+        "def filon_refined(f):\n"
+        "    return refine(lambda n: stream_filon(n, f))\n"
+        "def other(f):\n"
+        "    return stream_filon(4, f)\n"
+    )
+    grover = ast.parse(
+        "from ._kernels import cumulative_simpson_uniform, refine\n"
+        "def amplitude(f):\n"
+        "    return refine(lambda n: _kernels.stream_filon(n, f))\n"
+    )
+    schedules = ast.parse("def phase(y):\n    return cumulative_simpson_uniform(y)\n")
+    outside, home = _private_integrators({"_kernels": kernels, "grover": grover, "schedules": schedules})
+    assert sorted(outside) == [
+        "_kernels:4 stream_filon", "grover:3 refine", "grover:3 stream_filon",
+        "schedules:2 cumulative_simpson_uniform",
+    ]
+    assert home == {"stream_filon"}
 
 
 # what a response row may not be computed from outside ``response``: the
@@ -102,7 +152,7 @@ def test_arpack_use_outside_is_reported():
 # channel and pick the quadrature path
 _BEHIND_THE_GRID = {
     "amplitude_direct_uniform", "amplitude_direct_nonuniform", "amplitude_bitflip",
-    "amplitude_saddle_uniform", "_channel_terms", "_channel_integrals", "_filon_refined",
+    "amplitude_saddle_uniform", "_channel_terms", "_channel_integrals", "filon_refined",
     "_filon_terms", "_fourier_on_grid", "_evenly_spaced",
 }
 

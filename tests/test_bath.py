@@ -147,7 +147,8 @@ def test_integrate_abs_at_a_power_law_edge(epsilon):
     exact = np.array([0.3, 2.0, 0.0, 1.5]) ** (1.0 + epsilon) - np.array([0.0, 0.0, 0.0, 0.5]) ** (1.0 + epsilon)
     np.testing.assert_allclose(values, exact / (1.0 + epsilon), rtol=1e-9, atol=0.0)
     assert np.all(errors < 1e-9)
-    assert finest[0] <= 2048
+    # two successive agreements: one doubling past the first grid that agrees
+    assert finest[0] <= 4096
 
 
 def test_integrate_abs_at_a_thermal_edge():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qptsweep import cli, exact, grover, ising, response, schedules
+from qptsweep import _kernels, cli, exact, grover, ising, response, schedules
 
 
 def write_config(tmp_path, name, doc):
@@ -153,11 +153,11 @@ def test_response_run(tmp_path):
 def test_evenly_spaced_omega_grid_takes_the_all_omega_path(tmp_path, monkeypatch, channel):
     calls = []
 
-    def counting(*args, _inner=response.stream_filon):
+    def counting(*args, _inner=_kernels.stream_filon):
         calls.append(args[1])
         return _inner(*args)
 
-    monkeypatch.setattr(response, "stream_filon", counting)
+    monkeypatch.setattr(_kernels, "stream_filon", counting)
     base = {"n_spins": 16, "T": 20.0, "channel": channel, "ka_list": [float(np.pi / 16)]}
 
     def run(name, code=0, **extra):
@@ -494,7 +494,7 @@ def test_grover_nonconverged_rows_exit_2(tmp_path, monkeypatch):
         "bath": {"kind": "dirac_comb", "omega0": [0.5], "weight": [1.0]},
     })
     # every grid gives a new value, so no doubling ever agrees
-    monkeypatch.setattr(grover, "_amplitude_fixed_grid", lambda params, omega, n: float(n))
+    monkeypatch.setattr(grover, "filon_integral", lambda env, phase, dt: 1.0 / dt)
     assert cli.main(["grover", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     doc = json.loads((tmp_path / "out" / "grover.json").read_text())
     assert doc["nonconverged"] == len(doc["rows"]) == 3

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qptsweep import grover, response, schedules
+from qptsweep import _kernels, grover, response, schedules
 from qptsweep._kernels import _QUAD_BLOCK, cumulative_simpson_uniform, filon_integral
 from qptsweep.ising import bogoliubov_pair, dispersion
 
@@ -68,16 +68,21 @@ def oracle_grover(params, omega, n):
     return filon_integral(env, omega * t + cum, t[1] - t[0]), env, t[1] - t[0]
 
 
-def grid_evaluations(monkeypatch, module, call):
-    """The evaluations on n intervals that ``call`` hands to ``module.refine``,
-    each as a function of n alone (its one element)."""
+def grid_evaluations(monkeypatch, call):
+    """The evaluations on n intervals that ``call`` hands to ``refine``
+    through ``filon_refined``, each as a function of n alone
+    (its one element).  Other ``refine`` runs, such as the ``nested_simpson``
+    of a phase-free bound, go through unchanged."""
     seen = []
+    refine = _kernels.refine
 
     def capture(eval_at, n0, rel_tol, n_max):
+        if not eval_at.__qualname__.startswith("filon_refined."):
+            return refine(eval_at, n0, rel_tol, n_max)
         seen.append(lambda n: eval_at(n, slice(None))[0])
         return np.zeros(1, dtype=complex), np.zeros(1), np.ones(1, dtype=bool)
 
-    monkeypatch.setattr(module, "refine", capture)
+    monkeypatch.setattr(_kernels, "refine", capture)
     call()
     return seen
 
@@ -98,8 +103,7 @@ def make(kind, n_spins, T):
 @pytest.mark.parametrize("kind,n_spins", SCHEDULES)
 def test_uniform_amplitude_streams_the_whole_grid_rule(monkeypatch, kind, n_spins, n):
     ka, omega, sched = np.pi / 64, 0.4, make(kind, n_spins, 500.0)
-    (eval_at,) = grid_evaluations(
-        monkeypatch, response, lambda: response.amplitude_direct_uniform(ka, omega, sched))
+    (eval_at,) = grid_evaluations(monkeypatch, lambda: response.amplitude_direct_uniform(ka, omega, sched))
     assert_streamed_matches(eval_at(n), oracle_uniform(ka, omega, sched, n), n)
 
 
@@ -108,7 +112,7 @@ def test_uniform_amplitude_streams_the_whole_grid_rule(monkeypatch, kind, n_spin
 @pytest.mark.parametrize("kind,n_spins", SCHEDULES)
 def test_nonuniform_amplitude_streams_the_whole_grid_rule(monkeypatch, kind, n_spins, n, pair_gap_phase):
     ka, kpa, omega, sched = np.pi / 64, 3 * np.pi / 64, 0.08, make(kind, n_spins, 500.0)
-    (eval_at,) = grid_evaluations(monkeypatch, response, lambda: response.amplitude_direct_nonuniform(
+    (eval_at,) = grid_evaluations(monkeypatch, lambda: response.amplitude_direct_nonuniform(
         ka, kpa, omega, 64, sched, pair_gap_phase=pair_gap_phase))
     want = oracle_nonuniform(ka, kpa, omega, 64, sched, n, pair_gap_phase)
     assert_streamed_matches(eval_at(n), want, n)
@@ -118,25 +122,23 @@ def test_nonuniform_amplitude_streams_the_whole_grid_rule(monkeypatch, kind, n_s
 @pytest.mark.parametrize("kind,n_spins", SCHEDULES)
 def test_bitflip_amplitudes_stream_the_whole_grid_rule(monkeypatch, kind, n_spins, n):
     ka, omega, sched = np.pi / 64, -0.2, make(kind, n_spins, 500.0)
-    eval_a1, eval_a2 = grid_evaluations(
-        monkeypatch, response, lambda: response.amplitude_bitflip(ka, omega, sched))
+    eval_a1, eval_a2 = grid_evaluations(monkeypatch, lambda: response.amplitude_bitflip(ka, omega, sched))
     assert_streamed_matches(eval_a1(n), oracle_bitflip_a1(ka, omega, sched, n), n)
     assert_streamed_matches(eval_a2(n), oracle_bitflip_a2(ka, omega, sched, n), n)
 
 
 @pytest.mark.parametrize("n", GRID_SIZES)
-def test_grover_amplitude_streams_the_whole_grid_rule(n):
+def test_grover_amplitude_streams_the_whole_grid_rule(monkeypatch, n):
     params = grover.GroverParams(n_qubits=8, coupling=0.01, schedule=make("linear", None, 500.0))
-    want = oracle_grover(params, 0.5, n)
-    assert_streamed_matches(grover._amplitude_fixed_grid(params, 0.5, n), want, n)
+    (eval_at,) = grid_evaluations(monkeypatch, lambda: grover.amplitude_omega(params, 0.5))
+    assert_streamed_matches(eval_at(n), oracle_grover(params, 0.5, n), n)
 
 
 def test_streamed_evaluation_memory_does_not_grow_with_the_grid(monkeypatch):
     # the whole-grid form peaked at about 135 MB here (some twenty arrays of
     # 2^20 doubles); the streamed one holds a block's arrays at a time
     ka, omega, sched = np.pi / 256, -0.4, make("linear", None, 5000.0)
-    (eval_at,) = grid_evaluations(
-        monkeypatch, response, lambda: response.amplitude_direct_uniform(ka, omega, sched))
+    (eval_at,) = grid_evaluations(monkeypatch, lambda: response.amplitude_direct_uniform(ka, omega, sched))
     tracemalloc.start()
     try:
         eval_at(2**20)
