@@ -16,9 +16,6 @@ import numpy as np
 # cancellation divided by c^2 (rounding ~eps/c^2, 2e-12 here); the series
 # of ``_series_segments``, through c^6, is truncated at ~c^7/40320 (2.5e-19 here).
 _SMALL_PHASE = 1e-2
-# Above this many runs of small and large phase steps, ``filon_integral``
-# gathers each kind by index instead of taking each run as a slice.
-_MAX_RUNS = 8
 _ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
 # Segments per block of ``stream_filon``: a block's twenty-odd node arrays
 # fit in a 2 MB L2 cache, a whole grid of 1e5-1e6 nodes does not.  Blocks of
@@ -52,32 +49,26 @@ def filon_integral(env, phase, dt):
     that is dt E0 (a0 e0 + da e1) with e0 = (e^{ic} - 1)/(ic) and
     e1 = (e^{ic}(ic - 1) + 1)/(ic)^2.  Below ``_SMALL_PHASE`` the difference
     quotients cancel, and e0, e1 come from their Taylor series (through c^6)
-    instead; each segment goes through one of the two forms only.  All in
-    real arithmetic, with cos and sin taken once per node; written in node
-    differences, the rounding of each E enters neighbouring segments with
-    opposite signs and largely cancels in the sum.
+    instead; each segment goes through one of the two forms only, a run of
+    one form as one slice (every amplitude's phase rate, 2E_k - w,
+    E_k + E_k' - w, gap + w or none, is unimodal in t, so its small steps
+    form at most two runs).  All in real arithmetic, with cos and sin taken
+    once per node; written in node differences, the rounding of each E
+    enters neighbouring segments with opposite signs and largely cancels in
+    the sum.
     """
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
     c = phase[1:] - phase[:-1]
     small = np.abs(c) < _SMALL_PHASE
-    # on a smooth phase the small steps come in a few runs, each taken as a
-    # slice; otherwise each form gathers its segments by integer index
-    flips = np.flatnonzero(small[1:] != small[:-1]) + 1
-    if flips.size < _MAX_RUNS:
-        bounds = [0, *flips.tolist(), c.shape[0]]
-        parts = [(slice(lo, hi), slice(lo + 1, hi + 1), small[lo])
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    else:
-        big, small = np.flatnonzero(~small), np.flatnonzero(small)
-        parts = [(big, big + 1, False), (small, small + 1, True)]
+    bounds = [0, *(np.flatnonzero(small[1:] != small[:-1]) + 1).tolist(), c.shape[0]]
     total = 0j
-    for left, right, is_small in parts:
-        args = c[left], env[left], env[right], cos_p[left], sin_p[left]
-        if is_small:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        args = c[lo:hi], env[lo:hi], env[lo + 1:hi + 1], cos_p[lo:hi], sin_p[lo:hi]
+        if small[lo]:
             total += _series_segments(*args)
         else:
-            total += _closed_segments(*args, cos_p[right], sin_p[right])
+            total += _closed_segments(*args, cos_p[lo + 1:hi + 1], sin_p[lo + 1:hi + 1])
     return dt * total
 
 

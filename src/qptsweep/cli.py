@@ -380,11 +380,7 @@ _RUNNERS = {
 
 
 def _json_value(x):
-    """Strict-JSON form of a cell: str, bool and int as they are, non-finite floats as null."""
-    if isinstance(x, (str, bool)):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+    """Strict-JSON form of a fit value, a float: non-finite as null."""
     x = float(x)
     return x if math.isfinite(x) else None
 
@@ -395,7 +391,7 @@ def _csv_text(x):
 
 
 def _json_text(x):
-    """A cell as strict JSON text: the text of ``_json_value(x)``."""
+    """A cell as strict JSON text: str, bool and int as they are, non-finite floats as null."""
     if isinstance(x, (str, bool)):
         return json.dumps(x)
     if isinstance(x, (int, np.integer)):

@@ -17,6 +17,7 @@ from ._kernels import QuadratureError, filon_integral, filon_refined
 # unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
 from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .bath import SpectralFunction, evaluate as bath_evaluate
+from .ising import _two_level_gap
 
 _SOFT_LAMBDA = 0.1
 
@@ -46,17 +47,18 @@ class GroverParams:
 
     @property
     def min_gap(self):
-        return self.dim**-0.5
+        return grover_gap(0.5, self.dim)
 
 
 def grover_gap(g, dim):
-    """Gap sqrt(1 - 4g(1-g)(1 - 1/D)); minimum 1/sqrt(D) at g=1/2."""
+    """Gap sqrt(1/D + (1 - 2g)^2 (1 - 1/D)) (``ising._two_level_gap``),
+    exact to rounding; minimum 1/sqrt(D) at g=1/2, also for D above 2^53."""
     g = np.asarray(g, dtype=float)
     if np.any(g < 0.0) or np.any(g > 1.0):
         raise ValueError(f"g must lie in [0, 1], got {g!r}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    val = np.sqrt(1.0 - 4.0 * g * (1.0 - g) * (1.0 - 1.0 / dim))
+    val = _two_level_gap(dim**-0.5, np.sqrt(1.0 - 1.0 / dim), g)
     return val if val.ndim else float(val)
 
 

@@ -515,6 +515,24 @@ def test_bitflip_nonconverged_rows_exit_2(tmp_path, monkeypatch):
     assert doc["nonconverged"] == len(doc["rows"]) == 2
 
 
+@pytest.mark.parametrize("channel,omegas", [
+    ("uniform_x", [0.5]), ("single_site_z", [0.3, 0.35, 0.5]), ("nonuniform_x", [0.5]),
+])
+def test_per_frequency_nonconverged_rows_exit_2(tmp_path, monkeypatch, channel, omegas):
+    # a single or uneven omega grid takes filon_refined per frequency, whose
+    # failed certificate must reach each row and the exit code
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 8, "T": 20.0, "channel": channel, "omega_grid": omegas,
+    })
+    monkeypatch.setattr(response, "filon_refined", lambda *args: (0j, 1.0, False))
+    assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    with open(tmp_path / "out" / "response.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["converged"] for row in rows] == ["0"] * len(omegas)
+    doc = json.loads((tmp_path / "out" / "response.json").read_text())
+    assert doc["nonconverged"] == len(doc["rows"]) == len(omegas)
+
+
 @pytest.mark.parametrize("subcommand,doc", [
     ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": 1.0, "num": 0}}),
     ("spectrum", {"n_spins": 8, "g_grid": {"start": 1.0, "stop": 0.0, "num": 5}}),

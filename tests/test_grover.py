@@ -20,6 +20,9 @@ def test_gap_known_values():
     vals = grover.grover_gap(g, 64)
     assert vals.min() == pytest.approx(1.0 / np.sqrt(64))
     assert g[np.argmin(vals)] == pytest.approx(0.5)
+    # the minimum is exact, also where 1/D is below the rounding of 1
+    for n in range(1, 65):
+        assert grover.grover_gap(0.5, 2**n) == params(n=n).min_gap == 2.0 ** (-n / 2)
 
 
 def test_gap_matches_exact_diagonalization():

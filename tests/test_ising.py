@@ -30,6 +30,21 @@ def test_dispersion_known_values():
     ka = np.pi / 16
     assert ising.dispersion(ka, 0.5) == pytest.approx(2.0 * np.sin(ka / 2.0))
     assert ising.dispersion(np.pi, 0.5) == pytest.approx(2.0)
+    # the gap closes at ka = 0 alone
+    assert ising.dispersion(0.0, 0.5) == 0.0
+    assert ising.dispersion(1e-8, 0.5) == pytest.approx(1e-8, rel=1e-15)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("g", [0.5, 0.5 + 1e-9])
+@pytest.mark.parametrize("ka", [1e-3, np.pi / 1024, np.pi / 8192])
+def test_dispersion_is_exact_to_rounding_near_the_gap(ka, g):
+    # E in long double; the equivalent 2 sqrt(1 - 4g(1-g)cos^2(ka/2)) cancels
+    # here, to eps/E^2 relative (2.3e-10 at g = 1/2, ka = 1e-3)
+    wide = np.longdouble
+    exact = 2.0 * np.sqrt(np.sin(wide(ka) / 2) ** 2 + ((1 - 2 * wide(g)) * np.cos(wide(ka) / 2)) ** 2)
+    assert abs(ising.dispersion(ka, g) - exact) <= 4 * np.finfo(float).eps * exact
 
 
 def _alpha_beta(ka, g):
@@ -111,6 +126,11 @@ def test_gap_formulas():
     p = ising.ChainParams(32)
     assert ising.min_gap(p, 0.5) == pytest.approx(ising.global_min_gap(p))
     assert ising.global_min_gap(p) == pytest.approx(4.0 * np.sin(np.pi / 64.0))
+    # one gap formula: the global minimum is the fundamental gap at g = 1/2,
+    # bit for bit, and is 4 sin(pi/2N) to the last bit
+    for n in range(2, 8193, 2):
+        chain = ising.ChainParams(n)
+        assert ising.global_min_gap(chain) == ising.min_gap(chain, 0.5) == 4.0 * np.sin(np.pi / (2.0 * n))
     # the fundamental gap is minimal at the transition
     gs = np.linspace(0.0, 1.0, 41)
     gaps = [ising.min_gap(p, g) for g in gs]
