@@ -3,8 +3,9 @@
 Subcommands ``spectrum``, ``ed``, ``sweep``, ``response``, ``grover`` and
 ``scaling`` each read a JSON config, run a deterministic parameter sweep and
 emit CSV (17-significant-digit floats), a JSON mirror and a manifest
-recording the config hash.  Exit codes: 0 full success, 2 partial
-(nonconverged rows present), 1 config/I-O error.
+recording the config hash, the versions, the CPUs and the seconds the run and
+the write took.  Exit codes: 0 full success, 2 partial (nonconverged rows
+present), 1 config/I-O error.
 """
 
 import argparse
@@ -72,14 +73,17 @@ class ResultBundle:
 
     Give the table either as ``rows`` (a list of row lists) or as ``data``:
     one list or 1-d numpy array per column, in the order of ``columns``.  A
-    numpy column must be float64 or int64.
+    numpy column must be float64 or int64.  A ragged table raises ValueError.
     """
 
     def __init__(self, name, columns, rows=None, fits=None, nonconverged=0, data=None):
         self.name = name
         self.columns = columns
-        if rows is not None:
-            data = [list(col) for col in zip(*rows)] if rows else [[] for _ in columns]
+        if rows is not None:  # strict: a row of another length raises ValueError
+            data = [list(col) for col in zip(*rows, strict=True)] if rows else [[] for _ in columns]
+        if len(data) != len(columns) or len({len(col) for col in data}) > 1 or any(
+                isinstance(col, np.ndarray) and col.dtype not in (np.float64, np.int64) for col in data):
+            raise ValueError(f"{name}: need {len(columns)} columns of one length, numpy ones float64 or int64")
         self.data = data
         self.fits = {} if fits is None else fits
         self.nonconverged = nonconverged
@@ -400,48 +404,63 @@ def _json_text(x):
     return repr(x) if math.isfinite(x) else "null"
 
 
-def _texts(col, cell):
-    """The text of every cell of one column.
-
-    A list column goes through ``cell`` cell by cell.  A numpy column is
-    formatted once per distinct bit pattern and gathered back; keying on
-    bits keeps -0.0 apart from 0.0.
-    """
+def _distinct_cells(col):
+    """The distinct cells of one column and the int32 index of each cell among
+    them.  A numpy column is keyed on bit patterns, which keeps -0.0 apart from
+    0.0; a list column keeps every cell, in order (index None)."""
     if not isinstance(col, np.ndarray):
-        return list(map(cell, col))
+        return col, None
     keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    distinct = np.array(list(map(cell, keys.view(col.dtype).tolist())), dtype=object)
-    return distinct[inverse]
+    return keys.view(col.dtype), inverse.astype(np.int32)
+
+
+def _cell_texts(cells, as_json, first, last):
+    """The CSV or the JSON text of each of ``cells`` with its separator: one
+    %-format chosen from the dtype for numpy cells, ``_csv_text`` or
+    ``_json_text`` for a list.  A JSON row opens with ``[`` and closes with ``],``."""
+    pre = "[" if as_json and first else ""
+    end = ("]," if as_json else "\n") if last else ","
+    if not isinstance(cells, np.ndarray):
+        cell = _json_text if as_json else _csv_text
+        return np.array([pre + cell(x) + end for x in cells], dtype=object)
+    floats = cells.dtype == np.float64
+    fmt = pre + ("%d" if not floats else "%r" if as_json else "%.17g") + end
+    texts = np.array(list(map(fmt.__mod__, cells.tolist())), dtype=object)
+    if as_json and floats:
+        texts[~np.isfinite(cells)] = pre + "null" + end
+    return texts
 
 
 _BLOCK = 8192  # rows joined into one string per write
 
 
-def _write_rows(fh, row, texts, sep):
-    """Write the rows of the column ``texts``, each through the %-format
-    ``row`` and separated by ``sep``, one block of rows per write."""
-    n = len(texts[0]) if texts else 0
+def _write_blocks(fh, columns, n, cut):
+    """Write ``n`` rows of ``columns``, (texts, index) pairs whose row i holds
+    ``texts[index[i]]`` (``texts[i]`` where index is None), one block of
+    ``_BLOCK`` rows per join; ``cut`` drops the last character of the table.
+    A list table takes no fancy index: its first one faults in 68 kB of numpy."""
+    buf = np.empty((min(n, _BLOCK), len(columns)), dtype=object)
     for lo in range(0, n, _BLOCK):
-        block = sep.join(map(row.__mod__, zip(*(t[lo:lo + _BLOCK] for t in texts))))
-        fh.write(block if lo == 0 else sep + block)
+        rows = buf[:min(_BLOCK, n - lo)]
+        for j, (texts, index) in enumerate(columns):
+            rows[:, j] = texts[lo:lo + _BLOCK] if index is None else texts[index[lo:lo + _BLOCK]]
+        block = "".join(rows.ravel().tolist())
+        fh.write(block[:-1] if cut and lo + _BLOCK >= n else block)
 
 
-def _write_csv(path, bundle):
-    """CSV of the bundle: floats with 17 significant digits (%.17g), every
-    other cell as str().  Each column becomes its cell texts once (see
-    ``_texts``), then each row is joined by one %-format."""
-    texts = [_texts(col, _csv_text) for col in bundle.data]
-    with open(path, "w") as fh:
-        fh.write(",".join(bundle.columns) + "\n")
-        _write_rows(fh, ",".join(["%s"] * len(texts)) + "\n", texts, "")
+def emit(bundle, out_dir, config, walltime):
+    """Write CSV + JSON mirror + manifest; returns the CSV path.
 
-
-def _write_json(path, bundle):
-    """Compact strict JSON mirror with sorted keys; non-finite floats are null.
-
-    ``columns``, ``fits`` and ``nonconverged`` sort before ``rows``, so the
-    document is their encoding followed by the rows, written like the CSV.
+    The CSV has floats as %.17g; the mirror is compact strict JSON with sorted
+    keys, non-finite floats as null, and its ``rows`` sort last.  Both files
+    share each column's distinct cells (``_distinct_cells``), which each
+    formats once (``_cell_texts``).  The manifest's ``emit_s`` is the
+    seconds the two files took.
     """
+    t0 = time.monotonic()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / f"{bundle.name}.csv"
     head = json.dumps(
         {
             "columns": bundle.columns,
@@ -450,24 +469,17 @@ def _write_json(path, bundle):
         },
         sort_keys=True, allow_nan=False, separators=(",", ":"),
     )
-    texts = [_texts(col, _json_text) for col in bundle.data]
-    with open(path, "w") as fh:
-        fh.write(head[:-1] + ',"rows":[')
-        _write_rows(fh, "[" + ",".join(["%s"] * len(texts)) + "]", texts, ",")
-        fh.write("]}")
-
-
-def emit(bundle, out_dir, config, walltime):
-    """Write CSV + JSON mirror + manifest; returns the CSV path.
-
-    Both tables are written column by column (see ``_texts``); the CSV
-    texts are released before the JSON texts are built.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{bundle.name}.csv"
-    _write_csv(csv_path, bundle)
-    _write_json(out / f"{bundle.name}.json", bundle)
+    distinct = list(map(_distinct_cells, bundle.data))
+    n, last = (len(bundle.data[0]) if bundle.data else 0), len(distinct) - 1
+    for as_json, path, start, stop in ((False, csv_path, ",".join(bundle.columns) + "\n", ""),
+                                       (True, out / f"{bundle.name}.json", head[:-1] + ',"rows":[', "]}")):
+        with open(path, "w") as fh:
+            fh.write(start)
+            columns = [(_cell_texts(cells, as_json, j == 0, j == last), index)
+                       for j, (cells, index) in enumerate(distinct)]
+            _write_blocks(fh, columns, n, cut=as_json)  # no "," after the JSON's last row
+            del columns  # the CSV texts go before the JSON texts are made
+            fh.write(stop)
     manifest = {
         "config_sha256": config.sha256(),
         "experiment": config.experiment,
@@ -476,8 +488,9 @@ def emit(bundle, out_dir, config, walltime):
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "python_version": "%d.%d.%d" % sys.version_info[:3],
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "walltime_s": walltime,
+        "emit_s": time.monotonic() - t0,
     }
     (out / f"{bundle.name}.manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return csv_path

@@ -124,35 +124,35 @@ def bogoliubov_pair(ka, g, energy):
     """Instantaneous ground pair (u_k, v_k) of modes ``ka`` at couplings ``g``
     and energies E = ``energy`` (``dispersion(ka, g)``); all three broadcast.
 
-    With alpha = 2 - 4g cos^2(ka/2), beta = 2g sin(ka), E^2 = alpha^2 + beta^2:
+    With alpha = 2 sin^2(ka/2) + 2(1 - 2g) cos^2(ka/2) (not 2 - 4g cos^2(ka/2),
+    which cancels near g = 1/2), beta = 2g sin(ka), E^2 = alpha^2 + beta^2:
     u = sqrt((E + alpha)/2E) >= 0 and v = sign(beta) sqrt((E - alpha)/2E), so
     u^2 + v^2 = 1, 2E u v = beta and E (u^2 - v^2) = alpha.  The smaller of
-    E +- alpha cancels as alpha -> -E (g -> 1, ka -> 0) or alpha -> E (g -> 0),
-    but it is at most |beta|, as (E + alpha)(E - alpha) = beta^2.  So
-    u = max(E + alpha, |beta|)/R and |v| = max(E - alpha, |beta|)/R, with
-    R^2 = 2E(E + |alpha|), lose no digits.  The pair is undefined where E = 0,
+    E +- alpha cancels, but it is beta^2/(E + |alpha|), so the larger
+    of |u|, |v| is (E + |alpha|)/R and the smaller |beta|/R, with
+    R^2 = 2E(E + |alpha|): no digits lost.  The pair is undefined where E = 0,
     which ``dispersion`` gives only at ka = 0 (and g = 1/2); R below
     DEGENERATE_NORM_THRESHOLD raises ``DegenerateNormalizationError``.
     """
     ka = np.asarray(ka, dtype=float)
-    sin_ka, cos_half = np.sin(ka), np.cos(ka / 2.0)
+    sin_ka, sin_half, cos_half = np.sin(ka), np.sin(ka / 2.0), np.cos(ka / 2.0)
     # in place: a fresh temporary per Filon block costs about as much as the operation filling it
     shape = np.broadcast(ka, g, energy).shape
-    n_u = np.multiply(-4.0 * cos_half * cos_half, g, out=np.empty(shape))  # not ** 2: a scalar's is pow()
-    n_u += 2.0  # alpha
-    n_v = np.subtract(energy, n_u, out=np.empty(shape))
-    n_u += energy
-    scale = np.multiply(2.0 * np.abs(sin_ka), g, out=np.empty(shape))  # |beta|
-    np.maximum(n_u, scale, out=n_u)
-    np.maximum(n_v, scale, out=n_v)
-    np.maximum(n_u, n_v, out=scale)
-    scale *= energy  # R^2/2
+    n_u = np.subtract(0.5, g, out=np.empty(shape))  # exact for g >= 1/4
+    n_u *= 4.0 * cos_half * cos_half  # not ** 2: a scalar's is pow()
+    n_u += 2.0 * sin_half * sin_half  # alpha
+    swap = n_u < 0.0  # there u is the smaller side
+    np.abs(n_u, out=n_u)
+    n_u += energy  # E + |alpha|
+    n_v = np.multiply(2.0 * np.abs(sin_ka), g, out=np.empty(shape))  # |beta|
+    scale = np.multiply(n_u, energy, out=np.empty(shape))  # R^2/2
     if scale.min() < 0.5 * DEGENERATE_NORM_THRESHOLD**2:
         raise DegenerateNormalizationError(f"E_k down to {np.min(energy):.3e}: no pair at E_k = 0")
     np.divide(0.5, scale, out=scale)
     np.sqrt(scale, out=scale)  # 1/R
     n_u *= scale
     n_v *= scale
+    n_u, n_v = np.where(swap, n_v, n_u), np.where(swap, n_u, n_v)  # np.copyto(where=) faults in 64 kB more
     n_v *= np.copysign(1.0, sin_ka)
     return n_u, n_v
 

@@ -284,6 +284,15 @@ def test_manifest_records_machine_facts(tmp_path):
     assert manifest["scipy_version"] and manifest["numpy_version"] == np.__version__
 
 
+def test_manifest_records_affinity_and_emit_seconds(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    cfg = write_config(tmp_path, "c.json", {"n_spins": 8, "g_grid": [0.0, 0.5]})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "spectrum.manifest.json").read_text())
+    assert manifest["nproc"] == 1
+    assert manifest["emit_s"] >= 0.0
+
+
 _IMPORT_GUARD = textwrap.dedent("""
     import json, sys
     from pathlib import Path
@@ -685,10 +694,53 @@ _INT_VALUES = st.integers(-(2**63), 2**63 - 1)
 @given(floats=_column(_FLOAT_VALUES, _EDGE_FLOATS), ints=_column(_INT_VALUES, _EDGE_INTS))
 def test_array_column_texts_match_per_cell_rule(floats, ints):
     for col in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
-        assert list(cli._texts(col, cli._csv_text)) == [_oracle_fmt(x) for x in col]
-        assert list(cli._texts(col, cli._json_text)) == [
-            json.dumps(_oracle_json_value(x)) for x in col
-        ]
+        cells, index = cli._distinct_cells(col)
+        assert index.dtype == np.int32
+        for first, last in ((False, False), (True, True)):
+            csv_texts, json_texts = (cli._cell_texts(cells, as_json, first, last) for as_json in (False, True))
+            assert list(csv_texts[index]) == [_oracle_fmt(x) + ("\n" if last else ",") for x in col]
+            assert list(json_texts[index]) == [
+                ("[" if first else "") + json.dumps(_oracle_json_value(x)) + ("]," if last else ",")
+                for x in col
+            ]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
+def test_block_writer_matches_oracle(tmp_path, n, reverse):
+    # float64, int64 and list columns; NaN, +-inf and -0.0 end the first and
+    # the last column and fill the last row, where the JSON's final "," is cut
+    rng = np.random.default_rng(n)
+    edges = np.array([-0.0, np.inf, -np.inf, np.nan])
+    data = {
+        "a": rng.choice([0.1, -2.5, 1e300, 5e-324, 0.0, 2.0 / 3.0], n),
+        "b": [["s", 3, -0.5, 2**70, float("nan")][i % 5] for i in range(n - 1)] + [float("-inf")],
+        "c": rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64),
+        "d": rng.standard_normal(n),
+    }
+    for name in "ad":
+        data[name][-min(n, 4):] = edges[-min(n, 4):]
+    data["a"][-1] = -0.0
+    columns = sorted(data, reverse=reverse)
+    bundle = cli.ResultBundle(name="t", columns=columns, data=[data[c] for c in columns],
+                              fits={"fit": {"exponent": -0.0}}, nonconverged=1)
+    cli.emit(bundle, tmp_path, cli.ExperimentConfig(experiment="spectrum", params={}), walltime=0.0)
+    assert (tmp_path / "t.csv").read_bytes() == _oracle_csv(bundle)
+    compact = json.dumps(json.loads(_oracle_json(bundle)), sort_keys=True, allow_nan=False,
+                         separators=(",", ":"))
+    assert (tmp_path / "t.json").read_text() == compact
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rows": [[1, 2.0], [3]]},
+    {"rows": [[1, 2.0], [3, 4.0, 5.0]]},
+    {"data": [np.zeros(3)]},
+    {"data": [np.zeros(3), [1, 2]]},
+    {"data": [np.zeros(3, dtype=np.float32), np.zeros(3)]},
+], ids=["short_row", "long_row", "too_few_columns", "unequal_columns", "float32_column"])
+def test_ragged_table_is_rejected(kwargs):
+    with pytest.raises(ValueError):
+        cli.ResultBundle(name="t", columns=["x", "y"], **kwargs)
 
 
 def test_spectrum_bytes_match_oracle(tmp_path):

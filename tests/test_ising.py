@@ -47,6 +47,24 @@ def test_dispersion_is_exact_to_rounding_near_the_gap(ka, g):
     assert abs(ising.dispersion(ka, g) - exact) <= 4 * np.finfo(float).eps * exact
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("ka,g", [(1e-3, 0.5), (1e-6, 0.5), (1e-6, 0.5 + 1e-7)])
+def test_bogoliubov_pair_is_exact_to_rounding_near_the_gap(ka, g):
+    # (u, v) in long double; alpha = 2 - 4g cos^2(ka/2) cancels here, to
+    # 2.2e-11 relative at ka = 1e-6, g = 1/2
+    wide = np.longdouble
+    s, c = np.sin(wide(ka) / 2), np.cos(wide(ka) / 2)
+    alpha, beta = 2 * s * s + 2 * (1 - 2 * wide(g)) * c * c, 2 * wide(g) * np.sin(wide(ka))
+    e = np.sqrt(alpha * alpha + beta * beta)
+    exact_u, exact_v = np.sqrt((e + alpha) / (2 * e)), np.sqrt((e - alpha) / (2 * e))
+    u, v = ising.bogoliubov_pair(ka, g, ising.dispersion(ka, g))
+    eps = np.finfo(float).eps
+    assert abs(u - exact_u) <= 4 * eps * exact_u
+    assert abs(v - exact_v) <= 4 * eps * exact_v
+    assert abs(wide(u) ** 2 + wide(v) ** 2 - 1) <= 4 * eps
+
+
 def _alpha_beta(ka, g):
     return 2.0 - 4.0 * g * np.cos(ka / 2.0) ** 2, 2.0 * g * np.sin(ka)
 
@@ -170,17 +188,19 @@ def test_vector_ka_matches_scalar_calls():
 def test_explicit_steps_keep_the_fixed_pair():
     # steps=2048 and its half grid, 1024, against values recorded before the
     # certified doubling; both fit one Magnus block, where the renormalised
-    # carry changes nothing
+    # carry changes nothing.  The 3pi/16 mode was re-recorded when alpha
+    # became 2 sin^2(ka/2) + 2(1 - 2g) cos^2(ka/2): its pair at g = 0 is now
+    # u = 1 - 2^-53 in place of 1, which moves it by 1-2 ulp
     sched = schedules.make_schedule("gap_adapted", 30.0, n_spins=16)
     ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16])
     end = ising.integrate_bogoliubov(ka, sched, steps=2048)
     assert end.u.tolist() == [
-        (0.21958145000488974-0.08925707591519977j), (0.025501383521483303-0.28999124090448364j),
+        (0.21958145000488974-0.08925707591519977j), (0.0255013835214833-0.2899912409044836j),
         (-0.24360144006513174+0.5925963100570504j)]
     assert end.v.tolist() == [
-        (0.35006007310533993-0.9062423000667756j), (0.037018535416757425-0.9559730057238867j),
+        (0.35006007310533993-0.9062423000667756j), (0.03701853541675742-0.9559730057238865j),
         (-0.26093567104220416+0.7220806930549418j)]
-    assert end.norm_defect.tolist() == [2.531308496145357e-14, 1.532107773982716e-14, 2.5979218776228663e-14]
+    assert end.norm_defect.tolist() == [2.531308496145357e-14, 1.4876988529977098e-14, 2.5979218776228663e-14]
     assert end.endpoint_error.tolist() == [
         1.4420573021244102e-09, 4.246397202849734e-09, 8.213796901823625e-09]
     assert end.n_grid.tolist() == [2048] * 3
