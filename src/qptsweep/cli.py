@@ -88,9 +88,12 @@ class ResultBundle:
         self.fits = {} if fits is None else fits
         self.nonconverged = nonconverged
 
-    @property
-    def rows(self):
-        return [list(row) for row in zip(*self.data)]
+
+def _whole(value, what):
+    """``value`` as an int when it is a whole number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _grid(spec, name):
@@ -98,7 +101,7 @@ def _grid(spec, name):
     either must give a nonempty ascending grid of finite values."""
     if isinstance(spec, dict):
         try:
-            start, stop, num = float(spec["start"]), float(spec["stop"]), int(spec["num"])
+            start, stop, num = float(spec["start"]), float(spec["stop"]), _whole(spec["num"], f"{name} num")
         except KeyError as exc:
             raise ConfigError(f"{name} needs start/stop/num, got {spec}") from exc
         if not (math.isfinite(start) and math.isfinite(stop)):
@@ -132,21 +135,15 @@ def _check_config(params, required, optional):
             raise ConfigError(f"config key {k!r} must be a nonempty list")
 
 
-def _schedule_keys(params):
-    """The config keys a schedule reads: ``g_frozen`` for a frozen one alone."""
-    return ("schedule", "g_frozen") if params.get("schedule") == "frozen" else ("schedule",)
-
-
 def _ka_list(params, n_spins):
-    """The config's ``ka_list`` in its given order, or [pi/N] when it is absent."""
-    return np.asarray(params.get("ka_list", [np.pi / n_spins]), dtype=float)
+    """The config's ``ka_list`` in its given order, or [pi/N] when it is absent,
+    each |ka| <= pi checked before any run."""
+    return ising._check_ka(params.get("ka_list", [np.pi / n_spins]))
 
 
 def _make_schedule(params, n_spins=None, T=None):
     return schedules.make_schedule(
-        params.get("schedule", "linear"), float(params["T"] if T is None else T), n_spins=n_spins,
-        g_frozen=params.get("g_frozen"),
-    )
+        params.get("schedule", "linear"), float(params["T"] if T is None else T), n_spins=n_spins)
 
 
 def _run_spectrum(cfg):
@@ -168,16 +165,14 @@ def _run_ed(cfg):
     _check_config(p, ("model", "n_list"), ("g_grid", "m"))
     model = p["model"]
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 21}), "g_grid")
-    m = p.get("m", 4)
-    if isinstance(m, bool) or not isinstance(m, (int, float)) or not float(m).is_integer():
-        raise ConfigError(f"m must be a whole number of levels, got {m!r}")
+    m = _whole(p.get("m", 4), "m")
     parity = model in ("ising_ring", "mixed_grover_ising")
     rows, bad = [], 0
     for n in p["n_list"]:
         for g in g_grid:
             try:
                 ham = exact.build_hamiltonian(model, int(n), float(g))
-                spec = exact.low_spectrum(ham, int(m), resolve_parity=parity)
+                spec = exact.low_spectrum(ham, m, resolve_parity=parity)
             except exact.NonConvergenceError:
                 bad += 1
                 rows.append([model, int(n), float(g), -1, np.nan, 0.0, np.nan])
@@ -203,12 +198,11 @@ ENDPOINT_ERROR_MAX = 1e-6
 
 def _run_sweep(cfg):
     p = cfg.params
-    _check_config(p, ("n_spins", "T_list"), ("ka_list", *_schedule_keys(p)))
+    _check_config(p, ("n_spins", "T_list"), ("ka_list", "schedule"))
     n = int(p["n_spins"])
     ka_list = _ka_list(p, n)
     rows, bad = [], 0
-    for T in p["T_list"]:
-        sched = _make_schedule(p, n_spins=n, T=T)
+    for sched in [_make_schedule(p, n_spins=n, T=T) for T in p["T_list"]]:  # every T checked first
         end = ising.integrate_bogoliubov(ka_list, sched)
         # written so that NaN fails the comparison and counts as bad
         ok = (end.norm_defect <= NORM_DEFECT_MAX) & (end.endpoint_error <= ENDPOINT_ERROR_MAX)
@@ -219,7 +213,7 @@ def _run_sweep(cfg):
         )
         for ka, pexc, defect, err, mis, steps in per_mode:
             rows.append([
-                n, float(ka), float(T), sched.kind,
+                n, float(ka), sched.T, sched.kind,
                 float(pexc), float(defect), float(err), float(mis), int(steps),
             ])
     return ResultBundle(
@@ -237,7 +231,7 @@ def _run_response(cfg):
     p = cfg.params
     pair_key = ("kpa",) if p.get("channel") == "nonuniform_x" else ()
     _check_config(p, ("n_spins", "T", "omega_grid", "channel"),
-                  ("endpoint_order", "ka_list", *pair_key, *_schedule_keys(p)))
+                  ("endpoint_order", "ka_list", *pair_key, "schedule"))
     n = int(p["n_spins"])
     kind = p["channel"]
     if kind not in response.CHANNEL_KINDS:
@@ -297,7 +291,7 @@ def _bath_from_config(p):
 
 def _run_grover(cfg):
     p = cfg.params
-    _check_config(p, ("n_list", "T"), ("bath", "coupling", *_schedule_keys(p)))
+    _check_config(p, ("n_list", "T"), ("bath", "coupling", "schedule"))
     sf = _bath_from_config(p)
     coupling = float(p.get("coupling", 0.01))
     sched = _make_schedule(p)

@@ -91,7 +91,7 @@ def _check_g(g):
 
 def _check_ka(ka):
     ka = np.asarray(ka, dtype=float)
-    if np.any(np.abs(ka) > np.pi):
+    if not np.all(np.abs(ka) <= np.pi):  # NaN fails the comparison
         raise ValueError(f"|ka| must not exceed pi, got {ka!r}")
     return ka
 
@@ -261,6 +261,6 @@ def excitation_probability_mode(ka, schedule, steps=None):
     """Closed-system excitation probability of mode ka after the sweep.
 
     Overlap of the integrated (u, v) with the instantaneous excited state at
-    t=T; vanishes for a frozen schedule and decreases with slower sweeps.
+    t=T; decreases with slower sweeps.
     """
     return integrate_bogoliubov(ka, schedule, steps=steps).excitation_probability()

@@ -7,8 +7,8 @@ dg/dt = c * gap(g)^p with c fixed by g(T) = 1.  The fundamental gap
 and x = g - 1/2, makes both exactly solvable: t(g) is proportional to
 F(g) - F(0) with F(g) = asinh(2cx/s)/(8c) for p=1 and
 F(g) = arctan(2cx/s)/(32cs) for p=2, and g(t) inverts it in closed form.
-The phase integral int E_k dt is closed form for the linear and frozen
-kinds and a certified ``nested_simpson`` integral for the adapted ones.
+The phase integral int E_k dt is closed form for the linear kind and a
+certified ``nested_simpson`` integral for the adapted ones.
 """
 
 import math
@@ -21,7 +21,7 @@ from ._kernels import QuadratureError, nested_simpson
 from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .ising import ChainParams, _check_ka, dispersion, min_gap
 
-KINDS = ("linear", "gap_adapted", "gap_squared_adapted", "frozen")
+KINDS = ("linear", "gap_adapted", "gap_squared_adapted")
 
 _PHASE_FIRST = 64  # intervals of the first grid of an adapted kind's phase integral
 
@@ -57,17 +57,14 @@ def _linear_phase(ka, x):
 
 @dataclass
 class Schedule:
-    """Monotone interpolation with g(0)=0 and g(T)=1 (except ``frozen``).
+    """Monotone interpolation with g(0)=0 and g(T)=1.
 
-    ``frozen`` holds g constant; it violates the boundary conditions on
-    purpose and exists only as a diagnostic for the closed-system tests.
     The adapted kinds carry ``_c`` and ``_p`` of dg/dt = _c * gap^_p.
     """
 
     kind: str
     T: float
     n_spins: int | None = None
-    g_frozen: float | None = None
     _c: float | None = None
     _p: int | None = None
 
@@ -90,9 +87,7 @@ class Schedule:
 
     def g_of(self, t):
         t = self._check_t(t)
-        if self.kind == "frozen":
-            out = np.full_like(t, self.g_frozen)
-        elif self.kind == "linear":
+        if self.kind == "linear":
             out = t / self.T
         else:
             _, inverse, a, ratio = self._adapted()
@@ -102,9 +97,7 @@ class Schedule:
 
     def gdot_of(self, t):
         t = self._check_t(t)
-        if self.kind == "frozen":
-            out = np.zeros_like(t)
-        elif self.kind == "linear":
+        if self.kind == "linear":
             out = np.full_like(t, 1.0 / self.T)
         else:
             out = self._c * np.asarray(min_gap(ChainParams(self.n_spins), self.g_of(t))) ** self._p
@@ -119,8 +112,6 @@ class Schedule:
         g = np.asarray(g, dtype=float)
         if np.any(g < 0.0) or np.any(g > 1.0):
             raise ValueError(f"g must lie in [0, 1], got {g!r}")
-        if self.kind == "frozen":
-            raise ValueError("frozen schedule is not invertible")
         if self.kind == "linear":
             out = g * self.T
         else:
@@ -132,15 +123,13 @@ class Schedule:
     def phase_integral(self, ka, t):
         """Accumulated single-particle phase int_0^t E_k(g(t')) dt'.
 
-        Closed form for the linear and frozen kinds.  The adapted kinds
+        Closed form for the linear kind.  The adapted kinds
         integrate t E_k(g(t u)) over u in [0, 1] for every t at once, by
         ``nested_simpson``; a value it does not certify raises
         ``QuadratureError``.
         """
         t = self._check_t(t)
-        if self.kind == "frozen":
-            out = dispersion(ka, self.g_frozen) * t
-        elif self.kind == "linear":
+        if self.kind == "linear":
             out = self.T * (_linear_phase(ka, t / self.T - 0.5) + _linear_phase(ka, 0.5))
         else:
             upper = t.reshape(-1, 1)
@@ -154,15 +143,11 @@ class Schedule:
         return out if np.ndim(t) else float(out)
 
 
-def make_schedule(kind, T, n_spins=None, g_frozen=None):
+def make_schedule(kind, T, n_spins=None):
     if kind not in KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
-    if T <= 0.0 and kind != "frozen":
-        raise ValueError(f"T must be positive, got {T}")
-    if kind == "frozen":
-        if g_frozen is None:
-            raise ValueError("frozen schedule needs g_frozen")
-        return Schedule(kind=kind, T=float(T), g_frozen=float(g_frozen))
+    if not 0.0 < T < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"T must be positive and finite, got {T}")
     if kind == "linear":
         return Schedule(kind=kind, T=float(T))
     if n_spins is None:

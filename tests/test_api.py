@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import qptsweep
+from qptsweep import exact, response, schedules
 
 SRC = Path(qptsweep.__file__).resolve().parent
 
@@ -255,14 +256,19 @@ def _unreached(modules, named):
     return found
 
 
+def _named_outside_the_tests():
+    """The identifiers of the acceptance criteria and the benchmark."""
+    named = set()
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        named |= _identifiers(ast.parse(path.read_text()))
+    return named
+
+
 def test_every_definition_is_reached():
     # a definition stays only if the library itself uses it, an acceptance
     # criterion calls it, or the benchmark looks it up or calls it
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    named = set()
-    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
-        named |= _identifiers(ast.parse(path.read_text()))
-    unreached = _unreached(modules, named)
+    unreached = _unreached(modules, _named_outside_the_tests())
     assert not unreached, "definitions nothing reaches: " + ", ".join(unreached)
 
 
@@ -290,6 +296,28 @@ def test_unreached_definition_is_reported():
     assert _unreached({"lib": lib, "user": user}, named) == [
         "lib:2 UNUSED", "lib:5 recursive", "lib:15 Box.read",
     ]
+
+
+def _unselected(kinds, named):
+    """``table value`` for every value of the ``kinds`` tables (name ->
+    values) that is not among the identifiers ``named``."""
+    return [f"{table} {value}" for table, values in kinds.items() for value in values if value not in named]
+
+
+def test_every_kind_is_selected_outside_the_tests():
+    # a kind stays only if an acceptance criterion or the benchmark selects
+    # it.  bath.KINDS is left out: its tabulated kind is built inside
+    # bath.load_tabulated, which criterion 12 calls, and never named there
+    kinds = {"schedules.KINDS": schedules.KINDS, "response.CHANNEL_KINDS": response.CHANNEL_KINDS,
+             "exact.MODELS": exact.MODELS}
+    unselected = _unselected(kinds, _named_outside_the_tests())
+    assert not unselected, "kinds nothing outside the tests selects: " + ", ".join(unselected)
+
+
+def test_unselected_kind_is_reported():
+    named = _identifiers(ast.parse('run({"schedule": "linear"})\nrun(kind="gap_adapted")\n'))
+    kinds = {"KINDS": ("linear", "gap_adapted", "frozen"), "MODELS": ("ring",)}
+    assert _unselected(kinds, named) == ["KINDS frozen", "MODELS ring"]
 
 
 def _unused_imports(tree, lines):

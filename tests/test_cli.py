@@ -424,13 +424,21 @@ def test_json_mirror_roundtrip(tmp_path):
     ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64], "coarse_points": 9}),
     ("grover", {"n_list": [4], "T": 50.0,
                 "bath": {"kind": "dirac_comb", "omega0": [0.5], "weight": [1.0], "beta": 1.0}}),
-], ids=["sweep_ka_above_pi", "sweep_frozen_without_g", "spectrum_odd_n", "ed_n_too_large",
+    # a sweep time or a momentum that is not a finite number
+    ("sweep", {"n_spins": 16, "T_list": [float("inf")]}),
+    ("response", {"n_spins": 16, "T": float("inf"), "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("response", {"n_spins": 16, "T": float("nan"), "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": [float("nan")]}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+                  "ka_list": [float("nan")]}),
+], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
         "response_unknown_channel", "mixed_gap_n_above_60", "ed_scalar_n_list",
         "sweep_scalar_T_list", "response_scalar_ka_list", "grover_scalar_bath",
         "response_unread_coupling", "response_kpa_without_nonuniform_x",
-        "sweep_g_frozen_without_frozen", "gap_law_unread_coarse_points", "grover_unread_bath_key"])
+        "sweep_unread_key", "gap_law_unread_coarse_points", "grover_unread_bath_key",
+        "sweep_infinite_T", "response_infinite_T", "response_nan_T", "sweep_nan_ka", "response_nan_ka"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -444,7 +452,10 @@ def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, d
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
                   "ka_list": [0.2, 0.4], "kpa": 0.6}, (response, "amplitudes_on_grid")),
     ("grover", {"n_list": [4], "T": 50.0, "coupling": 0.01, "bath": 5}, (grover, "error_estimate")),
-], ids=["sweep", "response", "grover"])
+    ("sweep", {"n_spins": 16, "T_list": [20.0, float("inf")]}, (ising, "integrate_bogoliubov")),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
+                  "ka_list": [0.2, float("nan")]}, (response, "amplitudes_on_grid")),
+], ids=["sweep", "response", "grover", "sweep_last_T_infinite", "response_last_ka_nan"])
 def test_config_is_checked_before_any_computation(tmp_path, monkeypatch, subcommand, doc, computes):
     def computed(*args, **kwargs):
         raise AssertionError("computed before the config was checked")
@@ -553,8 +564,12 @@ def test_per_frequency_nonconverged_rows_exit_2(tmp_path, monkeypatch, channel, 
     ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": float("nan"), "num": 1}}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
                   "omega_grid": {"start": 0.4, "stop": float("inf"), "num": 3}}),
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}),
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": 1.0, "num": True}}),
+    ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": 1.0, "num": "3"}}),
 ], ids=["spectrum_num_0", "spectrum_descending", "response_num_0", "response_descending",
-        "spectrum_nan_start", "spectrum_nan_stop_num_1", "response_inf_stop"])
+        "spectrum_nan_start", "spectrum_nan_stop_num_1", "response_inf_stop",
+        "spectrum_fractional_num", "spectrum_bool_num", "spectrum_string_num"])
 def test_linspace_grid_checked_like_list_grid(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -584,7 +599,7 @@ def _oracle_json_value(x):
 
 def _oracle_csv(bundle):
     lines = [",".join(bundle.columns)]
-    for row in bundle.rows:
+    for row in zip(*bundle.data):
         lines.append(",".join(_oracle_fmt(x) for x in row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -592,7 +607,7 @@ def _oracle_csv(bundle):
 def _oracle_json(bundle):
     doc = {
         "columns": bundle.columns,
-        "rows": [[_oracle_json_value(x) for x in row] for row in bundle.rows],
+        "rows": [[_oracle_json_value(x) for x in row] for row in zip(*bundle.data)],
         "fits": {k: {kk: _oracle_json_value(v) for kk, v in fit.items()}
                  for k, fit in bundle.fits.items()},
         "nonconverged": bundle.nonconverged,
@@ -753,7 +768,7 @@ def test_spectrum_bytes_match_oracle(tmp_path):
         [8, float(ka), float(g), float(e)]
         for g in grid for ka, e in zip(momenta, ising.dispersion(momenta, g))
     ]
-    oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], rows=rows)
+    oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], data=list(zip(*rows)))
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(oracle)
     doc = {
         "columns": oracle.columns, "fits": {}, "nonconverged": 0,

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from constant_g import ConstantG
 from qptsweep import ising, schedules
 from qptsweep._kernels import rk4_mode
 
@@ -258,8 +259,8 @@ def test_linear_sweep_excitation_is_landau_zener(total_time, ka):
 
 
 def test_frozen_schedule_no_excitation():
-    sched = schedules.make_schedule("frozen", 10.0, g_frozen=0.3)
-    p = ising.excitation_probability_mode(np.pi / 8, sched)
+    # at constant g the ground pair only gathers a phase
+    p = ising.excitation_probability_mode(np.pi / 8, ConstantG(10.0, 0.3))
     assert p < 1e-10
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from constant_g import ConstantG
 from qptsweep import bath, response, schedules
 from qptsweep._kernels import cumulative_simpson_uniform
 from qptsweep.ising import dispersion
@@ -143,9 +144,8 @@ def test_nonuniform_pair_gap_phase_flag():
 
 
 def test_bitflip_frozen_g0():
-    sched = schedules.make_schedule("frozen", 50.0, g_frozen=0.0)
     ka, w = np.pi / 16, 0.6
-    b = response.amplitude_bitflip(ka, w, sched)
+    b = response.amplitude_bitflip(ka, w, ConstantG(50.0, 0.0))
     assert abs(b.a1) < 1e-12  # Xi vanishes with g
     # envelope is exactly 1; |int_0^T e^{i(4-w)t} dt| <= 2/|4-w|
     assert abs(b.a2) <= 2.0 / abs(4.0 - w) + 1e-9

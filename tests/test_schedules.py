@@ -63,11 +63,6 @@ def test_invert_roundtrip(kind):
     assert np.max(np.abs(back - t)) < 1e-8 * 7.0
 
 
-def test_phase_integral_frozen():
-    sched = schedules.make_schedule("frozen", 9.0, g_frozen=0.0)
-    assert sched.phase_integral(np.pi / 3, 9.0) == pytest.approx(18.0, rel=1e-10)
-
-
 def test_phase_integral_grid_stability():
     sched = schedules.make_schedule("linear", 1.0)
     t = np.linspace(0.0, 1.0, 50)
@@ -92,15 +87,16 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         schedules.make_schedule("gap_adapted", 1.0)  # missing n_spins
     with pytest.raises(ValueError):
-        schedules.make_schedule("frozen", 1.0)  # missing g_frozen
+        schedules.make_schedule("frozen", 1.0)  # g held constant is no sweep
+    with pytest.raises(ValueError):
+        schedules.make_schedule("linear", float("inf"))
+    with pytest.raises(ValueError):
+        schedules.make_schedule("linear", float("nan"))
     sched = schedules.make_schedule("linear", 1.0)
     with pytest.raises(ValueError):
         sched.g_of(2.0)
     with pytest.raises(ValueError):
         sched.invert(1.5)
-    frozen = schedules.make_schedule("frozen", 1.0, g_frozen=0.5)
-    with pytest.raises(ValueError):
-        frozen.invert(0.5)
 
 
 def simpson_table(kind, T, n_spins, points):
