@@ -369,8 +369,8 @@ def rk4_mode(g2, ka, dt):
 # The Gauss-Legendre nodes of a step sit at (1/2 -+ sqrt(3)/6) dt, and the
 # same sqrt(3)/6 weighs the commutator term of the fourth-order exponent.
 _GL_OFFSET = np.sqrt(3.0) / 6.0
-# Steps per block of the streamed prefix product; a block's states are the
-# only per-step values the propagator holds at any time.
+# Steps per block of the streamed tree product; a block's step quaternions
+# are the only per-step values the propagator holds at any time.
 MAGNUS_BLOCK = 2048
 
 
@@ -389,13 +389,12 @@ def _quat_mul(a, b):
     With U(q) = q0 - i(q1 sx + q2 sy + q3 sz) this is the matrix product:
     U(a*b) = U(a) U(b).
     """
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.stack((
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
-        a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
-        a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
+    p = a[:, None] * b[None, :]  # p[i, j] = a_i b_j
+    return np.array((
+        p[0, 0] - p[1, 1] - p[2, 2] - p[3, 3],
+        p[0, 1] + p[1, 0] + p[2, 3] - p[3, 2],
+        p[0, 2] + p[2, 0] + p[3, 1] - p[1, 3],
+        p[0, 3] + p[3, 0] + p[1, 2] - p[2, 1],
     ))
 
 
@@ -416,13 +415,14 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
 
         -i [ (dt/2)(a1+a2) sz + (dt/2)(b1+b2) sx + (sqrt(3)/6) dt^2 (a2 b1 - a1 b2) sy ],
 
-    so the norm changes only by rounding.  The step products are formed in
-    blocks of ``MAGNUS_BLOCK`` steps, by a log-depth scan within a block and
-    one quaternion per mode carried across blocks, so memory does not grow
-    with the number of steps.
+    so the norm changes only by rounding.  The steps of each block of
+    ``MAGNUS_BLOCK`` are multiplied by a pairwise tree, later steps from the
+    left, and one quaternion per mode is carried across blocks, so memory
+    does not grow with the number of steps.
 
     Returns (u_T, v_T, norm_defect), each of shape (K,): the endpoint and
-    the largest | |u|^2 + |v|^2 - 1 | over the start state and every step.
+    the largest of | |u|^2 + |v|^2 - 1 | at the start and at each block end
+    and of | |q|^2 - 1 | over every node q of the trees (steps included).
     """
     g_nodes = np.asarray(g_nodes, dtype=float)
     ka = np.asarray(ka, dtype=float)[:, None]
@@ -430,9 +430,9 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
     v0 = np.asarray(v0, dtype=complex)
     c = 4.0 * np.cos(ka / 2.0) ** 2
     s = 2.0 * np.sin(ka)
-    carry = np.zeros((4, ka.shape[0]))
-    carry[0] = 1.0
-    defect = np.abs(np.abs(u0) ** 2 + np.abs(v0) ** 2 - 1.0)
+    carry = np.repeat(np.eye(4)[:, :1], ka.shape[0], axis=1)  # the identity, per mode
+    u, v = u0, v0
+    defect = np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0)
     for start in range(0, g_nodes.shape[0], MAGNUS_BLOCK):
         g1, g2 = g_nodes[start:start + MAGNUS_BLOCK].T
         a1, a2 = 2.0 - c * g1, 2.0 - c * g2
@@ -446,20 +446,19 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
         # pi*(theta/pi) would break |q| = 1 by about theta*eps
         sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
         q = np.concatenate((np.cos(theta)[None], sinc * w))
-        # inclusive scan, later steps multiplying from the left
-        d = 1
-        while d < q.shape[2]:
-            q[:, :, d:] = _quat_mul(q[:, :, d:], q[:, :, :-d])
-            d *= 2
+        # pairwise tree; an odd last node waits for the next level
+        while True:
+            defect = np.maximum(defect, np.abs((q * q).sum(axis=0) - 1.0).max(axis=1))
+            if q.shape[2] == 1:
+                break
+            q = np.concatenate((_quat_mul(q[:, :, 1::2], q[:, :, 0:-1:2]), q[:, :, q.shape[2] & ~1:]), axis=2)
         # the carry enters renormalised, so that the norm rounding of each
         # block's steps does not add up over the blocks (identity: exact)
         carry /= np.sqrt(np.sum(carry * carry, axis=0))
-        q = _quat_mul(q, carry[:, :, None])
-        u, v = _apply(q, u0[:, None], v0[:, None])
-        defect = np.maximum(defect, np.max(np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0), axis=1))
-        carry = q[:, :, -1]
-    u_end, v_end = _apply(carry, u0, v0)
-    return u_end, v_end, defect
+        carry = _quat_mul(q[:, :, 0], carry)
+        u, v = _apply(carry, u0, v0)
+        defect = np.maximum(defect, np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0))
+    return u, v, defect
 
 
 # The rule of ``cumulative_simpson_uniform``, in units of dt/12: interval

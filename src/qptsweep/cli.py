@@ -142,14 +142,16 @@ def _ka_list(params, n_spins):
 
 
 def _make_schedule(params, n_spins=None, T=None):
-    return schedules.make_schedule(
-        params.get("schedule", "linear"), float(params["T"] if T is None else T), n_spins=n_spins)
+    T = params["T"] if T is None else T
+    if isinstance(T, bool) or not isinstance(T, (int, float)):
+        raise ConfigError(f"T must be a number, got {T!r}")
+    return schedules.make_schedule(params.get("schedule", "linear"), float(T), n_spins=n_spins)
 
 
 def _run_spectrum(cfg):
     p = cfg.params
     _check_config(p, ("n_spins",), ("g_grid",))
-    n = int(p["n_spins"])
+    n = _whole(p["n_spins"], "n_spins")
     g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 101}), "g_grid")
     momenta = ising.momentum_grid(ising.ChainParams(n))
     energies = ising.dispersion(momenta, g_grid[:, None])  # one row of momenta per g
@@ -199,7 +201,7 @@ ENDPOINT_ERROR_MAX = 1e-6
 def _run_sweep(cfg):
     p = cfg.params
     _check_config(p, ("n_spins", "T_list"), ("ka_list", "schedule"))
-    n = int(p["n_spins"])
+    n = _whole(p["n_spins"], "n_spins")
     ka_list = _ka_list(p, n)
     rows, bad = [], 0
     for sched in [_make_schedule(p, n_spins=n, T=T) for T in p["T_list"]]:  # every T checked first
@@ -232,7 +234,7 @@ def _run_response(cfg):
     pair_key = ("kpa",) if p.get("channel") == "nonuniform_x" else ()
     _check_config(p, ("n_spins", "T", "omega_grid", "channel"),
                   ("endpoint_order", "ka_list", *pair_key, "schedule"))
-    n = int(p["n_spins"])
+    n = _whole(p["n_spins"], "n_spins")
     kind = p["channel"]
     if kind not in response.CHANNEL_KINDS:
         raise ConfigError(f"channel must be one of {response.CHANNEL_KINDS}, got {kind!r}")

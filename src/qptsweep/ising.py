@@ -56,7 +56,7 @@ class ModeEndpoint:
     schedule: object
     u: complex | np.ndarray
     v: complex | np.ndarray
-    norm_defect: float | np.ndarray  # max |(|u|^2+|v|^2) - 1| along the path
+    norm_defect: float | np.ndarray  # max |(|u|^2+|v|^2) - 1| at block ends and |q|^2 - 1 of step products
     endpoint_error: float | np.ndarray  # |du| + |dv| between the last two grids at t=T
     n_grid: int | np.ndarray  # Magnus steps of the last grid
 

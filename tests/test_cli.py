@@ -431,6 +431,14 @@ def test_json_mirror_roundtrip(tmp_path):
     ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": [float("nan")]}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
                   "ka_list": [float("nan")]}),
+    # a sweep time that is a bool or not a number, a chain length that is not whole
+    ("sweep", {"n_spins": 16, "T_list": [True]}),
+    ("sweep", {"n_spins": 16, "T_list": ["20"]}),
+    ("grover", {"n_list": [4], "T": True}),
+    ("response", {"n_spins": 16, "T": "20", "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("spectrum", {"n_spins": 8.5}),
+    ("sweep", {"n_spins": 16.5, "T_list": [20.0]}),
+    ("response", {"n_spins": True, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
 ], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
@@ -438,7 +446,9 @@ def test_json_mirror_roundtrip(tmp_path):
         "sweep_scalar_T_list", "response_scalar_ka_list", "grover_scalar_bath",
         "response_unread_coupling", "response_kpa_without_nonuniform_x",
         "sweep_unread_key", "gap_law_unread_coarse_points", "grover_unread_bath_key",
-        "sweep_infinite_T", "response_infinite_T", "response_nan_T", "sweep_nan_ka", "response_nan_ka"])
+        "sweep_infinite_T", "response_infinite_T", "response_nan_T", "sweep_nan_ka", "response_nan_ka",
+        "sweep_bool_T", "sweep_string_T", "grover_bool_T", "response_string_T", "spectrum_fractional_n",
+        "sweep_fractional_n", "response_bool_n"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -191,7 +191,10 @@ def test_explicit_steps_keep_the_fixed_pair():
     # certified doubling; both fit one Magnus block, where the renormalised
     # carry changes nothing.  The 3pi/16 mode was re-recorded when alpha
     # became 2 sin^2(ka/2) + 2(1 - 2g) cos^2(ka/2): its pair at g = 0 is now
-    # u = 1 - 2^-53 in place of 1, which moves it by 1-2 ulp
+    # u = 1 - 2^-53 in place of 1, which moves it by 1-2 ulp.  norm_defect
+    # was re-recorded when each block's product became a pairwise tree: it is
+    # the largest defect of the tree's nodes and of the state at the block
+    # ends, no longer of the state after every step (u, v did not move)
     sched = schedules.make_schedule("gap_adapted", 30.0, n_spins=16)
     ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16])
     end = ising.integrate_bogoliubov(ka, sched, steps=2048)
@@ -201,7 +204,7 @@ def test_explicit_steps_keep_the_fixed_pair():
     assert end.v.tolist() == [
         (0.35006007310533993-0.9062423000667756j), (0.03701853541675742-0.9559730057238865j),
         (-0.26093567104220416+0.7220806930549418j)]
-    assert end.norm_defect.tolist() == [2.531308496145357e-14, 1.4876988529977098e-14, 2.5979218776228663e-14]
+    assert end.norm_defect.tolist() == [1.7319479184152442e-14, 5.218048215738236e-15, 1.199040866595169e-14]
     assert end.endpoint_error.tolist() == [
         1.4420573021244102e-09, 4.246397202849734e-09, 8.213796901823625e-09]
     assert end.n_grid.tolist() == [2048] * 3
@@ -256,6 +259,19 @@ def test_linear_sweep_excitation_is_landau_zener(total_time, ka):
     # up to corrections that the sweep's finite start and end leave
     p = ising.excitation_probability_mode(ka, schedules.make_schedule("linear", total_time))
     assert abs(p - np.exp(-np.pi * total_time * ka**2 / 4.0)) < 5e-5
+
+
+@pytest.mark.parametrize("total_time,tol", [(25.0, 2e-3), (100.0, 2e-4), (400.0, 2e-4)])
+def test_linear_sweep_density_is_kibble_zurek(total_time, tol):
+    # summed over the chain, the Landau-Zener probabilities give the density
+    # of excited modes n = (2/N) sum_{k>0} p_k -> 1/(pi sqrt(T)) (Dziarmaga,
+    # PRL 95, 245701 (2005); Zurek, Dorner & Zoller, PRL 95, 105701 (2005))
+    n_spins = 256
+    ka = ising.momentum_grid(ising.ChainParams(n_spins))
+    end = ising.integrate_bogoliubov(ka[ka > 0], schedules.make_schedule("linear", total_time))
+    assert np.all(end.endpoint_error < ising.ENDPOINT_TOL)
+    density = 2.0 / n_spins * np.sum(end.excitation_probability())
+    assert abs(density * np.pi * np.sqrt(total_time) - 1.0) < tol
 
 
 def test_frozen_schedule_no_excitation():

@@ -357,7 +357,10 @@ def test_magnus4_modes_match_single_mode_calls():
         assert abs(defect[k] - dk) < 1e-14
 
 
-@pytest.mark.parametrize("steps", [MAGNUS_BLOCK - 1, MAGNUS_BLOCK, 2 * MAGNUS_BLOCK + 37])
+# 1, 3 and 2^k + 1 steps, and the last blocks of 2 * MAGNUS_BLOCK + 37 and
+# 3 * MAGNUS_BLOCK - 1, leave an odd node at one or more levels of a block's tree
+@pytest.mark.parametrize("steps", [
+    1, 3, 2**5 + 1, 2**9 + 1, MAGNUS_BLOCK - 1, MAGNUS_BLOCK, 2 * MAGNUS_BLOCK + 37, 3 * MAGNUS_BLOCK - 1])
 def test_magnus4_blocks_match_sequential_product(steps):
     # reference: each step's exponent exponentiated by expm, applied in turn
     total_time, ka = 25.0, 0.9
@@ -377,6 +380,26 @@ def test_magnus4_blocks_match_sequential_product(steps):
     u, v, got_defect = magnus_one(g_nodes, ka, dt)
     assert abs(u - psi[0]) + abs(v - psi[1]) < 1e-12
     assert got_defect < 1e-12 and defect < 1e-12
+
+
+def test_quat_mul_is_the_written_out_hamilton_product():
+    # bit for bit the component formula, summed left to right, and U(a b) = U(a) U(b)
+    a, b = np.random.default_rng(5).standard_normal((2, 4, 3, 7))
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    want = np.stack((
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
+        a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
+        a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
+    ))
+    got = _kernels._quat_mul(a, b)
+    assert np.array_equal(got, want)
+
+    def matrix(q):
+        return q[0] * np.eye(2) - 1j * (q[1] * SX + q[2] * SY + q[3] * SZ)
+
+    assert_allclose(matrix(got[:, 1, 4]), matrix(a[:, 1, 4]) @ matrix(b[:, 1, 4]), rtol=0, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
