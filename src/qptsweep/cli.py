@@ -89,27 +89,39 @@ class ResultBundle:
         self.nonconverged = nonconverged
 
 
-def _whole(value, what):
-    """``value`` as an int when it is a whole number that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
+def _value(value, spec, what):
+    """``value`` read by ``spec``: ``int`` a whole number, as int; ``float`` any number,
+    as float; ``str`` or ``dict`` a value of that type; a tuple one of its choices;
+    ``[spec]`` a nonempty list of ``spec``; any other spec is a reader of its own,
+    such as ``_grid``, called as ``spec(value, what)``.  A bool is never a number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if spec is int and number and value % 1 == 0 or spec is float and number:
+        return spec(value)
+    if spec in (str, dict) and isinstance(value, spec):
+        return value
+    if isinstance(spec, tuple) and not isinstance(value, bool) and value in spec:
+        return spec[spec.index(value)]  # 2.0 reads as the choice 2
+    if isinstance(spec, list) and isinstance(value, list) and value:
+        return [_value(v, spec[0], f"{what} entry") for v in value]
+    if not isinstance(spec, (type, tuple, list)):
+        return spec(value, what)
+    want = (", ".join(map(repr, spec[:-1])) + f" or {spec[-1]!r}" if isinstance(spec, tuple)
+            else "a nonempty list" if isinstance(spec, list)
+            else {int: "a whole number", float: "a number", str: "a string", dict: "a JSON object"}[spec])
+    raise ConfigError(f"{what} must be {want}, got {value!r}")
 
 
 def _grid(spec, name):
     """Accept an explicit list or a {start, stop, num} linspace description;
     either must give a nonempty ascending grid of finite values."""
     if isinstance(spec, dict):
-        try:
-            start, stop, num = float(spec["start"]), float(spec["stop"]), _whole(spec["num"], f"{name} num")
-        except KeyError as exc:
-            raise ConfigError(f"{name} needs start/stop/num, got {spec}") from exc
+        start, stop, num = _read(spec, _KEYS["linspace"]).values()
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"{name} start and stop must be finite, got {spec}")
         arr = np.linspace(start, stop, num)
     else:
-        arr = np.asarray(spec, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
+        arr = np.asarray(_value(spec, [float], name))
+    if len(arr) == 0:
         raise ConfigError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} entries must be finite, got {spec}")
@@ -118,41 +130,65 @@ def _grid(spec, name):
     return arr
 
 
-def _check_config(params, required, optional):
-    """Reject, before any computation, a missing ``required`` key, a key that
-    the run will not read (it reads ``required`` and ``optional``), a value
-    of an ``*_list`` key that is not a list, and an empty list."""
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise ConfigError(f"missing config keys: {missing}")
-    unread = sorted(set(params) - {*required, *optional})
+def _probes(value, what):
+    """A dirac_comb ``omega0`` or ``weight``: a number or a nonempty list of numbers."""
+    return _value(value, [float] if isinstance(value, list) else float, what)
+
+
+_REQUIRED = "required"  # the default of a key that the config must give
+_SCHEDULE = {"schedule": (schedules.KINDS, "linear")}
+
+# {key: (spec, default)} of each subcommand, a bath, a linspace grid, and each value of a key that brings
+# more keys in: a scaling study, a response channel, a bath kind.  A key whose default is None takes the
+# runner's default when left out.  The library calls that take the values check their ranges.
+_KEYS = {
+    "spectrum": {"n_spins": (int, _REQUIRED), "g_grid": (_grid, {"start": 0.0, "stop": 1.0, "num": 101})},
+    "ed": {"model": (exact.MODELS, _REQUIRED), "n_list": ([int], _REQUIRED),
+           "g_grid": (_grid, {"start": 0.0, "stop": 1.0, "num": 21}), "m": (int, 4)},
+    "sweep": {"n_spins": (int, _REQUIRED), "T_list": ([float], _REQUIRED), "ka_list": ([float], None),
+              **_SCHEDULE},
+    "response": {"n_spins": (int, _REQUIRED), "T": (float, _REQUIRED), "omega_grid": (_grid, _REQUIRED),
+                 "channel": (response.CHANNEL_KINDS, _REQUIRED), "endpoint_order": ((0, 1, 2), 0),
+                 "ka_list": ([float], None), **_SCHEDULE},
+    ("channel", "nonuniform_x"): {"kpa": (float, None)},
+    "grover": {"n_list": ([int], _REQUIRED), "T": (float, _REQUIRED), "bath": (dict, None),
+               "coupling": (float, 0.01), **_SCHEDULE},
+    "linspace": {"start": (float, _REQUIRED), "stop": (float, _REQUIRED), "num": (int, _REQUIRED)},
+    "bath": {"kind": (bath.KINDS, "thermal_bosonic")},
+    ("kind", "thermal_bosonic"): dict.fromkeys(  # a parameter left out keeps SpectralFunction's default
+        ("theta", "omega_ph", "epsilon", "omega_c", "beta"), (float, None)),
+    ("kind", "tabulated"): {"path": (str, _REQUIRED)},
+    ("kind", "dirac_comb"): {"omega0": (_probes, _REQUIRED), "weight": (_probes, _REQUIRED)},
+    "scaling": {"study": (("gap_law", "near_gap_table", "mixed_gap"), "gap_law")},
+    ("study", "gap_law"): {"n_list": ([int], [8, 16, 32, 64, 128, 256, 512, 1024])},
+    ("study", "near_gap_table"): {"n_list": ([int], [32, 64, 128, 256])},
+    ("study", "mixed_gap"): {"n_list": ([int], [4, 6, 8, 10]), "coarse_points": (int, 41)},
+}
+
+
+def _read(params, keys):
+    """Every value of the config object ``params`` read by the table ``keys``, before any
+    computation: {key: value} of each key given or with a default other than None.  A value
+    ``v`` of a key ``k`` that names a table ``_KEYS[k, v]`` brings that table's keys in.
+    A missing key and a key that no table reads are rejected."""
+    out, tables = {}, [keys]
+    for table in tables:
+        missing = [k for k, (_, default) in table.items() if default is _REQUIRED and k not in params]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
+        read = {k: _value(params.get(k, default), spec, k)
+                for k, (spec, default) in table.items() if k in params or default is not None}
+        out.update(read)
+        tables += [_KEYS[k, v] for k, v in read.items() if isinstance(v, str) and (k, v) in _KEYS]
+    unread = sorted(set(params) - set(out))
     if unread:
         raise ConfigError(f"config keys {unread} are not read by this run")
-    for k, v in params.items():
-        if k.endswith("_list") and not isinstance(v, list):
-            raise ConfigError(f"config key {k!r} must be a list, got {v!r}")
-        if isinstance(v, list) and len(v) == 0:
-            raise ConfigError(f"config key {k!r} must be a nonempty list")
-
-
-def _ka_list(params, n_spins):
-    """The config's ``ka_list`` in its given order, or [pi/N] when it is absent,
-    each |ka| <= pi checked before any run."""
-    return ising._check_ka(params.get("ka_list", [np.pi / n_spins]))
-
-
-def _make_schedule(params, n_spins=None, T=None):
-    T = params["T"] if T is None else T
-    if isinstance(T, bool) or not isinstance(T, (int, float)):
-        raise ConfigError(f"T must be a number, got {T!r}")
-    return schedules.make_schedule(params.get("schedule", "linear"), float(T), n_spins=n_spins)
+    return out
 
 
 def _run_spectrum(cfg):
-    p = cfg.params
-    _check_config(p, ("n_spins",), ("g_grid",))
-    n = _whole(p["n_spins"], "n_spins")
-    g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 101}), "g_grid")
+    p = _read(cfg.params, _KEYS["spectrum"])
+    n, g_grid = p["n_spins"], p["g_grid"]
     momenta = ising.momentum_grid(ising.ChainParams(n))
     energies = ising.dispersion(momenta, g_grid[:, None])  # one row of momenta per g
     data = [
@@ -163,27 +199,22 @@ def _run_spectrum(cfg):
 
 
 def _run_ed(cfg):
-    p = cfg.params
-    _check_config(p, ("model", "n_list"), ("g_grid", "m"))
-    model = p["model"]
-    g_grid = _grid(p.get("g_grid", {"start": 0.0, "stop": 1.0, "num": 21}), "g_grid")
-    m = _whole(p.get("m", 4), "m")
+    p = _read(cfg.params, _KEYS["ed"])
+    model, m = p["model"], p["m"]
     parity = model in ("ising_ring", "mixed_grover_ising")
     rows, bad = [], 0
     for n in p["n_list"]:
-        for g in g_grid:
+        for g in p["g_grid"]:
             try:
-                ham = exact.build_hamiltonian(model, int(n), float(g))
+                ham = exact.build_hamiltonian(model, n, float(g))
                 spec = exact.low_spectrum(ham, m, resolve_parity=parity)
             except exact.NonConvergenceError:
                 bad += 1
-                rows.append([model, int(n), float(g), -1, np.nan, 0.0, np.nan])
+                rows.append([model, n, float(g), -1, np.nan, 0.0, np.nan])
                 continue
             for lvl, e in enumerate(spec.eigenvalues):
                 par = spec.parity_labels[lvl] if spec.parity_labels is not None else 0.0
-                rows.append(
-                    [model, int(n), float(g), lvl, float(e), float(par), float(spec.residuals[lvl])]
-                )
+                rows.append([model, n, float(g), lvl, float(e), float(par), float(spec.residuals[lvl])])
     return ResultBundle(
         name="ed",
         columns=["model", "n_spins", "g", "level", "energy", "parity", "residual"],
@@ -199,12 +230,12 @@ ENDPOINT_ERROR_MAX = 1e-6
 
 
 def _run_sweep(cfg):
-    p = cfg.params
-    _check_config(p, ("n_spins", "T_list"), ("ka_list", "schedule"))
-    n = _whole(p["n_spins"], "n_spins")
-    ka_list = _ka_list(p, n)
+    p = _read(cfg.params, _KEYS["sweep"])
+    n = p["n_spins"]
+    ka_list = ising._check_ka(p.get("ka_list", [np.pi / n]))
     rows, bad = [], 0
-    for sched in [_make_schedule(p, n_spins=n, T=T) for T in p["T_list"]]:  # every T checked first
+    # every T checked first
+    for sched in [schedules.make_schedule(p["schedule"], T, n_spins=n) for T in p["T_list"]]:
         end = ising.integrate_bogoliubov(ka_list, sched)
         # written so that NaN fails the comparison and counts as bad
         ok = (end.norm_defect <= NORM_DEFECT_MAX) & (end.endpoint_error <= ENDPOINT_ERROR_MAX)
@@ -230,24 +261,14 @@ def _run_sweep(cfg):
 
 
 def _run_response(cfg):
-    p = cfg.params
-    pair_key = ("kpa",) if p.get("channel") == "nonuniform_x" else ()
-    _check_config(p, ("n_spins", "T", "omega_grid", "channel"),
-                  ("endpoint_order", "ka_list", *pair_key, "schedule"))
-    n = _whole(p["n_spins"], "n_spins")
-    kind = p["channel"]
-    if kind not in response.CHANNEL_KINDS:
-        raise ConfigError(f"channel must be one of {response.CHANNEL_KINDS}, got {kind!r}")
-    sched = _make_schedule(p, n_spins=n)
-    omega_grid = _grid(p["omega_grid"], "omega_grid")
-    order = p.get("endpoint_order", 0)
-    if isinstance(order, bool) or order not in (0, 1, 2):
-        raise ConfigError(f"endpoint_order must be 0, 1 or 2, got {order!r}")
+    p = _read(cfg.params, _KEYS["response"])
+    n, kind, omega_grid = p["n_spins"], p["channel"], p["omega_grid"]
+    sched = schedules.make_schedule(p["schedule"], p["T"], n_spins=n)
     rows = []
-    for ka in _ka_list(p, n).tolist():
-        kpa = float(p.get("kpa", ka)) if kind == "nonuniform_x" else ka
+    for ka in ising._check_ka(p.get("ka_list", [np.pi / n])).tolist():
+        kpa = p.get("kpa", ka)  # only a nonuniform_x config reads kpa
         values, errors, oks = response.amplitudes_on_grid(
-            kind, ka, kpa, omega_grid, n, sched, int(order)
+            kind, ka, kpa, omega_grid, n, sched, p["endpoint_order"]
         )
         rows += [
             [kind, n, ka, kpa, w, response.classify_regime(w, ka), "quadrature",
@@ -267,36 +288,20 @@ def _run_response(cfg):
     )
 
 
-_BATH_KEYS = {  # the required and the optional keys of each bath kind
-    "thermal_bosonic": ((), ("kind", "theta", "omega_ph", "epsilon", "omega_c", "beta")),
-    "tabulated": (("path",), ("kind",)),
-    "dirac_comb": (("omega0", "weight"), ("kind",)),
-}
-
-
-def _bath_from_config(p):
-    spec = p.get("bath")
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"bath must be a JSON object, got {spec!r}")
-    kind = spec.get("kind", "thermal_bosonic")
-    if not isinstance(kind, str) or kind not in _BATH_KEYS:
-        raise ConfigError(f"unknown bath kind {kind!r}")
-    _check_config(spec, *_BATH_KEYS[kind])
-    if kind == "thermal_bosonic":  # a parameter left out takes SpectralFunction's default
-        return bath.SpectralFunction(kind=kind, **{k: float(v) for k, v in spec.items() if k != "kind"})
+def _bath_from_config(obj):
+    b = _read(obj, _KEYS["bath"])
+    kind = b.pop("kind")
+    if kind == "thermal_bosonic":
+        return bath.SpectralFunction(kind=kind, **b)
     if kind == "tabulated":
-        return bath.load_tabulated(spec["path"])
-    return bath.dirac_probe(spec["omega0"], spec["weight"])
+        return bath.load_tabulated(b["path"])
+    return bath.dirac_probe(b["omega0"], b["weight"])
 
 
 def _run_grover(cfg):
-    p = cfg.params
-    _check_config(p, ("n_list", "T"), ("bath", "coupling", "schedule"))
-    sf = _bath_from_config(p)
-    coupling = float(p.get("coupling", 0.01))
-    sched = _make_schedule(p)
+    p = _read(cfg.params, _KEYS["grover"])
+    sf = _bath_from_config(p["bath"]) if "bath" in p else None
+    sched = schedules.make_schedule(p["schedule"], p["T"])
     if sf is not None and sf.kind != "dirac_comb":
         log.warning(
             "grover: error_probability is computed only for dirac_comb baths; "
@@ -304,7 +309,7 @@ def _run_grover(cfg):
         )
     rows, bad = [], 0
     for n in p["n_list"]:
-        params = grover.GroverParams(n_qubits=int(n), coupling=coupling, schedule=sched, spectral_function=sf)
+        params = grover.GroverParams(n_qubits=n, coupling=p["coupling"], schedule=sched, spectral_function=sf)
         est = grover.error_estimate(params) if sf else np.nan
         err = np.nan
         if sf is not None and sf.kind == "dirac_comb":
@@ -312,7 +317,7 @@ def _run_grover(cfg):
                 err = grover.error_probability(params)
             except grover.QuadratureError:
                 bad += 1
-        rows.append([int(n), params.dim, params.min_gap, err, est])
+        rows.append([n, params.dim, params.min_gap, err, est])
     return ResultBundle(
         name="grover",
         columns=["n_qubits", "dim", "min_gap", "error_probability", "error_estimate"],
@@ -322,20 +327,16 @@ def _run_grover(cfg):
 
 
 def _run_scaling(cfg):
-    p = cfg.params
-    study = p.get("study", "gap_law")
-    extra = ("coarse_points",) if study == "mixed_gap" else ()
-    _check_config(p, (), ("study", "n_list", *extra))
+    p = _read(cfg.params, _KEYS["scaling"])
+    study, n_list = p["study"], p["n_list"]
     rows, fits = [], {}
     if study == "gap_law":
-        n_list = [int(n) for n in p.get("n_list", [8, 16, 32, 64, 128, 256, 512, 1024])]
         gaps = [ising.global_min_gap(ising.ChainParams(n)) for n in n_list]
         rows = [[n, g] for n, g in zip(n_list, gaps)]
         fit = fit_power_law(np.asarray(n_list, float), np.asarray(gaps))
         fits["gap_law"] = {"exponent": fit.exponent, "prefactor": fit.prefactor, "r_squared": fit.r_squared}
         columns = ["n_spins", "min_gap"]
     elif study == "near_gap_table":
-        n_list = [int(n) for n in p.get("n_list", [32, 64, 128, 256])]
         columns = ["schedule", "n_spins", "T", "bound"]
         for kind in ("linear", "gap_adapted", "gap_squared_adapted"):
             vals = []
@@ -358,14 +359,11 @@ def _run_scaling(cfg):
             else:
                 fit = fit_power_law(ns, vals)
             fits[kind] = {"exponent": fit.exponent, "r_squared": fit.r_squared}
-    elif study == "mixed_gap":
-        n_list = [int(n) for n in p.get("n_list", [4, 6, 8, 10])]
-        fit, gaps = exact.mixed_gap_scaling(n_list, coarse_points=int(p.get("coarse_points", 41)))
+    else:  # mixed_gap
+        fit, gaps = exact.mixed_gap_scaling(n_list, coarse_points=p["coarse_points"])
         rows = [[n, g] for n, g in gaps.items()]
         fits["mixed_gap"] = {"rate": fit.exponent, "r_squared": fit.r_squared}
         columns = ["n_spins", "min_even_gap"]
-    else:
-        raise ConfigError(f"unknown scaling study {study!r}")
     return ResultBundle(name=f"scaling_{study}", columns=columns, rows=rows, fits=fits)
 
 

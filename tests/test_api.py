@@ -198,6 +198,41 @@ def test_amplitude_use_outside_is_reported():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _raw_params(tree):
+    """Line of every ``.params`` access that is neither inside an argument of
+    a call of ``_read`` or ``_value`` nor inside class ``ExperimentConfig``."""
+    allowed = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig":
+            allowed |= {id(m) for m in ast.walk(n)}
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in ("_read", "_value"):
+            allowed |= {id(m) for arg in n.args for m in ast.walk(arg)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "params" and id(n) not in allowed)
+
+
+def test_every_config_value_is_read_by_the_key_table():
+    # a config value reaches a runner only through cli._read or cli._value,
+    # which read it by its type in cli._KEYS: no bare cast, no inline default
+    raw = _raw_params(ast.parse((SRC / "cli.py").read_text()))
+    assert not raw, f"config values read outside _read and _value at cli.py lines {raw}"
+
+
+def test_raw_config_read_is_reported():
+    tree = ast.parse(
+        "class ExperimentConfig:\n"
+        "    def canonical(self):\n"
+        "        return dict(self.params)\n"
+        "def run(cfg):\n"
+        "    p = _read(cfg.params, KEYS)\n"
+        "    kind = _value(cfg.params.get('kind', 'a'), KINDS, 'kind')\n"
+        "    n = int(cfg.params['n'])\n"
+        "    q = cfg.params\n"
+        "    return p, kind, n, float(q.get('x', 1.0)), read(cfg.params)\n"
+    )
+    assert _raw_params(tree) == [7, 8, 9]
+
+
 def _definitions(tree):
     """(line, name, node) for every top-level function, class and constant
     of a module, and every non-dunder method or property of its classes;

@@ -196,7 +196,7 @@ def test_response_rows_are_amplitudes_on_grid(tmp_path, kind, grid):
     assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     rows = read_csv(tmp_path / "out" / "response.csv")[1:]
     omegas = cli._grid(spec, "omega_grid")
-    sched = cli._make_schedule(doc, n_spins=n)
+    sched = schedules.make_schedule("linear", doc["T"], n_spins=n)
     values, errors, converged = response.amplitudes_on_grid(kind, ka, kpa, omegas, n, sched)
     assert [float(r[4]) for r in rows] == omegas.tolist()
     assert [complex(float(r[7]), float(r[8])) for r in rows] == values.tolist()
@@ -439,6 +439,21 @@ def test_json_mirror_roundtrip(tmp_path):
     ("spectrum", {"n_spins": 8.5}),
     ("sweep", {"n_spins": 16.5, "T_list": [20.0]}),
     ("response", {"n_spins": True, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
+    # a value of the wrong type: a fraction where a whole number is read, a bool where a number is
+    ("ed", {"model": "ising_ring", "n_list": [4.5]}),
+    ("grover", {"n_list": [4.5], "T": 50.0}),
+    ("scaling", {"study": "gap_law", "n_list": [8.5, 16, 32, 64]}),
+    ("scaling", {"study": "near_gap_table", "n_list": [32.5, 64, 128, 256]}),
+    ("scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10], "coarse_points": 9.7}),
+    ("scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10], "coarse_points": True}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "nonuniform_x", "omega_grid": [0.5],
+                  "kpa": True}),
+    ("grover", {"n_list": [4], "T": 50.0, "coupling": True}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"theta": True}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": True, "weight": 1.0}}),
+    ("spectrum", {"n_spins": 8, "g_grid": [True, 1]}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [True, 2]}),
+    ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": [True]}),
 ], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
@@ -448,7 +463,10 @@ def test_json_mirror_roundtrip(tmp_path):
         "sweep_unread_key", "gap_law_unread_coarse_points", "grover_unread_bath_key",
         "sweep_infinite_T", "response_infinite_T", "response_nan_T", "sweep_nan_ka", "response_nan_ka",
         "sweep_bool_T", "sweep_string_T", "grover_bool_T", "response_string_T", "spectrum_fractional_n",
-        "sweep_fractional_n", "response_bool_n"])
+        "sweep_fractional_n", "response_bool_n", "ed_fractional_n", "grover_fractional_n",
+        "gap_law_fractional_n", "near_gap_table_fractional_n", "mixed_gap_fractional_coarse_points",
+        "mixed_gap_bool_coarse_points", "response_bool_kpa", "grover_bool_coupling", "grover_bool_theta",
+        "dirac_comb_bool_omega0", "spectrum_bool_g", "response_bool_omega", "sweep_bool_ka"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -465,7 +483,11 @@ def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, d
     ("sweep", {"n_spins": 16, "T_list": [20.0, float("inf")]}, (ising, "integrate_bogoliubov")),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5],
                   "ka_list": [0.2, float("nan")]}, (response, "amplitudes_on_grid")),
-], ids=["sweep", "response", "grover", "sweep_last_T_infinite", "response_last_ka_nan"])
+    ("ed", {"model": "ising_ring", "n_list": [6, 4.5]}, (exact, "build_hamiltonian")),
+    ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64.5]}, (ising, "global_min_gap")),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"theta": True}}, (grover, "error_estimate")),
+], ids=["sweep", "response", "grover", "sweep_last_T_infinite", "response_last_ka_nan",
+        "ed_last_n_fractional", "gap_law_last_n_fractional", "grover_bool_bath_key"])
 def test_config_is_checked_before_any_computation(tmp_path, monkeypatch, subcommand, doc, computes):
     def computed(*args, **kwargs):
         raise AssertionError("computed before the config was checked")
@@ -473,6 +495,91 @@ def test_config_is_checked_before_any_computation(tmp_path, monkeypatch, subcomm
     monkeypatch.setattr(*computes, computed)
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+# a valid config for each table of cli._KEYS: (subcommand, config, the key of the
+# object that holds the table's keys, or None for the config itself)
+_TABLE_BASES = {
+    "spectrum": ("spectrum", {"n_spins": 8}, None),
+    "ed": ("ed", {"model": "ising_ring", "n_list": [4]}, None),
+    "sweep": ("sweep", {"n_spins": 8, "T_list": [5.0]}, None),
+    "response": ("response", {"n_spins": 8, "T": 5.0, "channel": "uniform_x", "omega_grid": [0.5]}, None),
+    ("channel", "nonuniform_x"): (
+        "response", {"n_spins": 8, "T": 5.0, "channel": "nonuniform_x", "omega_grid": [0.5]}, None),
+    "grover": ("grover", {"n_list": [4], "T": 20.0}, None),
+    "bath": ("grover", {"n_list": [4], "T": 20.0, "bath": {}}, "bath"),
+    ("kind", "thermal_bosonic"): (
+        "grover", {"n_list": [4], "T": 20.0, "bath": {"kind": "thermal_bosonic"}}, "bath"),
+    ("kind", "tabulated"): (
+        "grover", {"n_list": [4], "T": 20.0, "bath": {"kind": "tabulated", "path": "f.csv"}}, "bath"),
+    ("kind", "dirac_comb"): (
+        "grover", {"n_list": [4], "T": 20.0, "bath": {"kind": "dirac_comb", "omega0": 0.5, "weight": 1.0}},
+        "bath"),
+    "scaling": ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64]}, None),
+    ("study", "gap_law"): ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64]}, None),
+    ("study", "near_gap_table"): ("scaling", {"study": "near_gap_table", "n_list": [8, 16, 32, 64]}, None),
+    ("study", "mixed_gap"): (
+        "scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10], "coarse_points": 9}, None),
+    "linspace": ("spectrum", {"n_spins": 8, "g_grid": {"start": 0.0, "stop": 1.0, "num": 3}}, "g_grid"),
+}
+_TABLE_KEYS = [(table, key) for table in cli._KEYS for key in cli._KEYS[table]]
+
+
+def _table_id(table):
+    return table if isinstance(table, str) else "=".join(table)
+
+
+def test_every_table_has_a_valid_base_config(tmp_path, monkeypatch):
+    assert set(_TABLE_BASES) == set(cli._KEYS)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text("0.0,1.0\n1.0,2.0\n")
+    for i, (subcommand, doc, _) in enumerate(_TABLE_BASES.values()):
+        cfg = write_config(tmp_path, f"c{i}.json", doc)
+        assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / f"out{i}")]) == 0, doc
+
+
+@pytest.mark.parametrize("table,key", _TABLE_KEYS, ids=[f"{_table_id(t)}-{k}" for t, k in _TABLE_KEYS])
+def test_every_config_key_rejects_a_bool(tmp_path, capsys, table, key):
+    subcommand, doc, holder = _TABLE_BASES[table]
+    doc = json.loads(json.dumps(doc))
+    (doc[holder] if holder else doc)[key] = True
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_tables():
+    """{caption: {key: default cell}} of every key table in the README: a
+    table whose header starts with ``| key |``, captioned by the first bold
+    text of the nearest line above it that starts in bold."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    tables = {}
+    for i, line in enumerate(lines):
+        if line.startswith("| key |"):
+            caption = next(lines[j] for j in range(i - 1, -1, -1) if lines[j].startswith("**"))
+            rows = lines[i + 2:]
+            rows = rows[:next((j for j, row in enumerate(rows) if not row.startswith("|")), len(rows))]
+            cells = [row.strip("| ").split(" | ") for row in rows]
+            tables[caption.split("**")[1]] = {c[0].strip("`"): c[2] for c in cells}
+    return tables
+
+
+def test_readme_names_every_config_key_with_its_default():
+    tables = _readme_tables()
+    for table, keys in cli._KEYS.items():
+        caption = f"`{table}`" if isinstance(table, str) else f"`{table[0]}` = `{table[1]}`"
+        assert caption in tables, caption
+        documented = tables[caption]
+        assert set(documented) == set(keys), caption
+        for key, (_, default) in keys.items():
+            if default is cli._REQUIRED:
+                assert documented[key] == "required", (caption, key)
+            elif default is None:  # the runner's or the library's default, in words
+                assert documented[key] not in ("", "required"), (caption, key)
+            else:
+                assert documented[key] == f"`{json.dumps(default)}`", (caption, key)
 
 
 def test_threads_flag_accepted_and_ignored(tmp_path):
