@@ -96,7 +96,10 @@ def _value(value, spec, what):
     such as ``_grid``, called as ``spec(value, what)``.  A bool is never a number."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if spec is int and number and value % 1 == 0 or spec is float and number:
-        return spec(value)
+        try:
+            return spec(value)
+        except OverflowError:  # an integer beyond the largest float
+            raise ConfigError(f"{what} is too large for a float: {value.bit_length()} bits") from None
     if spec in (str, dict) and isinstance(value, spec):
         return value
     if isinstance(spec, tuple) and not isinstance(value, bool) and value in spec:
@@ -105,7 +108,8 @@ def _value(value, spec, what):
         return [_value(v, spec[0], f"{what} entry") for v in value]
     if not isinstance(spec, (type, tuple, list)):
         return spec(value, what)
-    want = (", ".join(map(repr, spec[:-1])) + f" or {spec[-1]!r}" if isinstance(spec, tuple)
+    want = ((", ".join(map(repr, spec[:-1])) + " or " if spec[:-1] else "") + repr(spec[-1])
+            if isinstance(spec, tuple)
             else "a nonempty list" if isinstance(spec, list)
             else {int: "a whole number", float: "a number", str: "a string", dict: "a JSON object"}[spec])
     raise ConfigError(f"{what} must be {want}, got {value!r}")
@@ -151,8 +155,9 @@ _KEYS = {
                  "channel": (response.CHANNEL_KINDS, _REQUIRED), "endpoint_order": ((0, 1, 2), 0),
                  "ka_list": ([float], None), **_SCHEDULE},
     ("channel", "nonuniform_x"): {"kpa": (float, None)},
+    # linear alone: an adapted kind follows the Ising chain's gap, not Grover's
     "grover": {"n_list": ([int], _REQUIRED), "T": (float, _REQUIRED), "bath": (dict, None),
-               "coupling": (float, 0.01), **_SCHEDULE},
+               "coupling": (float, 0.01), "schedule": (("linear",), "linear")},
     "linspace": {"start": (float, _REQUIRED), "stop": (float, _REQUIRED), "num": (int, _REQUIRED)},
     "bath": {"kind": (bath.KINDS, "thermal_bosonic")},
     ("kind", "thermal_bosonic"): dict.fromkeys(  # a parameter left out keeps SpectralFunction's default
@@ -231,7 +236,7 @@ ENDPOINT_ERROR_MAX = 1e-6
 
 def _run_sweep(cfg):
     p = _read(cfg.params, _KEYS["sweep"])
-    n = p["n_spins"]
+    n = ising.ChainParams(p["n_spins"]).n_spins
     ka_list = ising._check_ka(p.get("ka_list", [np.pi / n]))
     rows, bad = [], 0
     # every T checked first
@@ -262,7 +267,7 @@ def _run_sweep(cfg):
 
 def _run_response(cfg):
     p = _read(cfg.params, _KEYS["response"])
-    n, kind, omega_grid = p["n_spins"], p["channel"], p["omega_grid"]
+    n, kind, omega_grid = ising.ChainParams(p["n_spins"]).n_spins, p["channel"], p["omega_grid"]
     sched = schedules.make_schedule(p["schedule"], p["T"], n_spins=n)
     rows = []
     for ka in ising._check_ka(p.get("ka_list", [np.pi / n])).tolist():

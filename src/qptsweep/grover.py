@@ -8,7 +8,7 @@ The bath couples through lambda * |w><w|, the marked-state projector, not
 through sum_j sigma^x_j (``projector_element``).
 """
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,8 @@ from .ising import _two_level_gap
 
 _SOFT_LAMBDA = 0.1
 
+log = logging.getLogger("qptsweep")
+
 
 @dataclass
 class GroverParams:
@@ -32,14 +34,11 @@ class GroverParams:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.coupling < 0.0:
-            raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
+        if not 0.0 <= self.coupling < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
         if self.coupling > _SOFT_LAMBDA:
-            warnings.warn(
-                f"coupling {self.coupling} above {_SOFT_LAMBDA}: first-order "
-                "response is only reliable for weak coupling",
-                stacklevel=2,
-            )
+            log.warning("coupling %s above %s: first-order response is only reliable for weak coupling",
+                        self.coupling, _SOFT_LAMBDA)
 
     @property
     def dim(self):

@@ -57,8 +57,8 @@ class Channel:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-        if self.coupling < 0.0:
-            raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
+        if not 0.0 <= self.coupling < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
 
 
 @dataclass
@@ -211,7 +211,8 @@ def _endpoint_correction(ka, omega, schedule, order):
 
     total = 0.0 + 0.0j
     for t_end, sign in ((schedule.T, 1.0), (0.0, -1.0)):
-        g_end, gdot = schedule.evaluate(t_end)
+        g_end = schedule.g_of(t_end)
+        gdot = schedule.rate(g_end)
         phase = -omega * t_end + 2.0 * schedule.phase_integral(ka, t_end)
         term, rate = f_and_rate(g_end)
         if order >= 2:
@@ -295,7 +296,7 @@ def _saddle_sum(omega, ka, schedule):
     worst = np.zeros(omega.shape)
     for g_star in (g_minus, g_plus):
         t_star = schedule.invert(g_star)
-        _, gdot = schedule.evaluate(t_star)
+        gdot = schedule.rate(g_star)
         env = _UNIFORM_TERM[1](ka, g_star, omega / 2.0)[0]
         # d(2E)/dt at the saddle; E' (in g) = 8*cos^2(ka/2)*(2g-1)/E
         ddphase = 2.0 * gdot * 8.0 * chalf * (2.0 * g_star - 1.0) / (omega / 2.0)

@@ -1,14 +1,16 @@
 """Interpolation schedules g(t).
 
-Three families: constant-speed, gap-adapted (dg/dt proportional to the
-fundamental gap) and gap-squared-adapted.  The adapted kinds solve
-dg/dt = c * gap(g)^p with c fixed by g(T) = 1.  The fundamental gap
-2E_{pi/N}(g) = 4*sqrt(4c^2 x^2 + s^2), with c = cos(pi/2N), s = sin(pi/2N)
-and x = g - 1/2, makes both exactly solvable: t(g) is proportional to
-F(g) - F(0) with F(g) = asinh(2cx/s)/(8c) for p=1 and
-F(g) = arctan(2cx/s)/(32cs) for p=2, and g(t) inverts it in closed form.
-The phase integral int E_k dt is closed form for the linear kind and a
-certified ``nested_simpson`` integral for the adapted ones.
+Three families of dg/dt = c * gap(g)^p with c fixed by g(T) = 1:
+constant-speed (p = 0), gap-adapted (p = 1) and gap-squared-adapted
+(p = 2).  An adapted kind follows the gap 4*sqrt(s^2 + 4c^2 x^2),
+x = g - 1/2, of a two-level crossing (s, c) with s^2 + c^2 = 1
+(``ising._two_level_gap``); the chain's fundamental gap 2E_{pi/N}(g) is the
+crossing (s, c) = (sin, cos)(pi/2N).  The adapted kinds are closed form:
+t(g) is proportional to F(g) - F(0) with F(g) = asinh(2cx/s)/(8c) for p=1
+and F(g) = arctan(2cx/s)/(32cs) for p=2, so g(t) and its inverse depend on
+the crossing only through c/s.  The phase integral int E_k dt is closed
+form for the linear kind and a certified ``nested_simpson`` integral for
+the adapted ones.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from ._kernels import QuadratureError, nested_simpson
 # unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
 from ._kernels import cumulative_simpson_uniform  # noqa: F401
-from .ising import ChainParams, _check_ka, dispersion, min_gap
+from .ising import ChainParams, _check_g, _check_ka, _two_level_gap, dispersion
 
 KINDS = ("linear", "gap_adapted", "gap_squared_adapted")
 
@@ -27,12 +29,6 @@ _PHASE_FIRST = 64  # intervals of the first grid of an adapted kind's phase inte
 
 # F(g) = outer(2cx/s) / k: outer and its inverse per power p of the gap
 _OUTER = {1: (np.arcsinh, np.sinh), 2: (np.arctan, np.tan)}
-
-
-def _cot_half_step(n_spins):
-    """c/s = cot(pi/2N)."""
-    half = math.pi / (2 * n_spins)
-    return math.cos(half) / math.sin(half)
 
 
 def _linear_phase(ka, x):
@@ -57,16 +53,17 @@ def _linear_phase(ka, x):
 
 @dataclass
 class Schedule:
-    """Monotone interpolation with g(0)=0 and g(T)=1.
+    """Monotone interpolation with g(0)=0, g(T)=1 and dg/dt = _c * gap(g)^_p.
 
-    The adapted kinds carry ``_c`` and ``_p`` of dg/dt = _c * gap^_p.
+    An adapted kind's gap is that of its ``crossing`` (s, c); ``linear`` has
+    _p = 0, _c = 1/T and no crossing.
     """
 
     kind: str
     T: float
-    n_spins: int | None = None
-    _c: float | None = None
-    _p: int | None = None
+    _c: float
+    _p: int = 0
+    crossing: tuple[float, float] | None = None
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)
@@ -74,48 +71,39 @@ class Schedule:
             raise ValueError(f"t must lie in [0, {self.T}], got {t!r}")
         return np.clip(t, 0.0, self.T)
 
-    def _adapted(self):
-        """(outer, inverse, A, inverse(A)) of an adapted kind, A = outer(c/s).
-
-        In u = 2t/T - 1, F(0) + _c*t = u*F(1), so g(t) = 1/2 + (s/2c)*inverse(u*A).
-        Dividing by inverse(A), which is c/s up to rounding, keeps both maps
-        odd about the midpoint and exact at the ends: g(0) = 0, g(T) = 1.
-        """
-        outer, inverse = _OUTER[self._p]
-        a = outer(_cot_half_step(self.n_spins))
-        return outer, inverse, a, inverse(a)
-
     def g_of(self, t):
+        """In u = 2t/T - 1, F(0) + _c*t = u*F(1), so g(t) = 1/2 + (s/2c)*inverse(u*A)
+        with A = outer(c/s).  Dividing by inverse(A), which is c/s up to rounding,
+        keeps g odd about the midpoint and exact at the ends: g(0) = 0, g(T) = 1."""
         t = self._check_t(t)
-        if self.kind == "linear":
+        if not self._p:
             out = t / self.T
         else:
-            _, inverse, a, ratio = self._adapted()
+            outer, inverse = _OUTER[self._p]
+            s, c = self.crossing
+            a = outer(c / s)
             u = 2.0 * t / self.T - 1.0
-            out = np.clip(0.5 + 0.5 * inverse(u * a) / ratio, 0.0, 1.0)
+            out = np.clip(0.5 + 0.5 * inverse(u * a) / inverse(a), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def gdot_of(self, t):
-        t = self._check_t(t)
-        if self.kind == "linear":
-            out = np.full_like(t, 1.0 / self.T)
+    def rate(self, g):
+        """dg/dt where the schedule reaches g."""
+        g = _check_g(g)
+        if not self._p:
+            out = np.full_like(g, self._c)
         else:
-            out = self._c * np.asarray(min_gap(ChainParams(self.n_spins), self.g_of(t))) ** self._p
+            out = self._c * (4.0 * _two_level_gap(*self.crossing, g)) ** self._p
         return out if out.ndim else float(out)
-
-    def evaluate(self, t):
-        """(g, dg/dt) at time t."""
-        return self.g_of(t), self.gdot_of(t)
 
     def invert(self, g):
         """Time at which the schedule reaches g."""
-        g = np.asarray(g, dtype=float)
-        if np.any(g < 0.0) or np.any(g > 1.0):
-            raise ValueError(f"g must lie in [0, 1], got {g!r}")
-        if self.kind == "linear":
+        g = _check_g(g)
+        if not self._p:
             out = g * self.T
         else:
-            outer, _, _, ratio = self._adapted()
+            outer, inverse = _OUTER[self._p]
+            s, c = self.crossing
+            ratio = inverse(outer(c / s))
             u = outer((2.0 * g - 1.0) * ratio) / outer(ratio)
             out = np.clip(0.5 * self.T * (1.0 + u), 0.0, self.T)
         return out if out.ndim else float(out)
@@ -129,7 +117,7 @@ class Schedule:
         ``QuadratureError``.
         """
         t = self._check_t(t)
-        if self.kind == "linear":
+        if not self._p:
             out = self.T * (_linear_phase(ka, t / self.T - 0.5) + _linear_phase(ka, 0.5))
         else:
             upper = t.reshape(-1, 1)
@@ -144,17 +132,20 @@ class Schedule:
 
 
 def make_schedule(kind, T, n_spins=None):
+    """Schedule ``kind`` of run-time T; an adapted kind follows the fundamental
+    gap of the ring of ``n_spins`` spins, the crossing (sin, cos)(pi/2N)."""
     if kind not in KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
     if not 0.0 < T < math.inf:  # NaN fails both comparisons
         raise ValueError(f"T must be positive and finite, got {T}")
+    T = float(T)
     if kind == "linear":
-        return Schedule(kind=kind, T=float(T))
+        return Schedule(kind, T, 1.0 / T)
     if n_spins is None:
         raise ValueError(f"{kind} schedule needs n_spins")
     n = ChainParams(int(n_spins)).n_spins
     p = 1 if kind == "gap_adapted" else 2
-    c, s = math.cos(math.pi / (2 * n)), math.sin(math.pi / (2 * n))
-    f1 = float(_OUTER[p][0](_cot_half_step(n))) / (8.0 * c if p == 1 else 32.0 * c * s)
+    s, c = math.sin(math.pi / (2 * n)), math.cos(math.pi / (2 * n))
+    f1 = float(_OUTER[p][0](c / s)) / (8.0 * c if p == 1 else 32.0 * c * s)
     # g(T) = 1: _c = (F(1) - F(0))/T, and F(0) = -F(1)
-    return Schedule(kind=kind, T=float(T), n_spins=n, _c=2.0 * f1 / T, _p=p)
+    return Schedule(kind, T, 2.0 * f1 / T, p, (s, c))

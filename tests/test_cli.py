@@ -454,6 +454,19 @@ def test_json_mirror_roundtrip(tmp_path):
     ("spectrum", {"n_spins": 8, "g_grid": [True, 1]}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [True, 2]}),
     ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": [True]}),
+    # a chain that ising.ChainParams forbids, a number beyond float range, a coupling that is
+    # not a finite nonnegative number, and a grover schedule other than linear
+    ("sweep", {"n_spins": 0, "T_list": [20.0]}),
+    ("sweep", {"n_spins": 3, "T_list": [5.0]}),
+    ("sweep", {"n_spins": -4, "T_list": [5.0]}),
+    ("response", {"n_spins": 0, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("response", {"n_spins": 3, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("response", {"n_spins": -4, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("grover", {"n_list": [4], "T": 10**400}),
+    ("grover", {"n_list": [4], "T": 50.0, "coupling": float("nan")}),
+    ("grover", {"n_list": [4], "T": 50.0, "coupling": float("inf")}),
+    ("grover", {"n_list": [4], "T": 50.0, "schedule": "gap_adapted"}),
+    ("grover", {"n_list": [4], "T": 50.0, "schedule": "gap_squared_adapted"}),
 ], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
@@ -466,7 +479,10 @@ def test_json_mirror_roundtrip(tmp_path):
         "sweep_fractional_n", "response_bool_n", "ed_fractional_n", "grover_fractional_n",
         "gap_law_fractional_n", "near_gap_table_fractional_n", "mixed_gap_fractional_coarse_points",
         "mixed_gap_bool_coarse_points", "response_bool_kpa", "grover_bool_coupling", "grover_bool_theta",
-        "dirac_comb_bool_omega0", "spectrum_bool_g", "response_bool_omega", "sweep_bool_ka"])
+        "dirac_comb_bool_omega0", "spectrum_bool_g", "response_bool_omega", "sweep_bool_ka",
+        "sweep_zero_n", "sweep_odd_n", "sweep_negative_n", "response_zero_n", "response_odd_n",
+        "response_negative_n", "grover_T_beyond_float", "grover_nan_coupling", "grover_infinite_coupling",
+        "grover_gap_adapted", "grover_gap_squared_adapted"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -40,9 +42,10 @@ def test_gap_validation():
         grover.grover_gap(0.5, 1)
 
 
-def test_coupling_warning():
-    with pytest.warns(UserWarning):
+def test_coupling_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="qptsweep"):
         params(coupling=0.2)
+    assert [r.levelname for r in caplog.records if r.name == "qptsweep"] == ["WARNING"]
 
 
 def test_error_probability_needs_a_dirac_comb():

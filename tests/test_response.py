@@ -194,8 +194,9 @@ def test_energy_conservation_locality():
 def test_channel_parity_bookkeeping():
     with pytest.raises(ValueError):
         response.Channel(kind="uniform_y", coupling=0.1)
-    with pytest.raises(ValueError):
-        response.Channel(kind="uniform_x", coupling=-1.0)
+    for coupling in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            response.Channel(kind="uniform_x", coupling=coupling)
 
 
 def test_total_error_zero_bath():

@@ -22,13 +22,13 @@ def test_monotone_gdot_positive(kind):
     t = np.linspace(0.0, 10.0, 4096)
     g = sched.g_of(t)
     assert np.all(np.diff(g) > 0.0)
-    assert np.all(np.asarray(sched.gdot_of(t)) > 0.0)
+    assert np.all(np.asarray(sched.rate(sched.g_of(t))) > 0.0)
 
 
 def test_linear_examples():
     sched = schedules.make_schedule("linear", 10.0)
     assert sched.g_of(5.0) == pytest.approx(0.5)
-    assert sched.gdot_of(3.3) == pytest.approx(0.1)
+    assert sched.rate(sched.g_of(3.3)) == pytest.approx(0.1)
     assert sched.invert(0.25) == pytest.approx(2.5)
 
 
@@ -41,7 +41,7 @@ def test_gap_adapted_symmetry():
 def test_gap_squared_adapted_min_rate_at_midpoint():
     sched = schedules.make_schedule("gap_squared_adapted", 30.0, n_spins=16)
     t = np.linspace(0.0, 30.0, 2001)
-    gdot = np.asarray(sched.gdot_of(t))
+    gdot = np.asarray(sched.rate(sched.g_of(t)))
     assert abs(t[np.argmin(gdot)] - 15.0) < 0.1
     gap_min = ising.min_gap(ising.ChainParams(16), 0.5)
     assert gdot.min() == pytest.approx(sched._c * gap_min**2, rel=1e-6)
@@ -51,7 +51,7 @@ def test_gap_squared_adapted_min_rate_at_midpoint():
 def test_adapted_defining_relation(kind, p):
     sched = schedules.make_schedule(kind, 12.0, n_spins=32)
     t = np.linspace(0.0, 12.0, 4096)
-    ratio = np.asarray(sched.gdot_of(t)) / ising.min_gap(ising.ChainParams(32), sched.g_of(t)) ** p
+    ratio = np.asarray(sched.rate(sched.g_of(t))) / ising.min_gap(ising.ChainParams(32), sched.g_of(t)) ** p
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-6
 
 
@@ -156,7 +156,7 @@ def test_schedule_inverse_property(kind, n, T, fractions):
     # g(t(g)) carries t's rounding times the slope dg/d(t/T), which reaches ~N
     # at the ends of gap_squared_adapted
     back = sched.g_of(sched.invert(frac))
-    slope = T * np.asarray(sched.gdot_of(sched.invert(frac)))
+    slope = T * np.asarray(sched.rate(sched.g_of(sched.invert(frac))))
     assert np.all(np.abs(back - frac) <= 4.0 * np.finfo(float).eps * (1.0 + slope))
 
 
@@ -166,13 +166,13 @@ def test_gdot_property(kind, n, T, frac):
     sched = schedules.make_schedule(kind, T, n_spins=n)
     p = {"linear": 0, "gap_adapted": 1, "gap_squared_adapted": 2}[kind]
     t = np.linspace(0.0, T, 33)
-    ratio = np.asarray(sched.gdot_of(t)) / ising.min_gap(ising.ChainParams(n), sched.g_of(t)) ** p
+    ratio = np.asarray(sched.rate(sched.g_of(t))) / ising.min_gap(ising.ChainParams(n), sched.g_of(t)) ** p
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-13
     # dg/dt is the derivative of g(t): central difference, step h = T/2^20
     h = T * 2.0**-20
     t0 = frac * T
     fd = (sched.g_of(t0 + h) - sched.g_of(t0 - h)) / (2.0 * h)
-    assert fd == pytest.approx(sched.gdot_of(t0), rel=1e-6)
+    assert fd == pytest.approx(sched.rate(sched.g_of(t0)), rel=1e-6)
 
 
 @pytest.mark.parametrize("ka", [0.0, np.pi / 64, np.pi / 2, np.pi])
