@@ -16,10 +16,6 @@ KINDS = ("thermal_bosonic", "tabulated", "dirac_comb")
 _GRADING = 4  # power of the substitution that grades a window side at w = 0
 
 
-class DivergentAtZeroError(ArithmeticError):
-    """Sub-ohmic thermal f(w) diverges at w=0 for finite temperature."""
-
-
 @dataclass
 class SpectralFunction:
     kind: str
@@ -75,7 +71,7 @@ def _thermal(sf, omega):
         out[nz] = j * (occupancy + pos[nz].astype(float))
         if np.any(zero):
             if sf.epsilon < 1.0:
-                raise DivergentAtZeroError(
+                raise ValueError(
                     f"thermal f(0) diverges for epsilon={sf.epsilon} < 1 at finite beta"
                 )
             # classical limit J(|w|)/(beta*|w|): finite for eps=1, zero above

@@ -269,9 +269,13 @@ def _run_response(cfg):
     p = _read(cfg.params, _KEYS["response"])
     n, kind, omega_grid = ising.ChainParams(p["n_spins"]).n_spins, p["channel"], p["omega_grid"]
     sched = schedules.make_schedule(p["schedule"], p["T"], n_spins=n)
+    # every mode checked first; only a nonuniform_x config reads kpa
+    ka_list = [response._check_mode(ka) for ka in p.get("ka_list", [np.pi / n])]
+    if "kpa" in p:
+        response._check_mode(p["kpa"])
     rows = []
-    for ka in ising._check_ka(p.get("ka_list", [np.pi / n])).tolist():
-        kpa = p.get("kpa", ka)  # only a nonuniform_x config reads kpa
+    for ka in ka_list:
+        kpa = p.get("kpa", ka)
         values, errors, oks = response.amplitudes_on_grid(
             kind, ka, kpa, omega_grid, n, sched, p["endpoint_order"]
         )
@@ -334,7 +338,7 @@ def _run_grover(cfg):
 def _run_scaling(cfg):
     p = _read(cfg.params, _KEYS["scaling"])
     study, n_list = p["study"], p["n_list"]
-    rows, fits = [], {}
+    rows, fits, bad = [], {}, 0
     if study == "gap_law":
         gaps = [ising.global_min_gap(ising.ChainParams(n)) for n in n_list]
         rows = [[n, g] for n, g in zip(n_list, gaps)]
@@ -354,9 +358,10 @@ def _run_scaling(cfg):
                 else:
                     T = float(n)
                 sched = schedules.make_schedule(kind, float(T), n_spins=n)
-                b = response.amplitude_bound_near_gap(np.pi / n, sched).modulus
-                vals.append(b)
-                rows.append([kind, n, float(T), b])
+                bound = response.amplitude_bound_near_gap(np.pi / n, sched)
+                bad += not bound.converged
+                vals.append(bound.modulus)
+                rows.append([kind, n, float(T), bound.modulus])
             ns = np.asarray(n_list, float)
             vals = np.asarray(vals)
             if kind == "linear":
@@ -369,7 +374,7 @@ def _run_scaling(cfg):
         rows = [[n, g] for n, g in gaps.items()]
         fits["mixed_gap"] = {"rate": fit.exponent, "r_squared": fit.r_squared}
         columns = ["n_spins", "min_even_gap"]
-    return ResultBundle(name=f"scaling_{study}", columns=columns, rows=rows, fits=fits)
+    return ResultBundle(name=f"scaling_{study}", columns=columns, rows=rows, fits=fits, nonconverged=bad)
 
 
 _RUNNERS = {

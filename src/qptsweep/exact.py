@@ -24,6 +24,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 # fit_power_law is unused here, but the traced benchmark (perfbench/layers.py) looks it up here
 from .fitting import fit_exponential, fit_power_law  # noqa: F401
+from .ising import _check_count, _check_g
 
 MODELS = ("ising_ring", "grover", "mixed_grover_ising")
 DENSE_MAX = 10
@@ -104,10 +105,8 @@ def build_hamiltonian(model, n_qubits, g):
     """H(g) of one of the three models in the operator form of ``SpinHamiltonian``."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    if not (2 <= n_qubits <= ITER_MAX):
-        raise ValueError(f"n_qubits must lie in [2, {ITER_MAX}], got {n_qubits}")
-    if not (0.0 <= g <= 1.0):
-        raise ValueError(f"g must lie in [0, 1], got {g}")
+    _check_count(n_qubits, "n_qubits", 2, ITER_MAX)
+    g = float(_check_g(g))
     if model == "ising_ring":
         # -g * sum_j z_j z_{j+1} with z = +-1; walls d give sum = N - 2d
         walls = _domain_wall_counts(n_qubits)
@@ -410,9 +409,7 @@ def low_spectrum(ham, m, resolve_parity=False):
     every level carries that exact parity label, even inside a multiplet
     that spans both sectors.
     """
-    dim = ham.dim
-    if not (1 <= m <= dim):
-        raise ValueError(f"m must lie in [1, {dim}], got {m}")
+    _check_count(m, "m", 1, ham.dim)
     labels = None
     if ham.model == "grover":
         if resolve_parity:
@@ -509,9 +506,9 @@ def mixed_gap_scaling(n_list, coarse_points=41):
     The avoided-crossing location moves with N, so the minimum is located
     by a coarse scan refined with a golden-section search.
     """
-    n_list = sorted(int(n) for n in n_list)
-    if any(n % 2 or n < 4 or n > _MIXED_N_MAX for n in n_list):
-        raise ValueError(f"n_list must hold even values in [4, {_MIXED_N_MAX}], got {n_list}")
+    n_list = sorted(n_list)
+    if any(not isinstance(n, (int, np.integer)) or n % 2 or not 4 <= n <= _MIXED_N_MAX for n in n_list):
+        raise ValueError(f"n_list must hold even integers in [4, {_MIXED_N_MAX}], got {n_list}")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"n_list must not repeat a value, got {n_list}")
     gaps = []
@@ -536,11 +533,8 @@ def mixed_even_levels(n_qubits, g, m):
     even states at energy 1-g+g*d.  Returns the levels in ascending order;
     all 2^(N-1) of them when m is at least that.
     """
-    n = int(n_qubits)
-    if n < 2:
-        raise ValueError(f"n_qubits must be at least 2, got {n_qubits}")
-    if not (0.0 <= g <= 1.0):
-        raise ValueError(f"g must lie in [0, 1], got {g}")
+    n = _check_count(n_qubits, "n_qubits", 2)
+    g = float(_check_g(g))
     d = np.arange(0, n + 1, 2)
     counts = [math.comb(n, int(k)) for k in d]
     a = np.sqrt(2.0 * np.array(counts, dtype=float) / 2.0**n)
@@ -571,7 +565,7 @@ def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     takes its gap from the exact reduction (``mixed_even_levels``); the
     other models from ``gap``.
     """
-    g_coarse = np.linspace(0.02, 0.98, coarse_points)
+    g_coarse = np.linspace(0.02, 0.98, _check_count(coarse_points, "coarse_points", 1))
     vals = np.array([_even_gap(model, n_qubits, g) for g in g_coarse])
     i = int(np.argmin(vals))
     a = float(g_coarse[i - 1]) if i > 0 else 0.0

@@ -17,9 +17,10 @@ from ._kernels import QuadratureError, filon_integral, filon_refined
 # unused here, but the traced benchmark (perfbench/layers.py) looks it up in this module
 from ._kernels import cumulative_simpson_uniform  # noqa: F401
 from .bath import SpectralFunction, evaluate as bath_evaluate
-from .ising import _two_level_gap
+from .ising import _check_count, _check_g, _two_level_gap
 
 _SOFT_LAMBDA = 0.1
+_N_MAX = 1023  # largest n_qubits whose dimension 2^N is a float
 
 log = logging.getLogger("qptsweep")
 
@@ -32,8 +33,7 @@ class GroverParams:
     spectral_function: SpectralFunction | None = None
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        _check_count(self.n_qubits, "n_qubits", 1, _N_MAX)
         if not 0.0 <= self.coupling < np.inf:  # NaN fails both comparisons
             raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
         if self.coupling > _SOFT_LAMBDA:
@@ -52,9 +52,7 @@ class GroverParams:
 def grover_gap(g, dim):
     """Gap sqrt(1/D + (1 - 2g)^2 (1 - 1/D)) (``ising._two_level_gap``),
     exact to rounding; minimum 1/sqrt(D) at g=1/2, also for D above 2^53."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0.0) or np.any(g > 1.0):
-        raise ValueError(f"g must lie in [0, 1], got {g!r}")
+    g = _check_g(g)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     val = _two_level_gap(dim**-0.5, np.sqrt(1.0 - 1.0 / dim), g)

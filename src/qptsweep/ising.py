@@ -24,24 +24,16 @@ ENDPOINT_TOL = 1e-9
 _STEPS_PER_TIME = 16
 
 
-class InvalidChainError(ValueError):
-    """N out of range or odd."""
-
-
-class DegenerateNormalizationError(ArithmeticError):
-    """Bogoliubov normalization below threshold (E_k -> 0: g=1/2 with ka -> 0)."""
-
-
 @dataclass(frozen=True)
 class ChainParams:
-    """Ring of ``n_spins`` spins with periodic boundary conditions."""
+    """Ring of ``n_spins`` spins with periodic boundary conditions; N at most
+    2^53, so that pi/N is a float."""
 
     n_spins: int
 
     def __post_init__(self):
-        n = self.n_spins
-        if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
-            raise InvalidChainError(f"n_spins must be an even integer >= 2, got {n!r}")
+        if _check_count(self.n_spins, "n_spins", 2, 2**53) % 2:
+            raise ValueError(f"n_spins must be even, got {self.n_spins}")
 
 
 @dataclass
@@ -81,11 +73,18 @@ class ModeEndpoint:
         return m if np.ndim(m) else float(m)
 
 
+def _check_count(value, name, lo, hi=np.inf):
+    """``value`` if it is an integer in [lo, hi]; a float such as 6.0 is not one."""
+    if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
 def _check_g(g):
     g = np.asarray(g, dtype=float)
-    outside = (g < 0.0) | (g > 1.0)
-    if np.any(outside):
-        raise ValueError(f"g must lie in [0, 1], got {float(g[outside][0])!r}")
+    inside = (g >= 0.0) & (g <= 1.0)  # NaN fails both comparisons
+    if not np.all(inside):
+        raise ValueError(f"g must lie in [0, 1], got {float(g[~inside][0])!r}")
     return g
 
 
@@ -132,7 +131,7 @@ def bogoliubov_pair(ka, g, energy):
     of |u|, |v| is (E + |alpha|)/R and the smaller |beta|/R, with
     R^2 = 2E(E + |alpha|): no digits lost.  The pair is undefined where E = 0,
     which ``dispersion`` gives only at ka = 0 (and g = 1/2); R below
-    DEGENERATE_NORM_THRESHOLD raises ``DegenerateNormalizationError``.
+    DEGENERATE_NORM_THRESHOLD raises ``ValueError``.
     """
     ka = np.asarray(ka, dtype=float)
     sin_ka, sin_half, cos_half = np.sin(ka), np.sin(ka / 2.0), np.cos(ka / 2.0)
@@ -147,7 +146,7 @@ def bogoliubov_pair(ka, g, energy):
     n_v = np.multiply(2.0 * np.abs(sin_ka), g, out=np.empty(shape))  # |beta|
     scale = np.multiply(n_u, energy, out=np.empty(shape))  # R^2/2
     if scale.min() < 0.5 * DEGENERATE_NORM_THRESHOLD**2:
-        raise DegenerateNormalizationError(f"E_k down to {np.min(energy):.3e}: no pair at E_k = 0")
+        raise ValueError(f"E_k down to {np.min(energy):.3e}: no pair at E_k = 0")
     np.divide(0.5, scale, out=scale)
     np.sqrt(scale, out=scale)  # 1/R
     n_u *= scale

@@ -29,7 +29,7 @@ from ._kernels import (
     linear_fourier, nested_simpson, refine,
 )
 from .bath import integrate_abs
-from .ising import bogoliubov_pair, dispersion
+from .ising import ChainParams, bogoliubov_pair, dispersion
 from .schedules import make_schedule
 
 CHANNEL_KINDS = ("uniform_x", "nonuniform_x", "single_site_z")
@@ -43,10 +43,6 @@ _SADDLE_SAMPLES = 9  # frequencies sampled per intermediate window
 _BOUND_FIRST = 65  # nodes of the first grid of a phase-free bound
 _REL_TOL = 1e-3  # grid-doubling tolerance of the quadrature amplitudes
 _N_MAX = 2**21  # largest quadrature grid, in intervals
-
-
-class SaddleCollisionError(ArithmeticError):
-    """Saddle points too close to the transition for stationary phase."""
 
 
 @dataclass
@@ -105,10 +101,17 @@ def regime_bounds(ka):
     )
 
 
+def _check_mode(ka):
+    """``ka`` if mode ka has a regime and a Bogoliubov pair at g = 1/2:
+    0 < |ka| < pi, since sin(ka/2) = 0 leaves E_k = 0 there."""
+    if not 0.0 < abs(ka) < np.pi:  # NaN fails both comparisons
+        raise ValueError(f"ka must satisfy 0 < |ka| < pi, got {ka}")
+    return ka
+
+
 def classify_regime(omega, ka):
     """Frequency regime relative to the minimal pair gap 2|ka| of mode ka."""
-    if abs(ka) >= np.pi:
-        raise ValueError(f"|ka| must be below pi, got {ka}")
+    _check_mode(ka)
     if omega < 0.0:
         return "negative"
     k2 = 2.0 * abs(ka)
@@ -275,7 +278,7 @@ def saddle_points_uniform(omega, ka):
     ``omega`` may be an array."""
     disc = _saddle_discriminant(omega, ka)
     if np.any(disc < 0.0):
-        raise SaddleCollisionError(
+        raise ValueError(
             f"omega={omega} below the minimal pair gap of mode ka={ka}: complex saddles"
         )
     shift = np.sqrt(disc) / (8.0 * np.cos(ka / 2.0))
@@ -313,7 +316,7 @@ def amplitude_saddle_uniform(omega, ka, schedule):
     (see ``_saddle_sum``)."""
     disc = _saddle_discriminant(omega, ka)
     if disc < _COLLISION_TOL:
-        raise SaddleCollisionError(
+        raise ValueError(
             f"discriminant {disc:.3e} below {_COLLISION_TOL}: saddles unresolved"
         )
     total, worst = _saddle_sum(np.array([float(omega)]), ka, schedule)
@@ -478,10 +481,9 @@ def total_error(channel, schedule, spectral_function, n_spins):
     phase-free bounds are certified to ``nested_simpson``'s tolerance; one
     that is not raises ``QuadratureError``.
     """
-    if n_spins % 2 or n_spins < 2:
-        raise ValueError(f"n_spins must be even and >= 2, got {n_spins}")
+    ChainParams(n_spins)
     if channel.kind == "nonuniform_x":
-        raise NotImplementedError(
+        raise ValueError(
             "total_error supports uniform_x and single_site_z; the nonuniform "
             "channel is evaluated per pair via amplitude_direct_nonuniform"
         )

@@ -143,7 +143,7 @@ def make_schedule(kind, T, n_spins=None):
         return Schedule(kind, T, 1.0 / T)
     if n_spins is None:
         raise ValueError(f"{kind} schedule needs n_spins")
-    n = ChainParams(int(n_spins)).n_spins
+    n = ChainParams(n_spins).n_spins
     p = 1 if kind == "gap_adapted" else 2
     s, c = math.sin(math.pi / (2 * n)), math.cos(math.pi / (2 * n))
     f1 = float(_OUTER[p][0](c / s)) / (8.0 * c if p == 1 else 32.0 * c * s)

@@ -1,6 +1,7 @@
 """Static checks on the library's interface."""
 
 import ast
+import builtins
 import re
 from collections import Counter
 from pathlib import Path
@@ -502,4 +503,74 @@ def test_unset_option_is_reported():
     )
     assert _unset_options([lib], [lib, user]) == [
         "f.c", "f.e", "h.y", "Box.__init__.color", "Box.fill.spill",
+    ]
+
+
+# the input contract: a bad input is a ValueError (ConfigError is one), a file
+# that cannot be read an OSError, and a failed certificate one of the two
+# classes that the runners count as nonconverged
+_DEFINABLE = {"ConfigError", "NonConvergenceError", "QuadratureError"}
+_RAISABLE = _DEFINABLE | {"ValueError", "OSError"}
+
+
+def _name(node):
+    """The name ``node`` loads, by name or attribute, or None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _off_contract(tree):
+    """(line, name) for every exception class that ``tree`` defines outside
+    ``_DEFINABLE``, and every exception it raises outside ``_RAISABLE``.  A
+    class is an exception class if a base is a builtin exception or ends in
+    ``Error``; a bare ``raise`` re-raises and is allowed."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ClassDef):
+            bases = [_name(b) or "" for b in n.bases]
+            if n.name not in _DEFINABLE and any(
+                    b.endswith("Error") or isinstance(getattr(builtins, b, None), type)
+                    and issubclass(getattr(builtins, b), BaseException) for b in bases):
+                found.append((n.lineno, n.name))
+        elif isinstance(n, ast.Raise) and n.exc is not None:
+            name = _name(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+            if name not in _RAISABLE:
+                found.append((n.lineno, name))
+    return sorted(found)
+
+
+def test_every_raise_keeps_the_input_contract():
+    # cli.main turns a ValueError or an OSError into one line and exit 1; an
+    # exception class of another kind would end in a traceback
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _off_contract(ast.parse(path.read_text()))
+    ]
+    assert not found, "exceptions outside the input contract: " + ", ".join(found)
+
+
+def test_exception_outside_the_contract_is_reported():
+    tree = ast.parse(
+        "class QuadratureError(RuntimeError):\n"
+        "    pass\n"
+        "class DegenerateError(ArithmeticError):\n"
+        "    pass\n"
+        "class Collision(errors.QuadratureError):\n"
+        "    pass\n"
+        "class Stop(KeyboardInterrupt):\n"
+        "    pass\n"
+        "class Params(Base):\n"
+        "    pass\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError(x)\n"
+        "    try:\n"
+        "        raise NotImplementedError\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "    raise errors.DegenerateError(x) from None\n"
+    )
+    assert _off_contract(tree) == [
+        (3, "DegenerateError"), (5, "Collision"), (7, "Stop"),
+        (15, "NotImplementedError"), (18, "DegenerateError"),
     ]

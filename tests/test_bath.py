@@ -40,7 +40,7 @@ def test_classical_limit_at_zero_frequency():
 
 def test_subohmic_divergence_is_an_error():
     sf = ohmic(beta=2.0, eps=0.5)
-    with pytest.raises(bath.DivergentAtZeroError):
+    with pytest.raises(ValueError):
         bath.evaluate(sf, 0.0)
     # away from zero it is finite
     assert np.isfinite(bath.evaluate(sf, 0.01))

@@ -467,6 +467,15 @@ def test_json_mirror_roundtrip(tmp_path):
     ("grover", {"n_list": [4], "T": 50.0, "coupling": float("inf")}),
     ("grover", {"n_list": [4], "T": 50.0, "schedule": "gap_adapted"}),
     ("grover", {"n_list": [4], "T": 50.0, "schedule": "gap_squared_adapted"}),
+    # a mode without a Bogoliubov pair at g = 1/2, and a chain too long for pi/N to be a float
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5], "ka_list": [0.0]}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "single_site_z", "omega_grid": [0.5],
+                  "ka_list": [0.0]}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "nonuniform_x", "omega_grid": [0.5],
+                  "ka_list": [0.0]}),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "nonuniform_x", "omega_grid": [0.5], "kpa": 0.0}),
+    ("sweep", {"n_spins": 2 * 10**400, "T_list": [5.0]}),
+    ("response", {"n_spins": 2 * 10**400, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
 ], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
@@ -482,7 +491,9 @@ def test_json_mirror_roundtrip(tmp_path):
         "dirac_comb_bool_omega0", "spectrum_bool_g", "response_bool_omega", "sweep_bool_ka",
         "sweep_zero_n", "sweep_odd_n", "sweep_negative_n", "response_zero_n", "response_odd_n",
         "response_negative_n", "grover_T_beyond_float", "grover_nan_coupling", "grover_infinite_coupling",
-        "grover_gap_adapted", "grover_gap_squared_adapted"])
+        "grover_gap_adapted", "grover_gap_squared_adapted", "response_uniform_x_zero_ka",
+        "response_single_site_z_zero_ka", "response_nonuniform_x_zero_ka", "response_zero_kpa",
+        "sweep_n_beyond_float", "response_n_beyond_float"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -502,8 +513,10 @@ def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, d
     ("ed", {"model": "ising_ring", "n_list": [6, 4.5]}, (exact, "build_hamiltonian")),
     ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64.5]}, (ising, "global_min_gap")),
     ("grover", {"n_list": [4], "T": 50.0, "bath": {"theta": True}}, (grover, "error_estimate")),
+    ("response", {"n_spins": 16, "T": 20.0, "channel": "single_site_z", "omega_grid": [0.5],
+                  "ka_list": [0.2, 0.0]}, (response, "amplitudes_on_grid")),
 ], ids=["sweep", "response", "grover", "sweep_last_T_infinite", "response_last_ka_nan",
-        "ed_last_n_fractional", "gap_law_last_n_fractional", "grover_bool_bath_key"])
+        "ed_last_n_fractional", "gap_law_last_n_fractional", "grover_bool_bath_key", "response_last_ka_zero"])
 def test_config_is_checked_before_any_computation(tmp_path, monkeypatch, subcommand, doc, computes):
     def computed(*args, **kwargs):
         raise AssertionError("computed before the config was checked")
@@ -666,6 +679,17 @@ def test_bitflip_nonconverged_rows_exit_2(tmp_path, monkeypatch):
     assert [row["converged"] for row in rows] == ["0", "0"]
     doc = json.loads((tmp_path / "out" / "response.json").read_text())
     assert doc["nonconverged"] == len(doc["rows"]) == 2
+
+
+def test_near_gap_table_nonconverged_rows_exit_2(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", {"study": "near_gap_table", "n_list": [8, 16, 32, 64]})
+    monkeypatch.setattr(  # the N = 64 bound of each of the three schedules is not certified
+        response, "amplitude_bound_near_gap",
+        lambda ka, sched: response.AmplitudeResult(value=1.0 + 0j, quad_error=1.0, converged=ka > 0.06),
+    )
+    assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    doc = json.loads((tmp_path / "out" / "scaling_near_gap_table.json").read_text())
+    assert doc["nonconverged"] == 3 and len(doc["rows"]) == 12
 
 
 @pytest.mark.parametrize("channel,omegas", [

@@ -42,6 +42,17 @@ def test_gap_validation():
         grover.grover_gap(0.5, 1)
 
 
+def test_gap_rejects_nan_g():
+    with pytest.raises(ValueError, match="g must lie in"):
+        grover.grover_gap(float("nan"), 16)
+
+
+@pytest.mark.parametrize("n", [2.5, 1024], ids=["fractional", "dim_beyond_float"])
+def test_n_qubits_is_an_integer_whose_dimension_is_a_float(n):
+    with pytest.raises(ValueError, match="n_qubits"):
+        params(n=n)
+
+
 def test_coupling_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="qptsweep"):
         params(coupling=0.2)

@@ -99,6 +99,13 @@ def test_validation_errors():
         sched.invert(1.5)
 
 
+@pytest.mark.parametrize("kind", ["gap_adapted", "gap_squared_adapted"])
+def test_adapted_schedule_takes_n_through_chain_params(kind):
+    # 16.5 is not rounded to the crossing of N = 16
+    with pytest.raises(ValueError, match="n_spins"):
+        schedules.make_schedule(kind, 10.0, n_spins=16.5)
+
+
 def simpson_table(kind, T, n_spins, points):
     """Brute-force oracle: (g, t) nodes of an adapted schedule.
 

@@ -75,7 +75,7 @@ def _oracle_total(channel, schedule, sf_key, n_spins, bound_points, window_point
                     for w in omegas:
                         try:
                             res = response.amplitude_saddle_uniform(w, ka, schedule)
-                        except response.SaddleCollisionError:
+                        except ValueError:
                             continue
                         amp, used_saddle = max(amp, res.modulus), True
                 if not used_saddle:
