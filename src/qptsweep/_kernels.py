@@ -1,4 +1,4 @@
-"""Hot numeric kernels: oscillatory quadrature and the two-level mode propagators.
+"""Hot numeric kernels: oscillatory quadrature and the two-level propagators.
 
 Every kernel is plain numpy.  ``stream_filon`` evaluates an oscillatory
 amplitude block by block on a uniform grid, one frequency per call, and
@@ -6,8 +6,10 @@ amplitude block by block on a uniform grid, one frequency per call, and
 ``linear_fourier`` evaluates one at every frequency of an evenly spaced
 grid at once, through the chirp-z transform ``chirp_z``; ``nested_simpson``
 integrates many smooth integrands at once, each certified by grid doubling;
-``magnus4_modes`` propagates the mode equations of motion; ``rk4_mode`` is
-the brute-force integrator the tests use as its oracle.
+``magnus4_modes`` propagates two-level rows, i u' = a u + b v,
+i v' = -a v + b u with a and b affine in a coupling g, each row given by its
+coefficients (a0, a1, b0, b1); ``rk4_mode`` is the brute-force integrator
+the tests use as its oracle.
 """
 
 import numpy as np
@@ -318,8 +320,9 @@ def linear_fourier(h, dt, omegas):
     return dt * s
 
 
-def rk4_mode(g2, ka, dt):
-    """RK4 for i u' = a u + b v, i v' = -a v + b u with a, b functions of g.
+def rk4_mode(g2, coef, dt):
+    """RK4 for i u' = a u + b v, i v' = -a v + b u, with a = a0 + a1 g and
+    b = b0 + b1 g for the row ``coef`` = (a0, a1, b0, b1).
 
     ``g2`` holds g at the step points and midpoints (length 2n+1).  Returns
     the full (u, v) trajectory at the n+1 step points, starting from
@@ -327,25 +330,25 @@ def rk4_mode(g2, ka, dt):
     check ``magnus4_modes`` against.
     """
     n = (g2.shape[0] - 1) // 2
-    chalf = np.cos(ka / 2.0) ** 2
-    ska = np.sin(ka)
+    a0, a1, b0, b1 = coef
     u = np.empty(n + 1, dtype=complex)
     v = np.empty(n + 1, dtype=complex)
     uc, vc = 1.0 + 0.0j, 0.0 + 0.0j
     u[0], v[0] = uc, vc
     for i in range(n):
-        g0 = g2[2 * i]
+        # a and b at the start, middle and end of the step
+        gl = g2[2 * i]
         gm = g2[2 * i + 1]
-        g1 = g2[2 * i + 2]
-        a0 = 2.0 - 4.0 * g0 * chalf
-        b0 = 2.0 * g0 * ska
-        am = 2.0 - 4.0 * gm * chalf
-        bm = 2.0 * gm * ska
-        a1 = 2.0 - 4.0 * g1 * chalf
-        b1 = 2.0 * g1 * ska
+        gr = g2[2 * i + 2]
+        al = a0 + a1 * gl
+        bl = b0 + b1 * gl
+        am = a0 + a1 * gm
+        bm = b0 + b1 * gm
+        ar = a0 + a1 * gr
+        br = b0 + b1 * gr
 
-        k1u = -1j * (a0 * uc + b0 * vc)
-        k1v = -1j * (-a0 * vc + b0 * uc)
+        k1u = -1j * (al * uc + bl * vc)
+        k1v = -1j * (-al * vc + bl * uc)
         u2 = uc + 0.5 * dt * k1u
         v2 = vc + 0.5 * dt * k1v
         k2u = -1j * (am * u2 + bm * v2)
@@ -356,8 +359,8 @@ def rk4_mode(g2, ka, dt):
         k3v = -1j * (-am * v3 + bm * u3)
         u4 = uc + dt * k3u
         v4 = vc + dt * k3v
-        k4u = -1j * (a1 * u4 + b1 * v4)
-        k4v = -1j * (-a1 * v4 + b1 * u4)
+        k4u = -1j * (ar * u4 + br * v4)
+        k4v = -1j * (-ar * v4 + br * u4)
 
         uc = uc + dt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
         vc = vc + dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
@@ -404,20 +407,22 @@ def _apply(q, u, v):
     return (q0 - 1j * q3) * u - (q2 + 1j * q1) * v, (q2 - 1j * q1) * u + (q0 + 1j * q3) * v
 
 
-def magnus4_modes(g_nodes, ka, dt, u0, v0):
+def magnus4_modes(g_nodes, coef, dt, u0, v0):
     """Fourth-order Magnus propagation of i u' = a u + b v, i v' = -a v + b u.
 
-    a = 2 - 4 g cos^2(ka/2) and b = 2 g sin(ka), for every mode of the 1-D
-    ``ka`` at once.  ``g_nodes`` holds g at both Gauss-Legendre nodes of each
-    step, shape (steps, 2) (see ``gauss_legendre_times``); ``u0`` and ``v0``
-    hold one start state per mode.  Each step applies the exact SU(2)
-    exponential, kept as a unit quaternion, of
+    a = a0 + a1 g and b = b0 + b1 g, for every row (a0, a1, b0, b1) of
+    ``coef``, shape (K, 4), at once.  ``g_nodes`` holds g at both
+    Gauss-Legendre nodes of each step, shape (steps, 2) (see
+    ``gauss_legendre_times``); ``u0`` and ``v0`` hold one start state per
+    row.  Each step applies the exact SU(2) exponential, kept as a unit
+    quaternion, of
 
-        -i [ (dt/2)(a1+a2) sz + (dt/2)(b1+b2) sx + (sqrt(3)/6) dt^2 (a2 b1 - a1 b2) sy ],
+        -i [ (dt/2)(A1+A2) sz + (dt/2)(B1+B2) sx + (sqrt(3)/6) dt^2 (A2 B1 - A1 B2) sy ],
 
-    so the norm changes only by rounding.  The steps of each block of
+    A1, B1 and A2, B2 being a and b at the step's first and second node, so
+    the norm changes only by rounding.  The steps of each block of
     ``MAGNUS_BLOCK`` are multiplied by a pairwise tree, later steps from the
-    left, and one quaternion per mode is carried across blocks, so memory
+    left, and one quaternion per row is carried across blocks, so memory
     does not grow with the number of steps.
 
     Returns (u_T, v_T, norm_defect), each of shape (K,): the endpoint and
@@ -425,18 +430,18 @@ def magnus4_modes(g_nodes, ka, dt, u0, v0):
     and of | |q|^2 - 1 | over every node q of the trees (steps included).
     """
     g_nodes = np.asarray(g_nodes, dtype=float)
-    ka = np.asarray(ka, dtype=float)[:, None]
+    # each coefficient as a column, shape (K, 1), against a block's nodes
+    c_a0, c_a1, c_b0, c_b1 = np.asarray(coef, dtype=float).T[:, :, None]
     u0 = np.asarray(u0, dtype=complex)
     v0 = np.asarray(v0, dtype=complex)
-    c = 4.0 * np.cos(ka / 2.0) ** 2
-    s = 2.0 * np.sin(ka)
-    carry = np.repeat(np.eye(4)[:, :1], ka.shape[0], axis=1)  # the identity, per mode
+    carry = np.repeat(np.eye(4)[:, :1], c_a0.shape[0], axis=1)  # the identity, per row
     u, v = u0, v0
     defect = np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0)
     for start in range(0, g_nodes.shape[0], MAGNUS_BLOCK):
         g1, g2 = g_nodes[start:start + MAGNUS_BLOCK].T
-        a1, a2 = 2.0 - c * g1, 2.0 - c * g2
-        b1, b2 = s * g1, s * g2
+        # A1, A2, B1 and B2 of each row and step
+        a1, a2 = c_a0 + c_a1 * g1, c_a0 + c_a1 * g2
+        b1, b2 = c_b0 + c_b1 * g1, c_b0 + c_b1 * g2
         # exponent as -i w.(sx, sy, sz); exp(-i w.sigma) = cos|w| - i sin|w| w.sigma/|w|
         w = np.stack((
             0.5 * dt * (b1 + b2), _GL_OFFSET * dt * dt * (a2 * b1 - a1 * b2), 0.5 * dt * (a1 + a2),

@@ -32,9 +32,10 @@ class SpectralFunction:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "thermal_bosonic":
-            if self.theta < 0.0 or self.omega_ph <= 0.0 or self.epsilon < 0.0:
-                raise ValueError("need theta >= 0, omega_ph > 0, epsilon >= 0")
-            if self.omega_c <= 0.0 or self.beta <= 0.0:
+            # NaN fails every comparison
+            if not (0.0 <= self.theta < np.inf and 0.0 < self.omega_ph < np.inf and 0.0 <= self.epsilon < np.inf):
+                raise ValueError("need finite theta >= 0, omega_ph > 0 and epsilon >= 0")
+            if not (self.omega_c > 0.0 and self.beta > 0.0):
                 raise ValueError("need omega_c > 0 and beta > 0 (inf allowed)")
 
 
@@ -135,8 +136,10 @@ def dirac_probe(omega0, weight):
     """Formal measure weight * delta(w - omega0); vector arguments allowed."""
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
     weight = np.broadcast_to(np.asarray(weight, dtype=float), omega0.shape).copy()
-    if np.any(weight <= 0.0):
-        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(omega0)):
+        raise ValueError("probe frequencies must be finite")
+    if not np.all((weight > 0.0) & (weight < np.inf)):  # NaN fails both comparisons
+        raise ValueError("weights must be positive and finite")
     return SpectralFunction(kind="dirac_comb", probes=(omega0, weight))
 
 

@@ -533,7 +533,7 @@ def mixed_even_levels(n_qubits, g, m):
     even states at energy 1-g+g*d.  Returns the levels in ascending order;
     all 2^(N-1) of them when m is at least that.
     """
-    n = _check_count(n_qubits, "n_qubits", 2)
+    n = _check_count(n_qubits, "n_qubits", 2, 1023)  # 2^N a float
     g = float(_check_g(g))
     d = np.arange(0, n + 1, 2)
     counts = [math.comb(n, int(k)) for k in d]

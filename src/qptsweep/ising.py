@@ -156,38 +156,46 @@ def bogoliubov_pair(ka, g, energy):
     return n_u, n_v
 
 
+def _mode_coefficients(ka):
+    """The equations of motion of the modes ``ka`` as rows (a0, a1, b0, b1),
+    shape ka.shape + (4,), of the two-level propagators: a = a0 + a1 g =
+    2 - 4g cos^2(ka/2) and b = b0 + b1 g = 2g sin(ka)."""
+    ka = np.asarray(ka, dtype=float)
+    return np.stack((np.full(ka.shape, 2.0), -4.0 * np.cos(ka / 2.0) ** 2, np.zeros(ka.shape), 2.0 * np.sin(ka)),
+                    axis=-1)
+
+
 def _default_steps(total_time):
     # the cap of the certified step doubling: a mode not certified on this
     # grid is reported with the difference from the grid before it
     return max(8192, int(np.ceil(256.0 * max(total_time, 1.0))))
 
 
-def _propagate(ka, schedule, steps):
+def _propagate(coef, u0, v0, schedule, steps):
     times = gauss_legendre_times(schedule.T, steps)
     g_nodes = np.asarray(schedule.g_of(times), dtype=float)
-    g_start = float(schedule.g_of(0.0))
-    u0, v0 = bogoliubov_pair(ka, g_start, dispersion(ka, g_start))
-    return magnus4_modes(g_nodes, ka, schedule.T / steps, u0, v0)
+    return magnus4_modes(g_nodes, coef, schedule.T / steps, u0, v0)
 
 
-def _doubled(modes, schedule):
-    """Each mode on grids n0, 2*n0, ... up to the cap, stopped by ``refine``
-    at the first grid within ENDPOINT_TOL of the grid before it.
+def _doubled(coef, u0, v0, schedule):
+    """Each row of ``coef``, from its start state (``u0``, ``v0``), on grids
+    n0, 2*n0, ... up to the cap, stopped by ``refine`` at the first grid
+    within ENDPOINT_TOL of the grid before it.
 
     n0 is the cap over the largest power of two (at least 2) that leaves at
     least _STEPS_PER_TIME steps per unit time, so the last grid is the cap
-    rounded up to a multiple of that power.  Every mode is propagated alone
-    of the others (``magnus4_modes`` is elementwise in the modes), so its
-    result does not depend on which modes share the call.
+    rounded up to a multiple of that power.  Every row is propagated alone
+    of the others (``magnus4_modes`` is elementwise in the rows), so its
+    result does not depend on which rows share the call.
     """
     cap = _default_steps(schedule.T)
     first = max(8, int(np.ceil(_STEPS_PER_TIME * schedule.T)))
     doublings = max(1, (cap // first).bit_length() - 1)
-    norm_defect = np.zeros(modes.shape)
-    n_grid = np.zeros(modes.shape, dtype=int)
+    norm_defect = np.zeros(u0.shape)
+    n_grid = np.zeros(u0.shape, dtype=int)
 
     def eval_at(n, rows):
-        u, v, norm_defect[rows] = _propagate(modes[rows], schedule, n)
+        u, v, norm_defect[rows] = _propagate(coef[rows], u0[rows], v0[rows], schedule, n)
         n_grid[rows] = n
         return np.stack((u, v), axis=1)
 
@@ -210,13 +218,16 @@ def integrate_bogoliubov(ka, schedule, steps=None):
     if ka.ndim > 1:
         raise ValueError(f"ka must be a scalar or 1-D, got shape {ka.shape}")
     modes = np.atleast_1d(ka)
+    g_start = float(schedule.g_of(0.0))
+    start = bogoliubov_pair(modes, g_start, dispersion(modes, g_start))
+    coef = _mode_coefficients(modes)
     if steps is None:
-        u, v, norm_defect, endpoint_error, n_grid = _doubled(modes, schedule)
+        u, v, norm_defect, endpoint_error, n_grid = _doubled(coef, *start, schedule)
     else:
         if steps < 16:
             raise ValueError(f"steps must be at least 16, got {steps}")
-        u, v, norm_defect = _propagate(modes, schedule, steps)
-        u_half, v_half, _ = _propagate(modes, schedule, max(steps // 2, 8))
+        u, v, norm_defect = _propagate(coef, *start, schedule, steps)
+        u_half, v_half, _ = _propagate(coef, *start, schedule, max(steps // 2, 8))
         endpoint_error = np.abs(u - u_half) + np.abs(v - v_half)
         n_grid = np.full(modes.shape, steps)
     if ka.ndim:

@@ -196,6 +196,38 @@ def test_amplitude_use_outside_is_reported():
     ]
 
 
+_MOMENTA = {"ka", "kpa"}
+
+
+def _momenta(tree):
+    """(line, name) for every parameter or name of ``tree`` in ``_MOMENTA``."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.arg) and n.arg in _MOMENTA:
+            found.append((n.lineno, n.arg))
+        elif isinstance(n, ast.Name) and n.id in _MOMENTA:
+            found.append((n.lineno, n.id))
+    return found
+
+
+def test_kernels_know_no_model():
+    # the two-level propagators take each row's coefficients (a0, a1, b0, b1);
+    # the Ising mode's are written in ising alone, so no kernel names a momentum
+    found = _momenta(ast.parse((SRC / "_kernels.py").read_text()))
+    assert not found, "momenta in _kernels: " + ", ".join(f"{line} {name}" for line, name in found)
+
+
+def test_momentum_in_a_kernel_is_reported():
+    tree = ast.parse(
+        "def rk4_mode(g2, ka, dt):\n"
+        "    return g2\n"
+        "def magnus(coef, *, kpa=0.0):\n"
+        "    c = np.cos(ka / 2.0)\n"
+        "    return lambda ka: coef.ka\n"
+    )
+    assert sorted(_momenta(tree)) == [(1, "ka"), (3, "kpa"), (4, "ka"), (5, "ka")]
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

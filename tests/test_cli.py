@@ -476,6 +476,14 @@ def test_json_mirror_roundtrip(tmp_path):
     ("response", {"n_spins": 16, "T": 20.0, "channel": "nonuniform_x", "omega_grid": [0.5], "kpa": 0.0}),
     ("sweep", {"n_spins": 2 * 10**400, "T_list": [5.0]}),
     ("response", {"n_spins": 2 * 10**400, "T": 20.0, "channel": "uniform_x", "omega_grid": [0.5]}),
+    # a bath parameter that is NaN, or infinite where only omega_c and beta may be
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"omega_c": float("nan")}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"omega_ph": float("nan")}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"epsilon": float("inf")}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": 1.0, "weight": float("nan")}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": 1.0, "weight": float("inf")}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": float("nan"), "weight": 1.0}}),
+    ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": float("inf"), "weight": 1.0}}),
 ], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
         "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
@@ -493,7 +501,9 @@ def test_json_mirror_roundtrip(tmp_path):
         "response_negative_n", "grover_T_beyond_float", "grover_nan_coupling", "grover_infinite_coupling",
         "grover_gap_adapted", "grover_gap_squared_adapted", "response_uniform_x_zero_ka",
         "response_single_site_z_zero_ka", "response_nonuniform_x_zero_ka", "response_zero_kpa",
-        "sweep_n_beyond_float", "response_n_beyond_float"])
+        "sweep_n_beyond_float", "response_n_beyond_float", "thermal_nan_omega_c", "thermal_nan_omega_ph",
+        "thermal_infinite_epsilon", "dirac_comb_nan_weight", "dirac_comb_infinite_weight", "dirac_comb_nan_omega0",
+        "dirac_comb_infinite_omega0"])
 def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, doc):
     cfg = write_config(tmp_path, "c.json", doc)
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -541,8 +541,9 @@ def test_build_validation():
     (lambda: exact.minimal_even_gap("mixed_grover_ising", 6, coarse_points=0), "coarse_points"),
     (lambda: exact.minimal_even_gap("mixed_grover_ising", 6, coarse_points=-3), "coarse_points"),
     (lambda: exact.build_hamiltonian("ising_ring", 4.0, 0.5), "n_qubits"),
+    (lambda: exact.mixed_even_levels(1100, 0.3, 2), "n_qubits"),
 ], ids=["mixed_levels_fractional_n", "mixed_scaling_fractional_n",
-        "coarse_points_0", "coarse_points_negative", "build_float_n"])
+        "coarse_points_0", "coarse_points_negative", "build_float_n", "mixed_levels_n_beyond_float"])
 def test_counts_are_not_coerced(call, name):
     with pytest.raises(ValueError, match=name):
         call()

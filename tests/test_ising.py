@@ -127,6 +127,20 @@ def test_bogoliubov_pair_broadcasts_modes_against_couplings():
         assert row[0].tobytes() == u[i].tobytes() and row[1].tobytes() == v[i].tobytes()
 
 
+@pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("ka", [np.pi / 1024, -np.pi / 1024, 0.7, np.pi])
+def test_pair_is_the_eigenvector_of_the_propagated_row(ka, g):
+    # the pair of bogoliubov_pair and the row that the propagators integrate
+    # write the mode twice: (u, v) is the eigenvector of [[a, b], [b, -a]]
+    # with eigenvalue E, up to the rounding of a = a0 + a1 g
+    energy = ising.dispersion(ka, g)
+    pair = np.array(ising.bogoliubov_pair(ka, g, energy))
+    a0, a1, b0, b1 = ising._mode_coefficients(ka)
+    a, b = a0 + a1 * g, b0 + b1 * g
+    residual = np.array([[a, b], [b, -a]]) @ pair - energy * pair
+    assert np.max(np.abs(residual)) <= 4.0 * np.finfo(float).eps * (abs(a0) + abs(a1))
+
+
 def test_degenerate_normalization_raises():
     # at g=1/2 and ka -> 0 the quasi-particle branch touches zero
     with pytest.raises(ValueError):
@@ -163,7 +177,7 @@ def test_integrate_bogoliubov_norm_and_error_certificates():
     assert end.endpoint_error < 1e-6
     # the g=0 ground state is (1, 0): the RK4 oracle started there lands on the same endpoint
     steps = 40000
-    u, v = rk4_mode(np.linspace(0.0, 1.0, 2 * steps + 1), np.pi / 8, 40.0 / steps)
+    u, v = rk4_mode(np.linspace(0.0, 1.0, 2 * steps + 1), ising._mode_coefficients(np.pi / 8), 40.0 / steps)
     assert abs(end.u - u[-1]) + abs(end.v - v[-1]) < 1e-8
 
 
@@ -240,10 +254,13 @@ def test_certified_grids_are_in_the_fourth_order_regime(kind, total_time, ka):
     end = ising.integrate_bogoliubov(np.array(ka), sched)
     assert np.all(end.endpoint_error < ising.ENDPOINT_TOL)
     assert np.all(end.norm_defect < 1e-12)
+    g_start = float(sched.g_of(0.0))
     for i, k in enumerate(ka):
         n = int(end.n_grid[i])
         assert n % 4 == 0 and n <= ising._default_steps(total_time)
-        u, v, _ = zip(*(ising._propagate(np.array([k]), sched, m) for m in (n, n // 2, n // 4)))
+        mode = np.array([k])
+        row = ising._mode_coefficients(mode), *ising.bogoliubov_pair(mode, g_start, ising.dispersion(mode, g_start))
+        u, v, _ = zip(*(ising._propagate(*row, sched, m) for m in (n, n // 2, n // 4)))
         assert (u[0][0], v[0][0]) == (end.u[i], end.v[i])
         last = abs(u[0][0] - u[1][0]) + abs(v[0][0] - v[1][0])
         before = abs(u[1][0] - u[2][0]) + abs(v[1][0] - v[2][0])

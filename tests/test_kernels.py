@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from fixed_grid_oracle import composite_simpson, simpson_weights
 from qptsweep import _kernels, grover, response
+from qptsweep.ising import _mode_coefficients
 from qptsweep._kernels import (
     _QUAD_BLOCK,
     _SMALL_PHASE,
@@ -29,6 +30,9 @@ from qptsweep._kernels import (
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# a row (a0, a1, b0, b1) of no Ising mode: those have a0 = 2, b0 = 0 and
+# (a1 + 2)^2 + b1^2 = 4
+ROW = np.array([0.3, -1.7, 0.45, 0.9])
 
 
 def linear_nodes(total_time, steps):
@@ -37,7 +41,7 @@ def linear_nodes(total_time, steps):
 
 def magnus_one(g_nodes, ka, dt, u0=1.0, v0=0.0):
     """Single-mode call; returns (u_T, v_T, norm_defect) as scalars."""
-    u, v, d = magnus4_modes(g_nodes, np.array([ka]), dt, np.array([u0]), np.array([v0]))
+    u, v, d = magnus4_modes(g_nodes, _mode_coefficients(np.array([ka])), dt, np.array([u0]), np.array([v0]))
     return u[0], v[0], d[0]
 
 
@@ -306,7 +310,7 @@ def test_rk4_paths_agree_and_conserve_norm():
     # resolution; both conserve the norm
     total_time, ka = 20.0, np.pi / 8
     fine = 20000
-    u_ref, v_ref = rk4_mode(np.linspace(0.0, 1.0, 2 * fine + 1), ka, total_time / fine)
+    u_ref, v_ref = rk4_mode(np.linspace(0.0, 1.0, 2 * fine + 1), _mode_coefficients(ka), total_time / fine)
     assert np.max(np.abs(np.abs(u_ref) ** 2 + np.abs(v_ref) ** 2 - 1.0)) < 1e-9
     steps = 2000
     u, v, defect = magnus_one(linear_nodes(total_time, steps), ka, total_time / steps)
@@ -333,7 +337,7 @@ def test_rk4_frozen_coupling_is_pure_phase():
     steps = 1000
     g2 = np.zeros(2 * steps + 1)
     dt = 5.0 / steps
-    u, v = rk4_mode(g2, np.pi / 3, dt)
+    u, v = rk4_mode(g2, _mode_coefficients(np.pi / 3), dt)
     assert np.max(np.abs(v)) < 1e-12
     t = np.linspace(0.0, 5.0, steps + 1)
     assert np.max(np.abs(u - np.exp(-2j * t))) < 1e-9
@@ -342,19 +346,34 @@ def test_rk4_frozen_coupling_is_pure_phase():
     assert abs(v) < 1e-12
     assert abs(u - np.exp(-10j)) < 1e-12
     assert defect < 1e-12
+    # a row of no Ising mode at a constant g: H = a sz + b sx, so from (1, 0)
+    # the state is exp(-iHt) (1, 0) = (cos Et - i (a/E) sin Et, -i (b/E) sin Et)
+    g = 0.35
+    a0, a1, b0, b1 = ROW
+    a, b = a0 + a1 * g, b0 + b1 * g
+    energy = np.hypot(a, b)
+    want_u = np.cos(energy * t) - 1j * (a / energy) * np.sin(energy * t)
+    want_v = -1j * (b / energy) * np.sin(energy * t)
+    u, v = rk4_mode(np.full(2 * steps + 1, g), ROW, dt)
+    assert np.max(np.abs(u - want_u)) + np.max(np.abs(v - want_v)) < 1e-9
+    u, v, defect = magnus4_modes(np.full((steps, 2), g), ROW[None], dt, np.ones(1), np.zeros(1))
+    assert abs(u[0] - want_u[-1]) + abs(v[0] - want_v[-1]) < 1e-12
+    assert defect[0] < 1e-12
 
 
 def test_magnus4_modes_match_single_mode_calls():
+    # every row propagates alone of the others: four Ising modes, and a row
+    # with b0 != 0 and slopes unlike any mode's
     total_time, steps = 30.0, 3000
     g_nodes = linear_nodes(total_time, steps)
-    ka = np.array([np.pi / 64, 0.7, -1.9, np.pi])
-    u0 = np.array([1.0, 0.6, 0.8j, np.sqrt(0.5)], dtype=complex)
-    v0 = np.array([0.0, 0.8, 0.6, np.sqrt(0.5) * 1j], dtype=complex)
-    u, v, defect = magnus4_modes(g_nodes, ka, total_time / steps, u0, v0)
-    for k in range(len(ka)):
-        uk, vk, dk = magnus_one(g_nodes, ka[k], total_time / steps, u0[k], v0[k])
-        assert abs(u[k] - uk) < 1e-14 and abs(v[k] - vk) < 1e-14
-        assert abs(defect[k] - dk) < 1e-14
+    coef = np.vstack((_mode_coefficients(np.array([np.pi / 64, 0.7, -1.9, np.pi])), ROW))
+    u0 = np.array([1.0, 0.6, 0.8j, np.sqrt(0.5), 0.6j], dtype=complex)
+    v0 = np.array([0.0, 0.8, 0.6, np.sqrt(0.5) * 1j, -0.8], dtype=complex)
+    u, v, defect = magnus4_modes(g_nodes, coef, total_time / steps, u0, v0)
+    for k in range(len(coef)):
+        uk, vk, dk = magnus4_modes(g_nodes, coef[k:k + 1], total_time / steps, u0[k:k + 1], v0[k:k + 1])
+        assert abs(u[k] - uk[0]) < 1e-14 and abs(v[k] - vk[0]) < 1e-14
+        assert abs(defect[k] - dk[0]) < 1e-14
 
 
 # 1, 3 and 2^k + 1 steps, and the last blocks of 2 * MAGNUS_BLOCK + 37 and
