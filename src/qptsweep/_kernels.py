@@ -14,10 +14,14 @@ the tests use as its oracle.
 
 import numpy as np
 
-# Taylor switch-over for the Filon moments.  The closed form's e1 is a
-# cancellation divided by c^2 (rounding ~eps/c^2, 2e-12 here); the series
-# of ``_series_segments``, through c^6, is truncated at ~c^7/40320 (2.5e-19 here).
-_SMALL_PHASE = 1e-2
+# Taylor switch-over for the Filon moments, where the two forms round alike.
+# The closed form's e0 and e1 are cancellations divided by c and c^2 (rounding
+# ~eps/c and ~eps/c^2); the series of ``_series_segments``, through c^6, is
+# truncated at ~c^7/40320.  Against 40-digit values they round alike (1.8e-15
+# rms per segment) near c = 0.035 for an envelope that moves by O(dt) per
+# segment, as on every amplitude grid, and near c = 0.047 for one that moves
+# by O(1).  Below 0.035 the series is the better form for both.
+_SMALL_PHASE = 3.5e-2
 _ABS_FLOOR = 1e-13  # quadrature results below this sit in roundoff noise
 # Segments per block of ``stream_filon``: a block's twenty-odd node arrays
 # fit in a 2 MB L2 cache, a whole grid of 1e5-1e6 nodes does not.  Blocks of

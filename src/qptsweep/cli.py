@@ -68,12 +68,29 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
+def _n_rows(col):
+    """The rows of a column: a list, or a factored pair (values, index)."""
+    return len(col[1]) if isinstance(col, tuple) else len(col)
+
+
+def _bad_column(col):
+    """Whether ``col`` is neither a list nor a factored pair of float64 or int64
+    values and an int32 index that points within them."""
+    if not isinstance(col, tuple):
+        return not isinstance(col, list)
+    values, index = col
+    return (not isinstance(values, np.ndarray) or values.dtype not in (np.float64, np.int64)
+            or not isinstance(index, np.ndarray) or index.dtype != np.int32
+            or len(index) and not 0 <= index.min() <= index.max() < len(values))
+
+
 class ResultBundle:
     """One result table and its fits, held column by column.
 
     Give the table either as ``rows`` (a list of row lists) or as ``data``:
-    one list or 1-d numpy array per column, in the order of ``columns``.  A
-    numpy column must be float64 or int64.  A ragged table raises ValueError.
+    one column per entry of ``columns``, each a list or factored as a pair
+    (values, index) whose row i holds values[index[i]]: float64 or int64
+    values and an int32 index.  A ragged table raises ValueError.
     """
 
     def __init__(self, name, columns, rows=None, fits=None, nonconverged=0, data=None):
@@ -81,9 +98,9 @@ class ResultBundle:
         self.columns = columns
         if rows is not None:  # strict: a row of another length raises ValueError
             data = [list(col) for col in zip(*rows, strict=True)] if rows else [[] for _ in columns]
-        if len(data) != len(columns) or len({len(col) for col in data}) > 1 or any(
-                isinstance(col, np.ndarray) and col.dtype not in (np.float64, np.int64) for col in data):
-            raise ValueError(f"{name}: need {len(columns)} columns of one length, numpy ones float64 or int64")
+        if len(data) != len(columns) or len(set(map(_n_rows, data))) > 1 or any(map(_bad_column, data)):
+            raise ValueError(f"{name}: need {len(columns)} columns of one length, each a list or"
+                             " float64 or int64 values with an int32 index within them")
         self.data = data
         self.fits = {} if fits is None else fits
         self.nonconverged = nonconverged
@@ -195,10 +212,16 @@ def _run_spectrum(cfg):
     p = _read(cfg.params, _KEYS["spectrum"])
     n, g_grid = p["n_spins"], p["g_grid"]
     momenta = ising.momentum_grid(ising.ChainParams(n))
-    energies = ising.dispersion(momenta, g_grid[:, None])  # one row of momenta per g
+    rows, half, g_index = n * len(g_grid), n // 2, np.arange(len(g_grid), dtype=np.int32)
+    # E_k is even in ka bit for bit, and momenta[half:] are the ka > 0 half: mode k
+    # reads the energy of mode |2k - (n - 1)| // 2 of that half, at each g
+    energies = ising.dispersion(momenta[half:], g_grid[:, None])
+    mirror = (np.abs(np.arange(1 - n, n, 2)) // 2).astype(np.int32)
     data = [
-        np.full(energies.size, n), np.tile(momenta, len(g_grid)),
-        np.repeat(g_grid, len(momenta)), energies.ravel(),
+        (np.array([n]), np.broadcast_to(np.int32(0), (rows,))),  # one value, and no copy per row
+        (momenta, np.tile(np.arange(n, dtype=np.int32), len(g_grid))),
+        (g_grid, np.repeat(g_index, n)),
+        (energies.ravel(), (g_index[:, None] * half + mirror).ravel()),
     ]
     return ResultBundle(name="spectrum", columns=["n_spins", "ka", "g", "energy"], data=data)
 
@@ -408,31 +431,24 @@ def _json_text(x):
     return repr(x) if math.isfinite(x) else "null"
 
 
-def _distinct_cells(col):
-    """The distinct cells of one column and the int32 index of each cell among
-    them.  A numpy column is keyed on bit patterns, which keeps -0.0 apart from
-    0.0; a list column keeps every cell, in order (index None)."""
-    if not isinstance(col, np.ndarray):
-        return col, None
-    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    return keys.view(col.dtype), inverse.astype(np.int32)
-
-
 def _cell_texts(cells, as_json, first, last):
     """The CSV or the JSON text of each of ``cells`` with its separator: one
-    %-format chosen from the dtype for numpy cells, ``_csv_text`` or
+    %-format chosen from the dtype for numpy cells, each distinct bit pattern
+    formatted once (which keeps -0.0 apart from 0.0), ``_csv_text`` or
     ``_json_text`` for a list.  A JSON row opens with ``[`` and closes with ``],``."""
     pre = "[" if as_json and first else ""
     end = ("]," if as_json else "\n") if last else ","
     if not isinstance(cells, np.ndarray):
         cell = _json_text if as_json else _csv_text
         return np.array([pre + cell(x) + end for x in cells], dtype=object)
+    keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    distinct = keys.view(cells.dtype)
     floats = cells.dtype == np.float64
     fmt = pre + ("%d" if not floats else "%r" if as_json else "%.17g") + end
-    texts = np.array(list(map(fmt.__mod__, cells.tolist())), dtype=object)
+    texts = np.array(list(map(fmt.__mod__, distinct.tolist())), dtype=object)
     if as_json and floats:
-        texts[~np.isfinite(cells)] = pre + "null" + end
-    return texts
+        texts[~np.isfinite(distinct)] = pre + "null" + end
+    return texts[inverse]
 
 
 _BLOCK = 8192  # rows joined into one string per write
@@ -456,10 +472,10 @@ def emit(bundle, out_dir, config, walltime):
     """Write CSV + JSON mirror + manifest; returns the CSV path.
 
     The CSV has floats as %.17g; the mirror is compact strict JSON with sorted
-    keys, non-finite floats as null, and its ``rows`` sort last.  Both files
-    share each column's distinct cells (``_distinct_cells``), which each
-    formats once (``_cell_texts``).  The manifest's ``emit_s`` is the
-    seconds the two files took.
+    keys, non-finite floats as null, and its ``rows`` sort last.  Each value of
+    a factored column is formatted once per file (``_cell_texts``), and its
+    rows pick their texts by index.  The manifest's ``emit_s`` is the seconds
+    the two files took.
     """
     t0 = time.monotonic()
     out = Path(out_dir)
@@ -473,14 +489,14 @@ def emit(bundle, out_dir, config, walltime):
         },
         sort_keys=True, allow_nan=False, separators=(",", ":"),
     )
-    distinct = list(map(_distinct_cells, bundle.data))
-    n, last = (len(bundle.data[0]) if bundle.data else 0), len(distinct) - 1
+    cells = [col if isinstance(col, tuple) else (col, None) for col in bundle.data]  # (cells, index)
+    n, last = (_n_rows(bundle.data[0]) if bundle.data else 0), len(cells) - 1
     for as_json, path, start, stop in ((False, csv_path, ",".join(bundle.columns) + "\n", ""),
                                        (True, out / f"{bundle.name}.json", head[:-1] + ',"rows":[', "]}")):
         with open(path, "w") as fh:
             fh.write(start)
-            columns = [(_cell_texts(cells, as_json, j == 0, j == last), index)
-                       for j, (cells, index) in enumerate(distinct)]
+            columns = [(_cell_texts(values, as_json, j == 0, j == last), index)
+                       for j, (values, index) in enumerate(cells)]
             _write_blocks(fh, columns, n, cut=as_json)  # no "," after the JSON's last row
             del columns  # the CSV texts go before the JSON texts are made
             fh.write(stop)

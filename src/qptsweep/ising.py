@@ -123,8 +123,10 @@ def bogoliubov_pair(ka, g, energy):
     """Instantaneous ground pair (u_k, v_k) of modes ``ka`` at couplings ``g``
     and energies E = ``energy`` (``dispersion(ka, g)``); all three broadcast.
 
-    With alpha = 2 sin^2(ka/2) + 2(1 - 2g) cos^2(ka/2) (not 2 - 4g cos^2(ka/2),
-    which cancels near g = 1/2), beta = 2g sin(ka), E^2 = alpha^2 + beta^2:
+    With alpha = 2 sin^2(ka/2) + 2(1 - 2g) cos^2(ka/2) for g >= 1/4 (not
+    2 - 4g cos^2(ka/2), which cancels near g = 1/2) and 2 - 4g cos^2(ka/2)
+    below (exactly 2 at g = 0, so the pair is exactly (1, 0) there),
+    beta = 2g sin(ka), E^2 = alpha^2 + beta^2:
     u = sqrt((E + alpha)/2E) >= 0 and v = sign(beta) sqrt((E - alpha)/2E), so
     u^2 + v^2 = 1, 2E u v = beta and E (u^2 - v^2) = alpha.  The smaller of
     E +- alpha cancels, but it is beta^2/(E + |alpha|), so the larger
@@ -133,13 +135,21 @@ def bogoliubov_pair(ka, g, energy):
     which ``dispersion`` gives only at ka = 0 (and g = 1/2); R below
     DEGENERATE_NORM_THRESHOLD raises ``ValueError``.
     """
-    ka = np.asarray(ka, dtype=float)
+    ka, g = np.asarray(ka, dtype=float), np.asarray(g, dtype=float)
     sin_ka, sin_half, cos_half = np.sin(ka), np.sin(ka / 2.0), np.cos(ka / 2.0)
     # in place: a fresh temporary per Filon block costs about as much as the operation filling it
     shape = np.broadcast(ka, g, energy).shape
-    n_u = np.subtract(0.5, g, out=np.empty(shape))  # exact for g >= 1/4
-    n_u *= 4.0 * cos_half * cos_half  # not ** 2: a scalar's is pow()
-    n_u += 2.0 * sin_half * sin_half  # alpha
+    four_cos2 = 4.0 * cos_half * cos_half  # not ** 2: a scalar's is pow()
+    n_u = np.empty(shape)  # alpha
+    if g.min() >= 0.25:
+        np.subtract(0.5, g, out=n_u)  # exact for g >= 1/4
+        n_u *= four_cos2
+        n_u += 2.0 * sin_half * sin_half
+    else:
+        np.multiply(g, -four_cos2, out=n_u)
+        n_u += 2.0
+        if g.max() >= 0.25:  # a block that straddles g = 1/4
+            n_u = np.where(np.less(g, 0.25), n_u, (0.5 - g) * four_cos2 + 2.0 * sin_half * sin_half)
     swap = n_u < 0.0  # there u is the smaller side
     np.abs(n_u, out=n_u)
     n_u += energy  # E + |alpha|

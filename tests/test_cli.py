@@ -764,9 +764,14 @@ def _oracle_json_value(x):
     return x if math.isfinite(x) else None
 
 
+def _oracle_rows(bundle):
+    """The table's rows, with a factored column (values, index) expanded to values[index]."""
+    return zip(*(col[0][col[1]] if isinstance(col, tuple) else col for col in bundle.data))
+
+
 def _oracle_csv(bundle):
     lines = [",".join(bundle.columns)]
-    for row in zip(*bundle.data):
+    for row in _oracle_rows(bundle):
         lines.append(",".join(_oracle_fmt(x) for x in row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -774,7 +779,7 @@ def _oracle_csv(bundle):
 def _oracle_json(bundle):
     doc = {
         "columns": bundle.columns,
-        "rows": [[_oracle_json_value(x) for x in row] for row in zip(*bundle.data)],
+        "rows": [[_oracle_json_value(x) for x in row] for row in _oracle_rows(bundle)],
         "fits": {k: {kk: _oracle_json_value(v) for kk, v in fit.items()}
                  for k, fit in bundle.fits.items()},
         "nonconverged": bundle.nonconverged,
@@ -845,6 +850,7 @@ def test_spectrum_csv_matches_oracle_writer(tmp_path, monkeypatch):
     })
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     (bundle,) = bundles
+    assert all(isinstance(col, tuple) for col in bundle.data)  # every column factored
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(bundle)
     assert _loaded((tmp_path / "out" / "spectrum.json").read_text()) == _loaded(_oracle_json(bundle))
 
@@ -875,23 +881,22 @@ _INT_VALUES = st.integers(-(2**63), 2**63 - 1)
 
 @given(floats=_column(_FLOAT_VALUES, _EDGE_FLOATS), ints=_column(_INT_VALUES, _EDGE_INTS))
 def test_array_column_texts_match_per_cell_rule(floats, ints):
-    for col in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
-        cells, index = cli._distinct_cells(col)
-        assert index.dtype == np.int32
+    for values in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
+        index = np.arange(len(values), dtype=np.int32)[::-1]  # read in an order unlike theirs
         for first, last in ((False, False), (True, True)):
-            csv_texts, json_texts = (cli._cell_texts(cells, as_json, first, last) for as_json in (False, True))
-            assert list(csv_texts[index]) == [_oracle_fmt(x) + ("\n" if last else ",") for x in col]
+            csv_texts, json_texts = (cli._cell_texts(values, as_json, first, last) for as_json in (False, True))
+            assert list(csv_texts[index]) == [_oracle_fmt(x) + ("\n" if last else ",") for x in values[index]]
             assert list(json_texts[index]) == [
                 ("[" if first else "") + json.dumps(_oracle_json_value(x)) + ("]," if last else ",")
-                for x in col
+                for x in values[index]
             ]
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 @pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
 def test_block_writer_matches_oracle(tmp_path, n, reverse):
-    # float64, int64 and list columns; NaN, +-inf and -0.0 end the first and
-    # the last column and fill the last row, where the JSON's final "," is cut
+    # float64 and int64 factored columns and list columns; NaN, +-inf and -0.0 end
+    # the first and the last column and fill the last row, where the JSON's final "," is cut
     rng = np.random.default_rng(n)
     edges = np.array([-0.0, np.inf, -np.inf, np.nan])
     data = {
@@ -903,6 +908,13 @@ def test_block_writer_matches_oracle(tmp_path, n, reverse):
     for name in "ad":
         data[name][-min(n, 4):] = edges[-min(n, 4):]
     data["a"][-1] = -0.0
+    rows = np.arange(n, dtype=np.int32)
+    for name in "acd":  # one value per row, "c" stored and read back to front
+        data[name] = (data[name][::-1].copy(), rows[::-1]) if name == "c" else (data[name], rows)
+    # factored: values with repeats and both zeros, read in an order unlike theirs
+    values = np.array([0.0, -0.0, 2.0 / 3.0, np.nan, 0.0, -7.0])
+    data["e"] = (values, rng.integers(0, len(values), n).astype(np.int32))
+    data["f"] = (np.array([-(2**63)]), np.broadcast_to(np.int32(0), (n,)))
     columns = sorted(data, reverse=reverse)
     bundle = cli.ResultBundle(name="t", columns=columns, data=[data[c] for c in columns],
                               fits={"fit": {"exponent": -0.0}}, nonconverged=1)
@@ -913,13 +925,25 @@ def test_block_writer_matches_oracle(tmp_path, n, reverse):
     assert (tmp_path / "t.json").read_text() == compact
 
 
+_THREE_ROWS = (np.zeros(1), np.zeros(3, dtype=np.int32))  # a good factored column
+
+
 @pytest.mark.parametrize("kwargs", [
     {"rows": [[1, 2.0], [3]]},
     {"rows": [[1, 2.0], [3, 4.0, 5.0]]},
-    {"data": [np.zeros(3)]},
-    {"data": [np.zeros(3), [1, 2]]},
-    {"data": [np.zeros(3, dtype=np.float32), np.zeros(3)]},
-], ids=["short_row", "long_row", "too_few_columns", "unequal_columns", "float32_column"])
+    {"data": [[0.0, 0.0, 0.0]]},
+    {"data": [[0.0, 0.0, 0.0], [1, 2]]},
+    {"data": [np.zeros(3, dtype=np.float32), _THREE_ROWS]},
+    {"data": [np.zeros(3), _THREE_ROWS]},
+    {"data": [(np.zeros(2), np.zeros(3, dtype=np.int64)), _THREE_ROWS]},
+    {"data": [(np.zeros(2), np.array([0, 2, 1], dtype=np.int32)), _THREE_ROWS]},
+    {"data": [(np.zeros(2), np.array([0, -1, 1], dtype=np.int32)), _THREE_ROWS]},
+    {"data": [(np.zeros(2), np.zeros(4, dtype=np.int32)), _THREE_ROWS]},
+    {"data": [_THREE_ROWS, (np.zeros(2, dtype=np.float32), np.zeros(3, dtype=np.int32))]},
+    {"data": [_THREE_ROWS, ([0.0, 1.0], np.zeros(3, dtype=np.int32))]},
+], ids=["short_row", "long_row", "too_few_columns", "unequal_columns", "float32_column",
+        "flat_array_column", "int64_index", "index_past_values", "negative_index", "factored_rows_mismatch",
+        "float32_values", "list_values"])
 def test_ragged_table_is_rejected(kwargs):
     with pytest.raises(ValueError):
         cli.ResultBundle(name="t", columns=["x", "y"], **kwargs)
@@ -935,7 +959,7 @@ def test_spectrum_bytes_match_oracle(tmp_path):
         [8, float(ka), float(g), float(e)]
         for g in grid for ka, e in zip(momenta, ising.dispersion(momenta, g))
     ]
-    oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], data=list(zip(*rows)))
+    oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], data=[list(c) for c in zip(*rows)])
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(oracle)
     doc = {
         "columns": oracle.columns, "fits": {}, "nonconverged": 0,

@@ -36,6 +36,20 @@ def test_dispersion_known_values():
     assert ising.dispersion(1e-8, 0.5) == pytest.approx(1e-8, rel=1e-15)
 
 
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(1, 2048), g=st.floats(0.0, 1.0))
+@example(half=256, g=0.0)
+@example(half=256, g=0.5)
+@example(half=1, g=1.0)
+def test_dispersion_is_even_in_ka_bit_for_bit(half, g):
+    # the spectrum table takes its energies on the ka > 0 half of the grid
+    # and reads each ka < 0 row off its mirror, so the two must be the same bits
+    grid = ising.momentum_grid(ising.ChainParams(2 * half))
+    assert np.array_equal(-grid[::-1], grid)
+    energies = ising.dispersion(grid, g)
+    assert energies.view(np.int64).tolist() == energies[::-1].view(np.int64).tolist()
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("g", [0.5, 0.5 + 1e-9])
@@ -200,12 +214,24 @@ def test_vector_ka_matches_scalar_calls():
         ising.integrate_bogoliubov(ka[None, :], sched)
 
 
+@pytest.mark.parametrize("n", [16, 256])
+def test_bogoliubov_pair_is_exact_at_g_zero(n):
+    # every schedule starts at g = 0, where the ground pair is (1, 0) exactly;
+    # also as one column of a block of couplings, as the amplitudes call it
+    ka = ising.momentum_grid(ising.ChainParams(n))
+    u, v = ising.bogoliubov_pair(ka, 0.0, ising.dispersion(ka, 0.0))
+    assert u.tolist() == [1.0] * n and v.tolist() == [0.0] * n
+    g = np.array([0.0, 0.2, 0.25, 0.7])
+    u, v = ising.bogoliubov_pair(ka[:, None], g, ising.dispersion(ka[:, None], g))
+    assert u[:, 0].tolist() == [1.0] * n and v[:, 0].tolist() == [0.0] * n
+    assert_allclose(u**2 + v**2, 1.0, rtol=0, atol=4 * np.finfo(float).eps)
+
+
 def test_explicit_steps_keep_the_fixed_pair():
     # steps=2048 and its half grid, 1024, against values recorded before the
     # certified doubling; both fit one Magnus block, where the renormalised
-    # carry changes nothing.  The 3pi/16 mode was re-recorded when alpha
-    # became 2 sin^2(ka/2) + 2(1 - 2g) cos^2(ka/2): its pair at g = 0 is now
-    # u = 1 - 2^-53 in place of 1, which moves it by 1-2 ulp.  norm_defect
+    # carry changes nothing.  Every mode starts from the exact pair (1, 0) at
+    # g = 0 (see test_bogoliubov_pair_is_exact_at_g_zero).  norm_defect
     # was re-recorded when each block's product became a pairwise tree: it is
     # the largest defect of the tree's nodes and of the state at the block
     # ends, no longer of the state after every step (u, v did not move)
@@ -213,10 +239,10 @@ def test_explicit_steps_keep_the_fixed_pair():
     ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16])
     end = ising.integrate_bogoliubov(ka, sched, steps=2048)
     assert end.u.tolist() == [
-        (0.21958145000488974-0.08925707591519977j), (0.0255013835214833-0.2899912409044836j),
+        (0.21958145000488974-0.08925707591519977j), (0.025501383521483303-0.28999124090448364j),
         (-0.24360144006513174+0.5925963100570504j)]
     assert end.v.tolist() == [
-        (0.35006007310533993-0.9062423000667756j), (0.03701853541675742-0.9559730057238865j),
+        (0.35006007310533993-0.9062423000667756j), (0.037018535416757425-0.9559730057238867j),
         (-0.26093567104220416+0.7220806930549418j)]
     assert end.norm_defect.tolist() == [1.7319479184152442e-14, 5.218048215738236e-15, 1.199040866595169e-14]
     assert end.endpoint_error.tolist() == [
