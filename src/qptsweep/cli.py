@@ -90,7 +90,9 @@ class ResultBundle:
     Give the table either as ``rows`` (a list of row lists) or as ``data``:
     one column per entry of ``columns``, each a list or factored as a pair
     (values, index) whose row i holds values[index[i]]: float64 or int64
-    values and an int32 index.  A ragged table raises ValueError.
+    values and an int32 index.  ``emit`` formats factored values as given,
+    once each, so a runner that wants a value formatted once stores it once.
+    A ragged table raises ValueError.
     """
 
     def __init__(self, name, columns, rows=None, fits=None, nonconverged=0, data=None):
@@ -213,15 +215,18 @@ def _run_spectrum(cfg):
     n, g_grid = p["n_spins"], p["g_grid"]
     momenta = ising.momentum_grid(ising.ChainParams(n))
     rows, half, g_index = n * len(g_grid), n // 2, np.arange(len(g_grid), dtype=np.int32)
-    # E_k is even in ka bit for bit, and momenta[half:] are the ka > 0 half: mode k
-    # reads the energy of mode |2k - (n - 1)| // 2 of that half, at each g
-    energies = ising.dispersion(momenta[half:], g_grid[:, None])
+    # E_k is even in ka and depends on g only through |1 - 2g|, both bit for bit, so the
+    # energies are computed on the ka > 0 half, momenta[half:], once per distinct |1 - 2g|
+    # at its first g (a g < 0 of the ascending grid comes first in its class, so dispersion
+    # still rejects it); mode k at g reads mode |2k - (n - 1)| // 2 of g's class
+    _, first, fold = np.unique(np.abs(1.0 - 2.0 * g_grid), return_index=True, return_inverse=True)
+    energies = ising.dispersion(momenta[half:], g_grid[first, None])
     mirror = (np.abs(np.arange(1 - n, n, 2)) // 2).astype(np.int32)
     data = [
         (np.array([n]), np.broadcast_to(np.int32(0), (rows,))),  # one value, and no copy per row
         (momenta, np.tile(np.arange(n, dtype=np.int32), len(g_grid))),
         (g_grid, np.repeat(g_index, n)),
-        (energies.ravel(), (g_index[:, None] * half + mirror).ravel()),
+        (energies.ravel(), (fold.astype(np.int32)[:, None] * half + mirror).ravel()),
     ]
     return ResultBundle(name="spectrum", columns=["n_spins", "ka", "g", "energy"], data=data)
 
@@ -431,27 +436,27 @@ def _json_text(x):
     return repr(x) if math.isfinite(x) else "null"
 
 
+_BLOCK = 8192  # rows joined into one string per write, and numpy cells formatted per pass
+
+
 def _cell_texts(cells, as_json, first, last):
     """The CSV or the JSON text of each of ``cells`` with its separator: one
-    %-format chosen from the dtype for numpy cells, each distinct bit pattern
-    formatted once (which keeps -0.0 apart from 0.0), ``_csv_text`` or
-    ``_json_text`` for a list.  A JSON row opens with ``[`` and closes with ``],``."""
+    %-format chosen from the dtype for numpy cells, each value formatted as
+    given, ``_BLOCK`` values at a time, ``_csv_text`` or ``_json_text`` for a
+    list.  A JSON row opens with ``[`` and closes with ``],``."""
     pre = "[" if as_json and first else ""
     end = ("]," if as_json else "\n") if last else ","
     if not isinstance(cells, np.ndarray):
         cell = _json_text if as_json else _csv_text
         return np.array([pre + cell(x) + end for x in cells], dtype=object)
-    keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-    distinct = keys.view(cells.dtype)
     floats = cells.dtype == np.float64
     fmt = pre + ("%d" if not floats else "%r" if as_json else "%.17g") + end
-    texts = np.array(list(map(fmt.__mod__, distinct.tolist())), dtype=object)
+    texts = np.empty(len(cells), dtype=object)
+    for lo in range(0, len(cells), _BLOCK):
+        texts[lo:lo + _BLOCK] = list(map(fmt.__mod__, cells[lo:lo + _BLOCK].tolist()))
     if as_json and floats:
-        texts[~np.isfinite(distinct)] = pre + "null" + end
-    return texts[inverse]
-
-
-_BLOCK = 8192  # rows joined into one string per write
+        texts[~np.isfinite(cells)] = pre + "null" + end
+    return texts
 
 
 def _write_blocks(fh, columns, n, cut):
@@ -472,9 +477,9 @@ def emit(bundle, out_dir, config, walltime):
     """Write CSV + JSON mirror + manifest; returns the CSV path.
 
     The CSV has floats as %.17g; the mirror is compact strict JSON with sorted
-    keys, non-finite floats as null, and its ``rows`` sort last.  Each value of
-    a factored column is formatted once per file (``_cell_texts``), and its
-    rows pick their texts by index.  The manifest's ``emit_s`` is the seconds
+    keys, non-finite floats as null, and its ``rows`` sort last.  The values of
+    a factored column are formatted as given, once per file (``_cell_texts``),
+    and its rows pick their texts by index.  The manifest's ``emit_s`` is the seconds
     the two files took.
     """
     t0 = time.monotonic()

@@ -400,6 +400,8 @@ def test_json_mirror_roundtrip(tmp_path):
     ("ed", {"model": "ising_ring", "n_list": [16]}),
     ("spectrum", {"n_spins": 8, "g_grid": [0.25, 0.5, 1.5]}),
     ("spectrum", {"n_spins": 8, "g_grid": [0.0, float("nan")]}),
+    # 1 - 2g rounds to 1 as at g = 0, so this g shares the energies of g = 0
+    ("spectrum", {"n_spins": 8, "g_grid": [-1e-300, 0.0, 0.5]}),
     ("response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",
                   "omega_grid": [0.4, float("nan")], "ka_list": [0.19634954084936207]}),
     ("sweep", {"n_spins": 16, "T_list": [20.0], "ka_list": []}),
@@ -485,7 +487,8 @@ def test_json_mirror_roundtrip(tmp_path):
     ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": float("nan"), "weight": 1.0}}),
     ("grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "dirac_comb", "omega0": float("inf"), "weight": 1.0}}),
 ], ids=["sweep_ka_above_pi", "sweep_unknown_schedule", "spectrum_odd_n", "ed_n_too_large",
-        "spectrum_g_above_1", "spectrum_nan_g", "response_nan_omega", "sweep_empty_ka_list",
+        "spectrum_g_above_1", "spectrum_nan_g", "spectrum_g_below_0_folded_into_0",
+        "response_nan_omega", "sweep_empty_ka_list",
         "response_empty_ka_list", "mixed_gap_repeated_n", "ed_fractional_m",
         "response_unknown_channel", "mixed_gap_n_above_60", "ed_scalar_n_list",
         "sweep_scalar_T_list", "response_scalar_ka_list", "grover_scalar_bath",
@@ -949,15 +952,26 @@ def test_ragged_table_is_rejected(kwargs):
         cli.ResultBundle(name="t", columns=["x", "y"], **kwargs)
 
 
-def test_spectrum_bytes_match_oracle(tmp_path):
-    # -0.0 and 0.0 are distinct cells: a cache keyed on values would merge them
-    grid = [-0.0, 0.0, 0.0, 0.5, 1.0]
+_SIGNED_ZEROS = [-0.0, 0.0, 0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("grid", [
+    _SIGNED_ZEROS,
+    [0.05, 0.2, 0.35, 0.6, 0.9],
+    [0.0, 0.125, 0.25, 0.75, 0.875, 1.0],  # g and 1 - g, both exact
+    [0.25 - 2**-54, 0.75],  # |1 - 2g| is 0.5 + 2**-53 and 0.5: one ulp apart
+    {"start": 0.0, "stop": 1.0, "num": 401},
+], ids=["signed_zeros", "asymmetric", "mirror_pairs", "one_ulp_apart", "linspace_401"])
+def test_spectrum_bytes_match_oracle(tmp_path, grid):
+    # each row against dispersion at its own g: -0.0 and 0.0 are distinct cells, and a
+    # fold that shares energies between g and 1 - g must not merge what differs by an ulp
     cfg = write_config(tmp_path, "c.json", {"n_spins": 8, "g_grid": grid})
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     momenta = ising.momentum_grid(ising.ChainParams(8))
     rows = [
         [8, float(ka), float(g), float(e)]
-        for g in grid for ka, e in zip(momenta, ising.dispersion(momenta, g))
+        for g in (np.linspace(**grid) if isinstance(grid, dict) else grid)
+        for ka, e in zip(momenta, ising.dispersion(momenta, g))
     ]
     oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], data=[list(c) for c in zip(*rows)])
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(oracle)
@@ -967,5 +981,6 @@ def test_spectrum_bytes_match_oracle(tmp_path):
     }
     expected = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
     assert (tmp_path / "out" / "spectrum.json").read_text() == expected
-    assert ",-0," in (tmp_path / "out" / "spectrum.csv").read_text()
-    assert ",-0.0," in expected
+    if grid is _SIGNED_ZEROS:
+        assert ",-0," in (tmp_path / "out" / "spectrum.csv").read_text()
+        assert ",-0.0," in expected

@@ -50,6 +50,32 @@ def test_dispersion_is_even_in_ka_bit_for_bit(half, g):
     assert energies.view(np.int64).tolist() == energies[::-1].view(np.int64).tolist()
 
 
+def _within_ulps(x, k=3):
+    """x and the k floats on either side of it."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(k):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(ka=st.floats(min_value=-np.pi, max_value=np.pi), g=st.floats(min_value=0.0, max_value=1.0))
+@example(ka=np.pi / 3, g=-0.0)
+@example(ka=np.pi / 3, g=1e-20)  # 1 - 2g rounds to 1, as at g = 0 and g = 1
+@example(ka=0.0, g=0.5)
+def test_dispersion_depends_on_g_only_through_abs_one_minus_two_g_bit_for_bit(ka, g):
+    # the spectrum table computes its energies once per distinct |1 - 2g| and shares
+    # them among the g of that class, g and 1 - g included, so they must be the same bits
+    fold = abs(1 - 2 * g)
+    same = [g2 for c in (g, 1.0 - g, 0.0, 1.0) for g2 in _within_ulps(c)
+            if 0.0 <= g2 <= 1.0 and abs(1 - 2 * g2) == fold]
+    want = np.float64(ising.dispersion(ka, g)).view(np.int64)
+    assert [np.float64(ising.dispersion(ka, g2)).view(np.int64) for g2 in same] == [want] * len(same)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("g", [0.5, 0.5 + 1e-9])
