@@ -2,10 +2,11 @@
 
 Subcommands ``spectrum``, ``ed``, ``sweep``, ``response``, ``grover`` and
 ``scaling`` each read a JSON config, run a deterministic parameter sweep and
-emit CSV (17-significant-digit floats), a JSON mirror and a manifest
-recording the config hash, the versions, the CPUs and the seconds the run and
-the write took.  Exit codes: 0 full success, 2 partial (nonconverged rows
-present), 1 config/I-O error.
+emit CSV (17-significant-digit floats), a JSON mirror whose numbers are the
+CSV's texts (null for a non-finite float, ``.0`` after an integral one) and a
+manifest recording the config hash, the versions, the CPUs and the seconds
+the run and the write took.  Exit codes: 0 full success, 2 partial
+(nonconverged rows present), 1 config/I-O error.
 """
 
 import argparse
@@ -426,48 +427,66 @@ def _csv_text(x):
     return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _json_text(x):
-    """A cell as strict JSON text: str, bool and int as they are, non-finite floats as null."""
+def _json_number(text):
+    """The mirror's text of a float whose CSV text is ``text``: null for nan and +-inf,
+    else the same 17 digits, which read back to the same float, with ``.0`` after an
+    integral text so that it reads as a float (``-0.0`` keeps its sign)."""
+    if text[-1] in "nf":  # nan, inf, -inf: a finite %.17g text ends in a digit
+        return "null"
+    return text if "." in text or "e" in text else text + ".0"
+
+
+def _json_cell(text, x):
+    """The mirror's text of a list cell ``x`` whose CSV text is ``text``: str and bool as
+    JSON, an int as its CSV text, anything else read as a float (np.bool_ as 1.0 or 0.0)."""
     if isinstance(x, (str, bool)):
         return json.dumps(x)
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    return repr(x) if math.isfinite(x) else "null"
+        return text
+    return _json_number(text if isinstance(x, (float, np.floating)) else "%.17g" % x)
 
 
-_BLOCK = 8192  # rows joined into one string per write, and numpy cells formatted per pass
+_BLOCK = 4096  # rows joined into one string per write, and numpy cells formatted per pass
 
 
-def _cell_texts(cells, as_json, first, last):
-    """The CSV or the JSON text of each of ``cells`` with its separator: one
-    %-format chosen from the dtype for numpy cells, each value formatted as
-    given, ``_BLOCK`` values at a time, ``_csv_text`` or ``_json_text`` for a
-    list.  A JSON row opens with ``[`` and closes with ``],``."""
-    pre = "[" if as_json and first else ""
-    end = ("]," if as_json else "\n") if last else ","
+def _cell_texts(cells, sep):
+    """The CSV text of each of ``cells`` followed by ``sep``: one %-format chosen
+    from the dtype for numpy cells, each value formatted as given, ``_BLOCK``
+    values at a time, ``_csv_text`` for a list."""
     if not isinstance(cells, np.ndarray):
-        cell = _json_text if as_json else _csv_text
-        return np.array([pre + cell(x) + end for x in cells], dtype=object)
-    floats = cells.dtype == np.float64
-    fmt = pre + ("%d" if not floats else "%r" if as_json else "%.17g") + end
+        return np.array([_csv_text(x) + sep for x in cells], dtype=object)
+    fmt = ("%.17g" if cells.dtype == np.float64 else "%d") + sep
     texts = np.empty(len(cells), dtype=object)
     for lo in range(0, len(cells), _BLOCK):
         texts[lo:lo + _BLOCK] = list(map(fmt.__mod__, cells[lo:lo + _BLOCK].tolist()))
-    if as_json and floats:
-        texts[~np.isfinite(cells)] = pre + "null" + end
     return texts
 
 
-def _write_blocks(fh, columns, n, cut):
+def _mirror_texts(texts, cells, sep):
+    """Turn the CSV ``texts`` of ``cells`` from ``_cell_texts``, each ending in ``sep``,
+    into the mirror's in place, ``_BLOCK`` at a time: list cells by ``_json_cell``, and
+    numpy floats by ``_json_number``, which changes only a non-finite or integral value's
+    text, so the other texts of a float column and an int column stay as they are."""
+    for lo in range(0, len(texts), _BLOCK):
+        block, part = texts[lo:lo + _BLOCK], cells[lo:lo + _BLOCK]  # block is a view
+        if not isinstance(cells, np.ndarray):
+            block[:] = [_json_cell(t.removesuffix(sep), x) + sep for t, x in zip(block.tolist(), part)]
+        elif part.dtype == np.float64:
+            for i in np.flatnonzero(np.isnan(part) | (part == np.trunc(part))).tolist():
+                block[i] = _json_number(block[i].removesuffix(sep)) + sep
+
+
+def _write_blocks(fh, columns, n, pre, end, cut):
     """Write ``n`` rows of ``columns``, (texts, index) pairs whose row i holds
-    ``texts[index[i]]`` (``texts[i]`` where index is None), one block of
-    ``_BLOCK`` rows per join; ``cut`` drops the last character of the table.
-    A list table takes no fancy index: its first one faults in 68 kB of numpy."""
-    buf = np.empty((min(n, _BLOCK), len(columns)), dtype=object)
+    ``texts[index[i]]`` (``texts[i]`` where index is None), each row opened by
+    ``pre`` and closed by ``end``, one block of ``_BLOCK`` rows per join; ``cut``
+    drops the last character of the table.  A list table takes no fancy index:
+    its first one faults in 68 kB of numpy."""
+    buf = np.empty((min(n, _BLOCK), len(columns) + 2), dtype=object)
+    buf[:, 0], buf[:, -1] = pre, end  # set once: the blocks fill the columns between
     for lo in range(0, n, _BLOCK):
         rows = buf[:min(_BLOCK, n - lo)]
-        for j, (texts, index) in enumerate(columns):
+        for j, (texts, index) in enumerate(columns, 1):
             rows[:, j] = texts[lo:lo + _BLOCK] if index is None else texts[index[lo:lo + _BLOCK]]
         block = "".join(rows.ravel().tolist())
         fh.write(block[:-1] if cut and lo + _BLOCK >= n else block)
@@ -476,11 +495,13 @@ def _write_blocks(fh, columns, n, cut):
 def emit(bundle, out_dir, config, walltime):
     """Write CSV + JSON mirror + manifest; returns the CSV path.
 
-    The CSV has floats as %.17g; the mirror is compact strict JSON with sorted
-    keys, non-finite floats as null, and its ``rows`` sort last.  The values of
-    a factored column are formatted as given, once per file (``_cell_texts``),
-    and its rows pick their texts by index.  The manifest's ``emit_s`` is the seconds
-    the two files took.
+    The CSV has floats as %.17g.  The mirror is compact strict JSON with sorted keys,
+    and its ``rows`` sort last; its row cells are the CSV's texts turned in place
+    (``_mirror_texts``): the same digits, which read back to the same floats, with
+    ``.0`` after an integral float and null for a non-finite one.  So each value is
+    formatted once, and the values of a factored column once each (``_cell_texts``);
+    its rows pick their texts by index.  The manifest's ``emit_s`` is the seconds the
+    two files took.
     """
     t0 = time.monotonic()
     out = Path(out_dir)
@@ -496,15 +517,17 @@ def emit(bundle, out_dir, config, walltime):
     )
     cells = [col if isinstance(col, tuple) else (col, None) for col in bundle.data]  # (cells, index)
     n, last = (_n_rows(bundle.data[0]) if bundle.data else 0), len(cells) - 1
-    for as_json, path, start, stop in ((False, csv_path, ",".join(bundle.columns) + "\n", ""),
-                                       (True, out / f"{bundle.name}.json", head[:-1] + ',"rows":[', "]}")):
-        with open(path, "w") as fh:
-            fh.write(start)
-            columns = [(_cell_texts(values, as_json, j == 0, j == last), index)
-                       for j, (values, index) in enumerate(cells)]
-            _write_blocks(fh, columns, n, cut=as_json)  # no "," after the JSON's last row
-            del columns  # the CSV texts go before the JSON texts are made
-            fh.write(stop)
+    seps = [","] * last + [""]  # the row's end is written by _write_blocks
+    columns = [(_cell_texts(values, sep), index) for (values, index), sep in zip(cells, seps)]
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(bundle.columns) + "\n")
+        _write_blocks(fh, columns, n, "", "\n", cut=False)
+    for (texts, _), (values, _), sep in zip(columns, cells, seps):
+        _mirror_texts(texts, values, sep)
+    with open(out / f"{bundle.name}.json", "w") as fh:
+        fh.write(head[:-1] + ',"rows":[')
+        _write_blocks(fh, columns, n, "[", "],", cut=True)  # no "," after the last row
+        fh.write("]}")
     manifest = {
         "config_sha256": config.sha256(),
         "experiment": config.experiment,

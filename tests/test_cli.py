@@ -383,14 +383,48 @@ def test_fresh_process_exit_writes_what_main_writes(tmp_path, subcommand, doc):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "inproc" / name).read_bytes()
 
 
+_INT_COLUMNS = {"n_spins", "level", "n_grid", "converged", "n_qubits", "dim"}
+_STR_COLUMNS = {"model", "schedule", "channel", "regime", "method"}
+
+
 def test_json_mirror_roundtrip(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {"study": "gap_law", "n_list": [8, 16, 32, 64]})
-    cli.main(["scaling", "--config", cfg, "--out", str(tmp_path / "out")])
-    doc = json.loads((tmp_path / "out" / "scaling_gap_law.json").read_text())
-    rows = read_csv(tmp_path / "out" / "scaling_gap_law.csv")
-    for jrow, crow in zip(doc["rows"], rows[1:]):
-        assert float(crow[1]) == jrow[1]
-    assert doc["fits"]["gap_law"]["exponent"] == pytest.approx(-1.0, abs=0.02)
+    # every mirror cell is its CSV cell read back: an int or a string as written, a float
+    # bit for bit (-0.0 too) and nan or +-inf as null
+    runs = [
+        ("spectrum", "spectrum", {"n_spins": 8, "g_grid": [-0.0, 0.0, 0.5, 1.0]}),
+        ("response", "response", {"n_spins": 16, "T": 20.0, "channel": "uniform_x",  # all omega at once
+                                  "omega_grid": {"start": 0.3, "stop": 0.6, "num": 4}}),
+        ("response", "response", {"n_spins": 16, "T": 20.0, "channel": "single_site_z",  # per omega
+                                  "omega_grid": [0.3, 0.35, 0.5]}),
+        ("sweep", "sweep", {"n_spins": 16, "T_list": [20.0]}),
+        ("ed", "ed", {"model": "ising_ring", "n_list": [6], "g_grid": [0.0, 0.5], "m": 2}),
+        ("grover", "grover", {"n_list": [4], "T": 50.0, "bath": {"kind": "thermal_bosonic"}}),
+        ("scaling", "scaling_gap_law", {"study": "gap_law", "n_list": [8, 16, 32, 64]}),
+    ]
+    kinds = set()
+    for i, (subcommand, name, config) in enumerate(runs):
+        out = tmp_path / str(i)
+        cfg = write_config(tmp_path, f"{i}.json", config)
+        assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / f"{name}.json").read_text(), parse_constant=_reject_constant)
+        header, *rows = read_csv(out / f"{name}.csv")
+        assert doc["columns"] == header and len(doc["rows"]) == len(rows) > 0
+        for jrow, crow in zip(doc["rows"], rows):
+            assert len(jrow) == len(crow)
+            for column, j, c in zip(header, jrow, crow):
+                if column in _INT_COLUMNS:
+                    assert type(j) is int and str(j) == c
+                elif column in _STR_COLUMNS:
+                    assert j == c
+                elif j is None:
+                    assert c in ("nan", "inf", "-inf")
+                else:
+                    assert type(j) is float
+                    assert np.float64(j).view(np.int64) == np.float64(float(c)).view(np.int64)
+                kinds.add(c if c in ("nan", "-0", "0") else type(j).__name__)
+        if name == "scaling_gap_law":
+            assert doc["fits"]["gap_law"]["exponent"] == pytest.approx(-1.0, abs=0.02)
+    assert {"nan", "-0", "0", "float", "int", "str"} <= kinds
 
 
 @pytest.mark.parametrize("subcommand,doc", [
@@ -790,6 +824,30 @@ def _oracle_json(bundle):
     return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
+def _oracle_mirror_cell(x):
+    """A row cell of the mirror: str and bool as JSON, an int as str(), a float as its CSV
+    text with ".0" after an integral one and null for a non-finite one."""
+    if isinstance(x, (str, bool)):
+        return json.dumps(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if not math.isfinite(x):
+        return "null"
+    text = "%.17g" % x
+    return text if "." in text or "e" in text else text + ".0"
+
+
+def _oracle_mirror(columns, rows, fits, nonconverged):
+    """The compact mirror, byte for byte: the head as json.dumps writes it, then the rows."""
+    head = json.dumps({
+        "columns": columns, "nonconverged": nonconverged,
+        "fits": {k: {kk: _oracle_json_value(v) for kk, v in fit.items()} for k, fit in fits.items()},
+    }, sort_keys=True, allow_nan=False, separators=(",", ":"))
+    body = ",".join("[" + ",".join(map(_oracle_mirror_cell, row)) + "]" for row in rows)
+    return head[:-1] + ',"rows":[' + body + "]}"
+
+
 def _loaded(text):
     """The document in ``text`` as canonical JSON, so that 1 and 1.0, or 0.0
     and -0.0, differ; a bool reads as the int the oracle wrote for it."""
@@ -861,6 +919,7 @@ def test_spectrum_csv_matches_oracle_writer(tmp_path, monkeypatch):
 _EDGE_FLOATS = [
     0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
     2.0**63, -(2.0**63), 9.2233720368547748e18, 1.7976931348623157e308, 0.1,
+    1e16, -1e16, 2.0**53, 1e17,  # the largest integral %.17g texts without an exponent, and the first with
 ]
 _EDGE_INTS = [0, -1, 1, 2**63 - 1, -(2**63), 2**63 - 2, -(2**63) + 1, 2**53 + 1]
 
@@ -886,17 +945,28 @@ _INT_VALUES = st.integers(-(2**63), 2**63 - 1)
 def test_array_column_texts_match_per_cell_rule(floats, ints):
     for values in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
         index = np.arange(len(values), dtype=np.int32)[::-1]  # read in an order unlike theirs
-        for first, last in ((False, False), (True, True)):
-            csv_texts, json_texts = (cli._cell_texts(values, as_json, first, last) for as_json in (False, True))
-            assert list(csv_texts[index]) == [_oracle_fmt(x) + ("\n" if last else ",") for x in values[index]]
-            assert list(json_texts[index]) == [
-                ("[" if first else "") + json.dumps(_oracle_json_value(x)) + ("]," if last else ",")
-                for x in values[index]
-            ]
+        for sep in (",", ""):  # a column's cells, and the last column's
+            texts = cli._cell_texts(values, sep)
+            csv_texts = [_oracle_fmt(x) for x in values[index]]
+            assert list(texts[index]) == [t + sep for t in csv_texts]
+            cli._mirror_texts(texts, values, sep)
+            for x, csv_text, text in zip(values[index].tolist(), csv_texts, texts[index]):
+                assert text.endswith(sep)
+                text = text[:len(text) - len(sep)]
+                if isinstance(x, float) and not math.isfinite(x):
+                    assert text == "null"
+                    continue
+                # the CSV's digits, with ".0" where they alone would read as an int
+                assert text in (csv_text, csv_text + ".0")
+                y = json.loads(text)
+                assert type(y) is type(x) and (y == x if isinstance(x, int) else
+                                               np.float64(y).view(np.int64) == np.float64(x).view(np.int64))
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
-@pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
+# one partial block, and tables that end one row before, on and one row after a block
+# boundary past the first block
+@pytest.mark.parametrize("n", [1, 2 * cli._BLOCK - 1, 2 * cli._BLOCK, 2 * cli._BLOCK + 1, 4 * cli._BLOCK + 1])
 def test_block_writer_matches_oracle(tmp_path, n, reverse):
     # float64 and int64 factored columns and list columns; NaN, +-inf and -0.0 end
     # the first and the last column and fill the last row, where the JSON's final "," is cut
@@ -923,9 +993,9 @@ def test_block_writer_matches_oracle(tmp_path, n, reverse):
                               fits={"fit": {"exponent": -0.0}}, nonconverged=1)
     cli.emit(bundle, tmp_path, cli.ExperimentConfig(experiment="spectrum", params={}), walltime=0.0)
     assert (tmp_path / "t.csv").read_bytes() == _oracle_csv(bundle)
-    compact = json.dumps(json.loads(_oracle_json(bundle)), sort_keys=True, allow_nan=False,
-                         separators=(",", ":"))
-    assert (tmp_path / "t.json").read_text() == compact
+    text = (tmp_path / "t.json").read_text()
+    assert text == _oracle_mirror(bundle.columns, _oracle_rows(bundle), bundle.fits, bundle.nonconverged)
+    assert _loaded(text) == _loaded(_oracle_json(bundle))
 
 
 _THREE_ROWS = (np.zeros(1), np.zeros(3, dtype=np.int32))  # a good factored column
@@ -979,8 +1049,10 @@ def test_spectrum_bytes_match_oracle(tmp_path, grid):
         "columns": oracle.columns, "fits": {}, "nonconverged": 0,
         "rows": [[_oracle_json_value(x) for x in row] for row in rows],
     }
-    expected = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
-    assert (tmp_path / "out" / "spectrum.json").read_text() == expected
+    text = (tmp_path / "out" / "spectrum.json").read_text()
+    expected = _oracle_mirror(oracle.columns, rows, {}, 0)
+    assert text == expected
+    assert _loaded(text) == _loaded(json.dumps(doc))
     if grid is _SIGNED_ZEROS:
         assert ",-0," in (tmp_path / "out" / "spectrum.csv").read_text()
         assert ",-0.0," in expected
