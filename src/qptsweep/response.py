@@ -8,9 +8,11 @@ instantaneous Bogoliubov pair (u_k, v_k) of ``ising.bogoliubov_pair``:
   2 u_k v_k = 2g sin(ka)/E_k at phase rate 2E_k.  It is half the element
   <pair k|sum_j sigma^x_j|0> that exact diagonalization gives, and the
   +-k pair is one final state (tests/test_channel_oracle.py).
-- nonuniform_x, a transverse coupling lambda_j S^x_j whose site profile
-  lambda_j is not written down yet: one term per pair (ka, kpa),
-  2 u_k v_k'/N at phase rate 2E_k.
+- nonuniform_x, a transverse coupling lambda_j S^x_j: one term per pair
+  (ka, kpa), 2 u_k v_k'/N at phase rate 2E_k.  Exact diagonalization of
+  sigma^x_0 gives the pair (k, -k') the element (1/N)|u_k v_k' + v_k u_k'|
+  at rate E_k + E_k', so the term is exact at kpa = ka, the CLI's default,
+  and only there.
 - single_site_z, lambda * sigma^z on one site: per unit coupling/sqrt(N),
   a1 = i e^{-ika} v_k with no dynamical phase and a2 = e^{ika} u_k at
   phase rate 2E_k.
@@ -122,7 +124,7 @@ def classify_regime(omega, ka):
     return "sub_gap"
 
 
-def _channel_terms(kind, kpa, n_spins, pair_gap_phase):
+def _channel_terms(kind, kpa, n_spins):
     """The channel table: channel ``kind`` as the (factor, integrand) terms
     of the module docstring.  A mode's amplitude per unit coupling is the sum
     over them of factor(ka) * int_0^T env e^{i(phase - w t)} dt, where
@@ -130,8 +132,7 @@ def _channel_terms(kind, kpa, n_spins, pair_gap_phase):
     and the phase integrates the rate (none where it is None).  ka and g
     broadcast, so one call takes every mode on a (modes x nodes) grid.
     2 u_k v_k is written as beta_k/E_k, its exact value; nonuniform_x pairs
-    ka with k' = ``kpa`` over N = ``n_spins``, at rate E_k + E_k' with
-    ``pair_gap_phase``.
+    ka with k' = ``kpa`` over N = ``n_spins``.
     """
     if kind == "uniform_x":
         return [(np.ones_like, lambda ka, g, e_k: (2.0 * g * np.sin(ka) / e_k, 2.0 * e_k))]
@@ -140,7 +141,7 @@ def _channel_terms(kind, kpa, n_spins, pair_gap_phase):
         def pair(ka, g, e_k):
             e_kp = dispersion(kpa, g)
             env = 2.0 * bogoliubov_pair(ka, g, e_k)[0] * bogoliubov_pair(kpa, g, e_kp)[1] / n_spins
-            return env, e_k + e_kp if pair_gap_phase else 2.0 * e_k
+            return env, 2.0 * e_k
 
         return [(np.ones_like, pair)]
     return [
@@ -149,13 +150,13 @@ def _channel_terms(kind, kpa, n_spins, pair_gap_phase):
     ]
 
 
-_UNIFORM_TERM = _channel_terms("uniform_x", None, None, False)[0]
+_UNIFORM_TERM = _channel_terms("uniform_x", None, None)[0]
 
 
-def _filon_terms(kind, ka, kpa, n_spins, schedule, omega, pair_gap_phase, rel_tol, n_max):
+def _filon_terms(terms, ka, schedule, omega, rel_tol, n_max):
     """``_channel_integrals`` at frequency ``omega`` by ``filon_refined``
     (every phase rate is at most 2 ``_INITIAL_ENERGY``)."""
-    return _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase, lambda nodes: filon_refined(
+    return _channel_integrals(terms, ka, schedule, lambda nodes: filon_refined(
         nodes, schedule.T, omega, 2.0 * _INITIAL_ENERGY, filon_integral, rel_tol, n_max))
 
 
@@ -240,7 +241,7 @@ def amplitude_direct_uniform(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX
     that carries the adiabatic suppression.
     """
 
-    ((value, err, ok),) = _filon_terms("uniform_x", ka, ka, None, schedule, omega, False, rel_tol, n_max)
+    ((value, err, ok),) = _filon_terms([_UNIFORM_TERM], ka, schedule, omega, rel_tol, n_max)
     if endpoint_order > 0:
         value = value - _endpoint_correction(ka, omega, schedule, endpoint_order)
     return AmplitudeResult(value=value, quad_error=err, converged=ok)
@@ -353,24 +354,19 @@ def amplitude_bound_near_gap(ka, schedule, n_points=_BOUND_FIRST):
     return AmplitudeResult(value=complex(value[0]), quad_error=float(err[0]), converged=bool(ok[0]))
 
 
-def amplitude_direct_nonuniform(
-    ka, kpa, omega, n_spins, schedule, rel_tol=_REL_TOL, n_max=_N_MAX, pair_gap_phase=False
-):
+def amplitude_direct_nonuniform(ka, kpa, omega, n_spins, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     """Quadrature of the nonuniform-channel pair amplitude, per unit coupling:
-    int dt (2 u_k v_k'/N) exp(i*(-w*t + phase)).  The default phase is
-    2*int E_k; ``pair_gap_phase`` switches to int (E_k + E_k'), the
-    alternative reading of the pair gap E_s0 = E_k + E_k'.
-    """
-    ((value, err, ok),) = _filon_terms(
-        "nonuniform_x", ka, kpa, n_spins, schedule, omega, pair_gap_phase, rel_tol, n_max
-    )
+    int dt (2 u_k v_k'/N) exp(i*(-w*t + 2*int E_k))."""
+    terms = _channel_terms("nonuniform_x", kpa, n_spins)
+    ((value, err, ok),) = _filon_terms(terms, ka, schedule, omega, rel_tol, n_max)
     return AmplitudeResult(value=value, quad_error=err, converged=ok)
 
 
-def _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase, quadrature):
-    """Each term of ``_channel_terms`` at mode ka as (factor * integral, error,
-    converged), the integral by ``quadrature(nodes)``, nodes(t) giving the
-    term's integrand at the times t as ``stream_filon`` reads it."""
+def _channel_integrals(terms, ka, schedule, quadrature):
+    """Each of the channel ``terms`` (``_channel_terms``) at mode ka as
+    (factor * integral, error, converged), the integral by
+    ``quadrature(nodes)``, nodes(t) giving the term's integrand at the times
+    t as ``stream_filon`` reads it."""
 
     def nodes_of(integrand):
         def nodes(t):
@@ -381,7 +377,7 @@ def _channel_integrals(kind, ka, kpa, n_spins, schedule, pair_gap_phase, quadrat
 
     return [
         (factor(ka) * value, err, ok)
-        for factor, integrand in _channel_terms(kind, kpa, n_spins, pair_gap_phase)
+        for factor, integrand in terms
         for value, err, ok in [quadrature(nodes_of(integrand))]
     ]
 
@@ -395,11 +391,9 @@ def amplitude_bitflip(ka, omega, schedule, rel_tol=_REL_TOL, n_max=_N_MAX):
     schedules with fixed g-profile; its relative half-grid difference is
     ``a2_bound_error``.  ``converged`` covers all three certificates.
     """
-    (a1, err1, ok1), (a2, err2, ok2) = _filon_terms(
-        "single_site_z", ka, ka, None, schedule, omega, False, rel_tol, n_max
-    )
-    a2_terms = _channel_terms("single_site_z", None, None, False)[1:]
-    bound, bound_err, ok3 = _phase_free_bounds(schedule, np.array([float(ka)]), a2_terms)
+    terms = _channel_terms("single_site_z", None, None)
+    (a1, err1, ok1), (a2, err2, ok2) = _filon_terms(terms, ka, schedule, omega, rel_tol, n_max)
+    bound, bound_err, ok3 = _phase_free_bounds(schedule, np.array([float(ka)]), terms[1:])
     return BitflipAmplitudes(
         a1=a1, a2=a2, a2_bound=float(bound[0]), a2_bound_error=float(bound_err[0]),
         quad_error=max(err1, err2), converged=ok1 and ok2 and bool(ok3[0]),
@@ -421,18 +415,17 @@ def amplitudes_on_grid(kind, ka, kpa, omegas, n_spins, schedule, endpoint_order=
     values = np.zeros(m, dtype=complex)
     errors = np.zeros(m)
     converged = np.ones(m, dtype=bool)
+    terms = _channel_terms(kind, kpa, n_spins)
     if endpoint_order == 0 and _evenly_spaced(omegas, schedule.T):
         runs = [(slice(None), _channel_integrals(
-            kind, ka, kpa, n_spins, schedule, False,
-            lambda nodes: _fourier_on_grid(nodes, schedule.T, omegas)))]
+            terms, ka, schedule, lambda nodes: _fourier_on_grid(nodes, schedule.T, omegas)))]
     elif kind == "uniform_x":
         results = [amplitude_direct_uniform(ka, w, schedule, endpoint_order=endpoint_order) for w in omegas]
         runs = [(i, [(r.value, r.quad_error, r.converged)]) for i, r in enumerate(results)]
     else:
-        runs = [(i, _filon_terms(kind, ka, kpa, n_spins, schedule, w, False, _REL_TOL, _N_MAX))
-                for i, w in enumerate(omegas)]
-    for i, terms in runs:
-        for value, err, ok in terms:
+        runs = [(i, _filon_terms(terms, ka, schedule, w, _REL_TOL, _N_MAX)) for i, w in enumerate(omegas)]
+    for i, integrals in runs:
+        for value, err, ok in integrals:
             values[i] += value
             errors[i] = np.maximum(errors[i], err)
             converged[i] &= ok
@@ -490,7 +483,7 @@ def total_error(channel, schedule, spectral_function, n_spins):
     lam = channel.coupling
     breakdown = {r: 0.0 for r in REGIMES}
     ka_positive = (2 * np.arange(n_spins // 2) + 1) * np.pi / n_spins
-    terms = _channel_terms(channel.kind, None, n_spins, False)
+    terms = _channel_terms(channel.kind, None, n_spins)
     mode_bound, _, ok = _phase_free_bounds(schedule, ka_positive, terms)
     if not ok.all():
         raise QuadratureError(f"phase-free bound of mode ka={ka_positive[~ok][0]} not certified")

@@ -492,8 +492,6 @@ def _unset_options(modules, callers):
 
 # options whose only setters lie outside the scanned callers, each with its reason
 _OPTION_ALLOWED = {
-    # both readings of the nonuniform pair phase stay until an ED check of the channel picks one
-    "amplitude_direct_nonuniform.pair_gap_phase",
     # perfbench/make_reference.py sets it through functools.partial
     "integrate_abs.n_points",
 }

@@ -29,6 +29,18 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def assert_same_text(got, want):
+    """``got == want`` for two long texts (str or bytes), failing with the first
+    differing offset and about 200 characters around it: pytest's own diff of a
+    1 MB mismatch takes minutes."""
+    if got == want:
+        return
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(i - 100, 0)
+    pytest.fail(f"texts differ at offset {i} of {len(got)} and {len(want)}:\n"
+                f"got  {got[lo:i + 100]!r}\nwant {want[lo:i + 100]!r}", pytrace=False)
+
+
 def test_spectrum_run(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "n_spins": 64, "g_grid": {"start": 0.0, "stop": 1.0, "num": 101},
@@ -626,11 +638,14 @@ def test_every_config_key_rejects_a_bool(tmp_path, capsys, table, key):
     assert not (tmp_path / "out").exists()
 
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_tables():
     """{caption: {key: default cell}} of every key table in the README: a
     table whose header starts with ``| key |``, captioned by the first bold
     text of the nearest line above it that starts in bold."""
-    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    lines = _README.read_text().splitlines()
     tables = {}
     for i, line in enumerate(lines):
         if line.startswith("| key |"):
@@ -656,6 +671,26 @@ def test_readme_names_every_config_key_with_its_default():
                 assert documented[key] not in ("", "required"), (caption, key)
             else:
                 assert documented[key] == f"`{json.dumps(default)}`", (caption, key)
+
+
+_README_EXAMPLE_HEADERS = {
+    "spectrum": "n_spins,ka,g,energy",
+    "scaling": "n_spins,min_gap",
+    "response": "channel,n_spins,ka,kpa,omega,regime,method,re,im,modulus,quad_error,converged",
+}
+
+
+def test_readme_example_configs_run(tmp_path):
+    # the ```json blocks under "Example configs", up to the next section
+    section = _README.read_text().split("Example configs", 1)[1].split("\n## ", 1)[0]
+    docs = [json.loads(block.split("```", 1)[0]) for block in section.split("```json\n")[1:]]
+    assert [doc["experiment"] for doc in docs] == list(_README_EXAMPLE_HEADERS)
+    for i, doc in enumerate(docs):
+        out = tmp_path / f"out{i}"
+        assert cli.main([doc["experiment"], "--config", write_config(tmp_path, f"{i}.json", doc),
+                         "--out", str(out)]) == 0
+        (csv_path,) = out.glob("*.csv")
+        assert csv_path.read_text().split("\n", 1)[0] == _README_EXAMPLE_HEADERS[doc["experiment"]]
 
 
 def test_threads_flag_accepted_and_ignored(tmp_path):
@@ -992,9 +1027,9 @@ def test_block_writer_matches_oracle(tmp_path, n, reverse):
     bundle = cli.ResultBundle(name="t", columns=columns, data=[data[c] for c in columns],
                               fits={"fit": {"exponent": -0.0}}, nonconverged=1)
     cli.emit(bundle, tmp_path, cli.ExperimentConfig(experiment="spectrum", params={}), walltime=0.0)
-    assert (tmp_path / "t.csv").read_bytes() == _oracle_csv(bundle)
+    assert_same_text((tmp_path / "t.csv").read_bytes(), _oracle_csv(bundle))
     text = (tmp_path / "t.json").read_text()
-    assert text == _oracle_mirror(bundle.columns, _oracle_rows(bundle), bundle.fits, bundle.nonconverged)
+    assert_same_text(text, _oracle_mirror(bundle.columns, _oracle_rows(bundle), bundle.fits, bundle.nonconverged))
     assert _loaded(text) == _loaded(_oracle_json(bundle))
 
 
@@ -1044,14 +1079,14 @@ def test_spectrum_bytes_match_oracle(tmp_path, grid):
         for ka, e in zip(momenta, ising.dispersion(momenta, g))
     ]
     oracle = types.SimpleNamespace(columns=["n_spins", "ka", "g", "energy"], data=[list(c) for c in zip(*rows)])
-    assert (tmp_path / "out" / "spectrum.csv").read_bytes() == _oracle_csv(oracle)
+    assert_same_text((tmp_path / "out" / "spectrum.csv").read_bytes(), _oracle_csv(oracle))
     doc = {
         "columns": oracle.columns, "fits": {}, "nonconverged": 0,
         "rows": [[_oracle_json_value(x) for x in row] for row in rows],
     }
     text = (tmp_path / "out" / "spectrum.json").read_text()
     expected = _oracle_mirror(oracle.columns, rows, {}, 0)
-    assert text == expected
+    assert_same_text(text, expected)
     assert _loaded(text) == _loaded(json.dumps(doc))
     if grid is _SIGNED_ZEROS:
         assert ",-0," in (tmp_path / "out" / "spectrum.csv").read_text()

@@ -135,14 +135,6 @@ def test_nonuniform_one_over_n_prefactor():
     assert b.modulus == pytest.approx(a.modulus / 2.0, rel=1e-9)
 
 
-def test_nonuniform_pair_gap_phase_flag():
-    ka, kpa, w = np.pi / 16, 5.0 * np.pi / 16, 0.5
-    a = response.amplitude_direct_nonuniform(ka, kpa, w, 32, linear(200.0))
-    b = response.amplitude_direct_nonuniform(ka, kpa, w, 32, linear(200.0), pair_gap_phase=True)
-    assert a.converged and b.converged
-    assert abs(a.value - b.value) > 0.0  # the two conventions differ
-
-
 def test_bitflip_frozen_g0():
     ka, w = np.pi / 16, 0.6
     b = response.amplitude_bitflip(ka, w, ConstantG(50.0, 0.0))
@@ -330,7 +322,7 @@ def test_channel_table_matches_the_closed_forms(kind):
     ka = (2 * np.arange(n_spins // 2) + 1)[:, None] * np.pi / n_spins
     g = np.concatenate([np.linspace(0.0, 1.0, 201), 1.0 - np.logspace(-12, -2, 11)])
     e_k = dispersion(ka, g)
-    terms = response._channel_terms(kind, kpa, n_spins, False)
+    terms = response._channel_terms(kind, kpa, n_spins)
     oracle = _oracle_terms(kind, ka, kpa, n_spins, g, e_k)
     assert len(terms) == len(oracle)
     for (factor, integrand), (want, want_rate) in zip(terms, oracle):
@@ -341,10 +333,3 @@ def test_channel_table_matches_the_closed_forms(kind):
             assert rate is None
         else:
             assert rate.tobytes() == want_rate.tobytes()
-
-
-def test_channel_table_pair_gap_phase_rate():
-    ka, kpa, g = np.pi / 64, 3 * np.pi / 64, np.linspace(0.0, 1.0, 33)
-    e_k = dispersion(ka, g)
-    ((_, integrand),) = response._channel_terms("nonuniform_x", kpa, 64, True)
-    assert integrand(ka, g, e_k)[1].tobytes() == (e_k + dispersion(kpa, g)).tobytes()
