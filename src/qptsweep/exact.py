@@ -8,10 +8,10 @@ The bitflip-symmetric models are solved completely by translation x
 bitflip symmetry blocks (momentum k, parity sigma), each a real symmetric
 matrix of at most a few hundred rows at N=14, with numpy's dense
 eigensolvers; only the parity-resolved mixed model above N=10 still goes
-through symmetry-projected ARPACK.  The even sector of the mixed
-search/ferromagnet model is computed exactly from its wall-class
-reduction, which the minimal-gap scaling study uses; ``parity_resolve``
-and the dense matrix stay as test oracles.
+through symmetry-projected ARPACK.  The even sector, where the gap and the
+minimal-gap scaling study are read, comes from each model's exact
+reduction (``even_levels``): the ring's even blocks and the mixed model's
+wall classes.  ``parity_resolve`` and the dense matrix stay as test oracles.
 """
 
 import math
@@ -30,7 +30,6 @@ MODELS = ("ising_ring", "grover", "mixed_grover_ising")
 DENSE_MAX = 10
 ITER_MAX = 14
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_EVEN_SEARCH_LEVELS = 6  # levels solved when looking for the lowest even ones
 _TIE_TOL = 1e-12  # levels this close to a neighbour are ordered even parity first
 # mixed_gap_scaling's largest N: its cost does not grow like 2^N, but its gap is a difference
 # of O(1) levels, off by 1.4e-8 relative at N=60 (gap 2.5e-9), 8e-7 at N=70 and 4e-5 at N=80
@@ -277,31 +276,39 @@ def _lift(n, sec, y):
     return x
 
 
-def _block_solve(ham, m):
-    """Lowest m levels of H over every translation x bitflip block.
+def _blocks(ham, signs):
+    """(j, sign, copies, block) of every block with parity in ``signs``.
 
     Blocks k and -k are complex conjugates, so only k = 2*pi*j/N with
-    j <= N/2 is solved and each level of a 0 < k < pi block counts twice;
-    its two real eigenvectors are sqrt(2) Re x and sqrt(2) Im x of the
-    lifted vector x.  Only the blocks that hold a picked level get
-    eigenvectors, and each picked level is its Rayleigh quotient in the
-    block in extended precision, which leaves only the rounding of the
-    block's entries.  Returns the levels, real eigenvectors and parity
-    labels.
+    j <= N/2 is built, and each level of a 0 < k < pi block counts
+    ``copies`` = 2 times.
+    """
+    n = ham.n_qubits
+    for j in range(n // 2 + 1):
+        for sign in signs:
+            yield j, sign, 1 if (2 * j) % n == 0 else 2, _block(ham, j, sign)[0]
+
+
+def _block_solve(ham, m):
+    """Lowest m levels of H over every translation x bitflip block (``_blocks``).
+
+    The two real eigenvectors of a level of a 0 < k < pi block are
+    sqrt(2) Re x and sqrt(2) Im x of the lifted vector x.  Only the blocks
+    that hold a picked level get eigenvectors, and each picked level is
+    its Rayleigh quotient in the block in extended precision, which leaves
+    only the rounding of the block's entries.  Returns the levels, real
+    eigenvectors and parity labels.
     """
     n = ham.n_qubits
     blocks, vals, labels, where = [], [], [], []
-    for j in range(n // 2 + 1):
-        copies = 1 if (2 * j) % n == 0 else 2
-        for sign in (1.0, -1.0):
-            block, sec = _block(ham, j, sign)
-            levels = np.linalg.eigvalsh(block)
-            vals.append(np.repeat(levels, copies))
-            labels.append(np.full(copies * len(levels), sign))
-            level = np.repeat(np.arange(len(levels)), copies)
-            part = np.tile(np.arange(copies), len(levels))
-            where.append(np.column_stack([np.full(len(level), len(blocks)), level, part]))
-            blocks.append((j, sign))
+    for j, sign, copies, block in _blocks(ham, (1.0, -1.0)):
+        levels = np.linalg.eigvalsh(block)
+        vals.append(np.repeat(levels, copies))
+        labels.append(np.full(copies * len(levels), sign))
+        level = np.repeat(np.arange(len(levels)), copies)
+        part = np.tile(np.arange(copies), len(levels))
+        where.append(np.column_stack([np.full(len(level), len(blocks)), level, part]))
+        blocks.append((j, sign))
     vals, labels, where = map(np.concatenate, (vals, labels, where))
     order = _even_first(vals, labels)[:m]
     vals, labels, where = vals[order], labels[order], where[order]
@@ -376,6 +383,11 @@ def _lanczos_sector(ham, sign, m):
     return _eigsh(matvec, dim, k, v0, maxiter=20000, tol=1e-10, ncv=min(dim, max(4 * k, 40)))
 
 
+def _check_bitflip_symmetric(model):
+    if model == "grover":
+        raise ValueError("grover is not bitflip symmetric: the flip takes its marked |0...0> to |1...1>")
+
+
 def _even_first(vals, labels):
     """Ascending order of ``vals`` in which each run of tied levels lists its
     even levels first.  A run holds every level within ``_TIE_TOL`` above its
@@ -411,9 +423,9 @@ def low_spectrum(ham, m, resolve_parity=False):
     """
     _check_count(m, "m", 1, ham.dim)
     labels = None
+    if resolve_parity:
+        _check_bitflip_symmetric(ham.model)
     if ham.model == "grover":
-        if resolve_parity:
-            raise ValueError("grover is not bitflip symmetric: the flip takes its marked |0...0> to |1...1>")
         vals, vecs = _grover_solve(ham, m)
     elif resolve_parity and ham.model == "mixed_grover_ising" and ham.n_qubits > DENSE_MAX:
         # stays on ARPACK while perfbench/reference/ed_scaling.json holds this path's levels
@@ -443,8 +455,7 @@ def parity_resolve(ham, spectrum):
     their raw eigenvectors are basis-ambiguous; a run is never cut inside
     a multiplet, even where g*d spaces the levels by the tolerance itself.
     """
-    if ham.model == "grover":
-        raise ValueError("grover is not bitflip symmetric: the flip takes its marked |0...0> to |1...1>")
+    _check_bitflip_symmetric(ham.model)
     perm = bitflip_parity_operator_indices(ham.n_qubits)
     vals = spectrum.eigenvalues
     vecs = spectrum.eigenvectors
@@ -477,27 +488,43 @@ def parity_resolve(ham, spectrum):
     return labels
 
 
-def _even_levels(model, n_qubits, g):
-    """The even-parity levels among the lowest ``_EVEN_SEARCH_LEVELS`` of H(g)."""
-    ham = build_hamiltonian(model, n_qubits, g)
-    spec = low_spectrum(ham, min(_EVEN_SEARCH_LEVELS, ham.dim), resolve_parity=True)
-    return spec.eigenvalues[spec.parity_labels > 0]
+def even_levels(model, n_qubits, g, m):
+    """Lowest m levels of the even (bitflip parity +1) sector of H(g), ascending.
+
+    Each model's exact reduction gives them; all 2^(N-1) come back when m is at least that.
+    The Ising ring's come from its even translation blocks (``_blocks``).  The mixed model
+    H = (1-g)(1 - |s><s|) + g*W, W the domain-wall count, reduces to wall classes: the
+    normalized class states |c_d> (all 2*C(N,d) states with d walls, d even) span an
+    invariant space of dimension floor(N/2)+1 on which H_r = (1-g)(1 - a a^T) + g*diag(d),
+    a_d = sqrt(2*C(N,d)/2^N).  Its orthogonal complement is diagonal: within class d it
+    holds C(N,d)-1 even states at energy 1-g+g*d.  Nothing grows like 2^N, so N reaches 1023.
+    """
+    _check_bitflip_symmetric(model)
+    _check_count(m, "m", 1)
+    if model != "mixed_grover_ising":
+        ham = build_hamiltonian(model, n_qubits, g)
+        levels = [np.repeat(np.linalg.eigvalsh(block), copies) for _, _, copies, block in _blocks(ham, (1.0,))]
+        return np.sort(np.concatenate(levels))[:m]
+    n = _check_count(n_qubits, "n_qubits", 2, 1023)  # 2^N a float
+    g = float(_check_g(g))
+    d = np.arange(0, n + 1, 2)
+    counts = [math.comb(n, int(k)) for k in d]
+    a = np.sqrt(2.0 * np.array(counts, dtype=float) / 2.0**n)
+    h_r = (1.0 - g) * (np.eye(len(d)) - np.outer(a, a)) + g * np.diag(d.astype(float))
+    # C(N,d) grows like 2^N, so each closed-form level is repeated at most m times
+    rest = np.repeat(1.0 - g + g * d, [min(c - 1, m) for c in counts])
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h_r), rest]))[:m]
 
 
 def even_parity_ground_energy(model, n_qubits, g):
     """Lowest eigenvalue whose bitflip parity is +1."""
-    even = _even_levels(model, n_qubits, g)
-    if len(even) == 0:
-        raise NonConvergenceError("no even-parity state among the computed eigenpairs")
-    return float(even[0])
+    return float(even_levels(model, n_qubits, g, 1)[0])
 
 
 def gap(model, n_qubits, g):
     """E1 - E0 within the even bitflip-parity sector."""
-    even = _even_levels(model, n_qubits, g)
-    if len(even) < 2:
-        raise NonConvergenceError("fewer than two even-parity states found")
-    return float(even[1] - even[0])
+    e0, e1 = even_levels(model, n_qubits, g, 2)
+    return float(e1 - e0)
 
 
 def mixed_gap_scaling(n_list, coarse_points=41):
@@ -522,35 +549,6 @@ def mixed_gap_scaling(n_list, coarse_points=41):
     return fit, dict(zip(n_list, gaps))
 
 
-def mixed_even_levels(n_qubits, g, m):
-    """Lowest m even-sector levels of ``mixed_grover_ising``, from its wall-class reduction.
-
-    H = (1-g)(1 - |s><s|) + g*W, with W the domain-wall count.  The
-    normalized class states |c_d> (all 2*C(N,d) states with d walls, d even)
-    span an invariant space of dimension floor(N/2)+1 on which
-    H_r = (1-g)(1 - a a^T) + g*diag(d), a_d = sqrt(2*C(N,d)/2^N).  Its
-    orthogonal complement is diagonal: within class d it holds C(N,d)-1
-    even states at energy 1-g+g*d.  Returns the levels in ascending order;
-    all 2^(N-1) of them when m is at least that.
-    """
-    n = _check_count(n_qubits, "n_qubits", 2, 1023)  # 2^N a float
-    g = float(_check_g(g))
-    d = np.arange(0, n + 1, 2)
-    counts = [math.comb(n, int(k)) for k in d]
-    a = np.sqrt(2.0 * np.array(counts, dtype=float) / 2.0**n)
-    h_r = (1.0 - g) * (np.eye(len(d)) - np.outer(a, a)) + g * np.diag(d.astype(float))
-    # C(N,d) grows like 2^N, so each closed-form level is repeated at most m times
-    rest = np.repeat(1.0 - g + g * d, [min(c - 1, m) for c in counts])
-    return np.sort(np.concatenate([np.linalg.eigvalsh(h_r), rest]))[:m]
-
-
-def _even_gap(model, n_qubits, g):
-    if model == "mixed_grover_ising":
-        e0, e1 = mixed_even_levels(n_qubits, g, 2)
-        return float(e1 - e0)
-    return gap(model, n_qubits, g)
-
-
 def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     """Minimum over g of the even-sector gap, with local refinement.
 
@@ -561,27 +559,26 @@ def minimal_even_gap(model, n_qubits, coarse_points=41, refine_tol=1e-6):
     search then shrinks the bracket until its width is below ``refine_tol``
     * min(1, gap), so the sharp avoided crossing of a large system is
     resolved relative to its own width.  Every evaluated gap bounds the
-    minimum from above, so the lowest one is returned.  The mixed model
-    takes its gap from the exact reduction (``mixed_even_levels``); the
-    other models from ``gap``.
+    minimum from above, so the lowest one is returned.  Every gap is read
+    from the model's exact even-sector reduction (``gap``).
     """
     g_coarse = np.linspace(0.02, 0.98, _check_count(coarse_points, "coarse_points", 1))
-    vals = np.array([_even_gap(model, n_qubits, g) for g in g_coarse])
+    vals = np.array([gap(model, n_qubits, g) for g in g_coarse])
     i = int(np.argmin(vals))
     a = float(g_coarse[i - 1]) if i > 0 else 0.0
     b = float(g_coarse[i + 1]) if i < coarse_points - 1 else 1.0
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = _even_gap(model, n_qubits, c), _even_gap(model, n_qubits, d)
+    fc, fd = gap(model, n_qubits, c), gap(model, n_qubits, d)
     best = min(float(vals[i]), fc, fd)
     # the rounding floor ends the search where the bracket cannot shrink further
     while b - a > max(refine_tol * min(1.0, best), 8.0 * np.finfo(float).eps * b):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = _even_gap(model, n_qubits, c)
+            fc = gap(model, n_qubits, c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = _even_gap(model, n_qubits, d)
+            fd = gap(model, n_qubits, d)
         best = min(best, fc, fd)
     return best

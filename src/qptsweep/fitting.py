@@ -32,32 +32,24 @@ def _check(xs, ys, positive_x=False):
     return xs, ys
 
 
-def _ols(x, y):
+def _fit(x, ys):
+    """OLS of ln(ys) on x: the slope is the exponent, e^intercept the prefactor."""
+    y = np.log(ys)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return slope, intercept, r2
+    return FitResult(exponent=float(slope), prefactor=float(np.exp(intercept)), r_squared=r2)
 
 
 def fit_power_law(xs, ys):
     """y = prefactor * x^exponent via OLS in log-log coordinates."""
     xs, ys = _check(xs, ys, positive_x=True)
-    slope, intercept, r2 = _ols(np.log(xs), np.log(ys))
-    return FitResult(
-        exponent=float(slope),
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-    )
+    return _fit(np.log(xs), ys)
 
 
 def fit_exponential(xs, ys):
     """y = prefactor * exp(rate * x) via OLS in semilog coordinates."""
     xs, ys = _check(xs, ys)
-    slope, intercept, r2 = _ols(xs, np.log(ys))
-    return FitResult(
-        exponent=float(slope),
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-    )
+    return _fit(xs, ys)

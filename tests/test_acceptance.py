@@ -45,7 +45,7 @@ def test_criterion_02_gap_law():
 
 
 def _dense_grover_gap(n, g):
-    # from the dense matrix, independent of the two-level reduction that exact.gap uses
+    # from the dense matrix, independent of grover's two-level reduction (exact._grover_solve)
     levels = np.linalg.eigvalsh(exact.build_hamiltonian("grover", n, g).matrix)
     return float(levels[1] - levels[0])
 

@@ -93,7 +93,7 @@ def test_grover_gap_closed_form_grid():
 
 
 def test_iterative_path_matches_dense():
-    # N=12 goes through the matrix-free solver
+    # N=12 has no dense matrix; the ring is solved by its translation x bitflip blocks
     h = exact.build_hamiltonian("ising_ring", 12, 0.5)
     assert h.matrix is None
     e0 = exact.low_spectrum(h, 1).eigenvalues[0]
@@ -301,7 +301,7 @@ def test_block_solve_mixed_matches_both_reductions(n):
     for g in np.linspace(0.0, 1.0, 6):
         h = exact.build_hamiltonian("mixed_grover_ising", n, float(g))
         vals, vecs, labels = exact._block_solve(h, m)
-        even = exact.mixed_even_levels(n, float(g), m)
+        even = exact.even_levels("mixed_grover_ising", n, float(g), m)
         odd = np.repeat(1.0 - g + g * walls, [min(math.comb(n, int(d)), m) for d in walls])
         want = np.concatenate([even, odd])
         want_labels = np.concatenate([np.ones(len(even)), -np.ones(len(odd))])
@@ -452,13 +452,25 @@ def _brute_even_levels(n, g, m):
     return spec.eigenvalues[spec.parity_labels > 0]
 
 
+def _dense_even_levels(model, n, g):
+    """Every even level of the dense H, from the eigenvalues of its restriction
+    to the states (|x> + |~x>)/sqrt(2), ~x the bitflip of x."""
+    h = exact.build_hamiltonian(model, n, g).matrix
+    half = np.arange(2 ** (n - 1))
+    flip = exact.bitflip_parity_operator_indices(n)[half]
+    even = h[np.ix_(half, half)] + h[np.ix_(half, flip)]
+    return np.linalg.eigvalsh(even)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_mixed_reduction_is_the_whole_even_sector(n):
-    # dense: the full spectrum, so every even level is compared
-    for g in (0.0, 0.25, 0.5, 0.8, 1.0):
-        levels = exact.mixed_even_levels(n, g, 2**n)
-        assert len(levels) == 2 ** (n - 1)
-        assert_allclose(levels, _brute_even_levels(n, g, 2**n), rtol=0, atol=1e-12)
+    # both reductions, the ring's even blocks and the mixed model's wall classes,
+    # against dense ED on every even level
+    for model in ("ising_ring", "mixed_grover_ising"):
+        for g in (0.0, 0.25, 0.5, 0.8, 1.0):
+            levels = exact.even_levels(model, n, g, 2**n)
+            assert len(levels) == 2 ** (n - 1)
+            assert_allclose(levels, _dense_even_levels(model, n, g), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -466,20 +478,41 @@ def test_mixed_reduction_matches_iterative_path(n):
     for g in (0.3, 0.7):
         brute = _brute_even_levels(n, g, 8)
         assert len(brute) >= 2
-        assert_allclose(exact.mixed_even_levels(n, g, len(brute)), brute, rtol=0, atol=1e-12)
+        assert_allclose(exact.even_levels("mixed_grover_ising", n, g, len(brute)), brute, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([4, 6, 8]), g=st.floats(min_value=0.02, max_value=0.98))
 def test_mixed_reduction_property(n, g):
     brute = _brute_even_levels(n, g, 12)
-    assert_allclose(exact.mixed_even_levels(n, g, len(brute)), brute, rtol=0, atol=1e-12)
+    assert_allclose(exact.even_levels("mixed_grover_ising", n, g, len(brute)), brute, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_ring_gap_is_the_analytic_gap(n):
+    # at small g the N odd single flips lie below the second even level
+    for g in np.linspace(0.0, 1.0, 11):
+        assert exact.gap("ising_ring", n, float(g)) == pytest.approx(
+            ising.min_gap(ising.ChainParams(n), float(g)), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_ring_minimal_even_gap_is_the_critical_gap(n):
+    assert exact.minimal_even_gap("ising_ring", n) == pytest.approx(4.0 * np.sin(np.pi / (2 * n)), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_mixed_gap_above_dense_max_ends_at_one_and_two(n):
+    # g = 0 and 1 are where a Krylov solve breaks down: the uniform state is an
+    # eigenvector at g = 0, and the ferromagnetic states tie across the sectors at g = 1
+    assert exact.gap("mixed_grover_ising", n, 0.0) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert exact.gap("mixed_grover_ising", n, 1.0) == pytest.approx(2.0, rel=0, abs=1e-12)
 
 
 def test_mixed_gap_scaling_matches_brute_force(monkeypatch):
     _, reduced = exact.mixed_gap_scaling([4, 6, 8, 10], coarse_points=13)
     # the same coarse scan and refinement, with every gap from the full sector solve
-    monkeypatch.setattr(exact, "_even_gap", exact.gap)
+    monkeypatch.setattr(exact, "gap", lambda model, n, g: float(np.diff(_brute_even_levels(n, g, 2**n)[:2])[0]))
     _, brute = exact.mixed_gap_scaling([4, 6, 8, 10], coarse_points=13)
     for n, want in brute.items():
         assert reduced[n] == pytest.approx(want, rel=1e-10)
@@ -490,10 +523,10 @@ def _bounded_brent_oracle(n, coarse_points=41):
     from scipy.optimize import minimize_scalar
 
     g_coarse = np.linspace(0.02, 0.98, coarse_points)
-    vals = np.array([exact._even_gap("mixed_grover_ising", n, g) for g in g_coarse])
+    vals = np.array([exact.gap("mixed_grover_ising", n, g) for g in g_coarse])
     i = int(np.argmin(vals))
     res = minimize_scalar(
-        lambda g: exact._even_gap("mixed_grover_ising", n, float(g)),
+        lambda g: exact.gap("mixed_grover_ising", n, float(g)),
         bounds=(g_coarse[max(i - 1, 0)], g_coarse[min(i + 1, coarse_points - 1)]),
         method="bounded", options={"xatol": 1e-6},
     )
@@ -517,7 +550,7 @@ def test_minimal_gap_left_of_the_scan():
     # scan's first point 0.02, which was returned as 9.7e-3; a plain scan of
     # the exact reduction already finds 3.0e-4 there
     g = np.linspace(1e-4, 0.03, 300)
-    scan = min(float(np.diff(exact.mixed_even_levels(100, x, 2))[0]) for x in g)
+    scan = min(exact.gap("mixed_grover_ising", 100, x) for x in g)
     assert scan < 4e-4
     assert exact.minimal_even_gap("mixed_grover_ising", 100) <= scan
 
@@ -529,21 +562,27 @@ def test_build_validation():
         exact.build_hamiltonian("ising_ring", 16, 0.5)
     with pytest.raises(ValueError):
         exact.build_hamiltonian("ising_ring", 4, 1.5)
-    with pytest.raises(ValueError):
-        exact.mixed_even_levels(1, 0.5, 2)
-    with pytest.raises(ValueError):
-        exact.mixed_even_levels(6, 1.5, 2)
+    for model in ("ising_ring", "mixed_grover_ising"):
+        with pytest.raises(ValueError):
+            exact.even_levels(model, 1, 0.5, 2)
+        with pytest.raises(ValueError):
+            exact.even_levels(model, 6, 1.5, 2)
+    with pytest.raises(ValueError, match="not bitflip symmetric"):
+        exact.gap("grover", 6, 0.5)
 
 
 @pytest.mark.parametrize("call,name", [
-    (lambda: exact.mixed_even_levels(6.7, 0.3, 2), "n_qubits"),
+    (lambda: exact.even_levels("mixed_grover_ising", 6.7, 0.3, 2), "n_qubits"),
     (lambda: exact.mixed_gap_scaling([4.5, 6, 8, 10]), "n_list"),
     (lambda: exact.minimal_even_gap("mixed_grover_ising", 6, coarse_points=0), "coarse_points"),
     (lambda: exact.minimal_even_gap("mixed_grover_ising", 6, coarse_points=-3), "coarse_points"),
     (lambda: exact.build_hamiltonian("ising_ring", 4.0, 0.5), "n_qubits"),
-    (lambda: exact.mixed_even_levels(1100, 0.3, 2), "n_qubits"),
+    (lambda: exact.even_levels("mixed_grover_ising", 1100, 0.3, 2), "n_qubits"),
+    (lambda: exact.even_levels("ising_ring", 6, 0.3, 0), "m"),
+    (lambda: exact.even_levels("mixed_grover_ising", 6, 0.3, 2.0), "m"),
 ], ids=["mixed_levels_fractional_n", "mixed_scaling_fractional_n",
-        "coarse_points_0", "coarse_points_negative", "build_float_n", "mixed_levels_n_beyond_float"])
+        "coarse_points_0", "coarse_points_negative", "build_float_n", "mixed_levels_n_beyond_float",
+        "even_levels_m_0", "even_levels_float_m"])
 def test_counts_are_not_coerced(call, name):
     with pytest.raises(ValueError, match=name):
         call()
