@@ -56,12 +56,13 @@ def filon_integral(env, phase, dt):
     e1 = (e^{ic}(ic - 1) + 1)/(ic)^2.  Below ``_SMALL_PHASE`` the difference
     quotients cancel, and e0, e1 come from their Taylor series (through c^6)
     instead; each segment goes through one of the two forms only, a run of
-    one form as one slice (every amplitude's phase rate, 2E_k - w,
-    E_k + E_k' - w, gap + w or none, is unimodal in t, so its small steps
-    form at most two runs).  All in real arithmetic, with cos and sin taken
-    once per node; written in node differences, the rounding of each E
-    enters neighbouring segments with opposite signs and largely cancels in
-    the sum.
+    one form as one slice.  Every amplitude's phase rate is unimodal in t,
+    so its small steps form at most two runs: 2E_k - w for the Ising
+    channels, gap + w for Grover's (called at -w), and -w alone for
+    single_site_z's a1, which has no dynamical phase.  All in real
+    arithmetic, with cos and sin taken once per node; written in node
+    differences, the rounding of each E enters neighbouring segments with
+    opposite signs and largely cancels in the sum.
     """
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)

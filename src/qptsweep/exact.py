@@ -310,7 +310,7 @@ def _block_solve(ham, m):
         where.append(np.column_stack([np.full(len(level), len(blocks)), level, part]))
         blocks.append((j, sign))
     vals, labels, where = map(np.concatenate, (vals, labels, where))
-    order = _even_first(vals, labels)[:m]
+    order = _even_first(vals, labels, m)
     vals, labels, where = vals[order], labels[order], where[order]
     vecs = np.empty((ham.dim, m))
     for b in np.unique(where[:, 0]):
@@ -388,27 +388,23 @@ def _check_bitflip_symmetric(model):
         raise ValueError("grover is not bitflip symmetric: the flip takes its marked |0...0> to |1...1>")
 
 
-def _even_first(vals, labels):
-    """Ascending order of ``vals`` in which each run of tied levels lists its
-    even levels first.  A run holds every level within ``_TIE_TOL`` above its
-    lowest one, and the next run starts at the first level beyond, so no
-    listed level lies more than ``_TIE_TOL`` below the one before it."""
+def _even_first(vals, labels, m):
+    """The indices of the lowest m of ``vals``, ascending, each run of tied
+    levels listing its even levels first.  A run holds every level within
+    ``_TIE_TOL`` above its lowest one, and the next run starts at the first
+    level beyond, so no listed level lies more than ``_TIE_TOL`` below the
+    one before it.  The walk stops at the first run that starts past the
+    m-th level."""
     order = np.argsort(vals, kind="stable")
     s = vals[order]
-    start = np.concatenate([[True], np.diff(s) > _TIE_TOL])
-    # chains of neighbours within _TIE_TOL start runs; the rare chain that
-    # spans more than _TIE_TOL is cut again from its lowest level up
-    first = np.flatnonzero(start)
-    stop = np.append(first[1:], s.shape[0])
-    wide = s[stop - 1] - s[first] > _TIE_TOL
-    for a, b in zip(first[wide], stop[wide]):
-        while True:
-            beyond = np.flatnonzero(s[a:b] - s[a] > _TIE_TOL)
-            if not beyond.size:
-                break
-            a += beyond[0]
-            start[a] = True
-    return order[np.lexsort((-labels[order], np.cumsum(start)))]
+    run = []  # per sorted level, the position where its run starts
+    while len(run) < min(m, s.shape[0]):
+        a = len(run)
+        # s[a + 1:] - s[a] ascends as s does, so the run is its prefix within _TIE_TOL
+        b = a + 1 + int(np.searchsorted(s[a + 1:] - s[a], _TIE_TOL, side="right"))
+        run += [a] * (b - a)
+    kept = order[:len(run)]
+    return kept[np.lexsort((-labels[kept], run))][:m]
 
 
 def low_spectrum(ham, m, resolve_parity=False):
@@ -432,7 +428,7 @@ def low_spectrum(ham, m, resolve_parity=False):
         sectors = [(sign, *_lanczos_sector(ham, sign, m)) for sign in (1.0, -1.0)]
         vals = np.concatenate([sv for _, sv, _ in sectors])
         labels = np.concatenate([np.full(len(sv), sign) for sign, sv, _ in sectors])
-        order = _even_first(vals, labels)[:m]
+        order = _even_first(vals, labels, m)
         vals = vals[order]
         vecs = np.concatenate([svec for _, _, svec in sectors], axis=1)[:, order]
         labels = labels[order]

@@ -137,33 +137,17 @@ def bogoliubov_pair(ka, g, energy):
     """
     ka, g = np.asarray(ka, dtype=float), np.asarray(g, dtype=float)
     sin_ka, sin_half, cos_half = np.sin(ka), np.sin(ka / 2.0), np.cos(ka / 2.0)
-    # in place: a fresh temporary per Filon block costs about as much as the operation filling it
-    shape = np.broadcast(ka, g, energy).shape
     four_cos2 = 4.0 * cos_half * cos_half  # not ** 2: a scalar's is pow()
-    n_u = np.empty(shape)  # alpha
-    if g.min() >= 0.25:
-        np.subtract(0.5, g, out=n_u)  # exact for g >= 1/4
-        n_u *= four_cos2
-        n_u += 2.0 * sin_half * sin_half
-    else:
-        np.multiply(g, -four_cos2, out=n_u)
-        n_u += 2.0
-        if g.max() >= 0.25:  # a block that straddles g = 1/4
-            n_u = np.where(np.less(g, 0.25), n_u, (0.5 - g) * four_cos2 + 2.0 * sin_half * sin_half)
-    swap = n_u < 0.0  # there u is the smaller side
-    np.abs(n_u, out=n_u)
-    n_u += energy  # E + |alpha|
-    n_v = np.multiply(2.0 * np.abs(sin_ka), g, out=np.empty(shape))  # |beta|
-    scale = np.multiply(n_u, energy, out=np.empty(shape))  # R^2/2
-    if scale.min() < 0.5 * DEGENERATE_NORM_THRESHOLD**2:
+    alpha = np.where(g < 0.25, 2.0 - g * four_cos2, (0.5 - g) * four_cos2 + 2.0 * sin_half * sin_half)
+    swap = alpha < 0.0  # there u is the smaller side
+    large = np.abs(alpha) + energy  # E + |alpha|
+    small = 2.0 * np.abs(sin_ka) * g  # |beta|
+    scale = large * energy  # R^2/2
+    if np.min(scale) < 0.5 * DEGENERATE_NORM_THRESHOLD**2:
         raise ValueError(f"E_k down to {np.min(energy):.3e}: no pair at E_k = 0")
-    np.divide(0.5, scale, out=scale)
-    np.sqrt(scale, out=scale)  # 1/R
-    n_u *= scale
-    n_v *= scale
-    n_u, n_v = np.where(swap, n_v, n_u), np.where(swap, n_u, n_v)  # np.copyto(where=) faults in 64 kB more
-    n_v *= np.copysign(1.0, sin_ka)
-    return n_u, n_v
+    scale = np.sqrt(0.5 / scale)  # 1/R
+    large, small = large * scale, small * scale
+    return np.where(swap, small, large), np.where(swap, large, small) * np.copysign(1.0, sin_ka)
 
 
 def _mode_coefficients(ka):
@@ -187,20 +171,15 @@ def _propagate(coef, u0, v0, schedule, steps):
     return magnus4_modes(g_nodes, coef, schedule.T / steps, u0, v0)
 
 
-def _doubled(coef, u0, v0, schedule):
+def _doubled(coef, u0, v0, schedule, first, cap):
     """Each row of ``coef``, from its start state (``u0``, ``v0``), on grids
-    n0, 2*n0, ... up to the cap, stopped by ``refine`` at the first grid
-    within ENDPOINT_TOL of the grid before it.
+    ``first``, 2*``first``, ... up to ``cap``, stopped by ``refine`` at the
+    first grid within ENDPOINT_TOL of the grid before it.
 
-    n0 is the cap over the largest power of two (at least 2) that leaves at
-    least _STEPS_PER_TIME steps per unit time, so the last grid is the cap
-    rounded up to a multiple of that power.  Every row is propagated alone
-    of the others (``magnus4_modes`` is elementwise in the rows), so its
-    result does not depend on which rows share the call.
+    Every row is propagated alone of the others (``magnus4_modes`` is
+    elementwise in the rows), so its result does not depend on which rows
+    share the call.
     """
-    cap = _default_steps(schedule.T)
-    first = max(8, int(np.ceil(_STEPS_PER_TIME * schedule.T)))
-    doublings = max(1, (cap // first).bit_length() - 1)
     norm_defect = np.zeros(u0.shape)
     n_grid = np.zeros(u0.shape, dtype=int)
 
@@ -210,7 +189,7 @@ def _doubled(coef, u0, v0, schedule):
         return np.stack((u, v), axis=1)
 
     # the state has unit norm, so refine's relative difference is |du| + |dv|
-    pair, endpoint_error, _ = refine(eval_at, -(-cap >> doublings), ENDPOINT_TOL, cap)
+    pair, endpoint_error, _ = refine(eval_at, first, ENDPOINT_TOL, cap)
     return pair[:, 0], pair[:, 1], norm_defect, endpoint_error, n_grid
 
 
@@ -218,28 +197,30 @@ def integrate_bogoliubov(ka, schedule, steps=None):
     """Integrate the mode equations of motion from the t=0 ground state.
 
     ``ka`` is a scalar or a 1-D array; all modes share one fourth-order
-    Magnus propagation per grid.  With ``steps`` the endpoint error compares
-    that grid with one of half the steps (at least 8).  Without, each mode's
-    grid doubles until two successive grids agree to ENDPOINT_TOL in
-    |du| + |dv| (see ``_doubled``), and the endpoint error is the difference
-    between its last two grids.
+    Magnus propagation per grid.  Each mode's grid doubles until two
+    successive grids agree to ENDPOINT_TOL in |du| + |dv| (see
+    ``_doubled``), and the endpoint error is the difference between its
+    last two grids.  Without ``steps`` the cap is ``_default_steps`` and
+    the first grid the cap over the largest power of two (at least 2) that
+    leaves at least _STEPS_PER_TIME steps per unit time, so the last grid
+    is the cap rounded up to a multiple of that power.  An even ``steps``
+    of at least 16 runs the same doubling on steps/2 and ``steps``.
     """
     ka = _check_ka(ka)
     if ka.ndim > 1:
         raise ValueError(f"ka must be a scalar or 1-D, got shape {ka.shape}")
+    if steps is None:
+        cap = _default_steps(schedule.T)
+        doublings = max(1, (cap // max(8, int(np.ceil(_STEPS_PER_TIME * schedule.T)))).bit_length() - 1)
+        first = -(-cap >> doublings)
+    elif steps < 16 or steps % 2:
+        raise ValueError(f"steps must be even and at least 16, got {steps}")
+    else:
+        first, cap = steps // 2, steps
     modes = np.atleast_1d(ka)
     g_start = float(schedule.g_of(0.0))
     start = bogoliubov_pair(modes, g_start, dispersion(modes, g_start))
-    coef = _mode_coefficients(modes)
-    if steps is None:
-        u, v, norm_defect, endpoint_error, n_grid = _doubled(coef, *start, schedule)
-    else:
-        if steps < 16:
-            raise ValueError(f"steps must be at least 16, got {steps}")
-        u, v, norm_defect = _propagate(coef, *start, schedule, steps)
-        u_half, v_half, _ = _propagate(coef, *start, schedule, max(steps // 2, 8))
-        endpoint_error = np.abs(u - u_half) + np.abs(v - v_half)
-        n_grid = np.full(modes.shape, steps)
+    u, v, norm_defect, endpoint_error, n_grid = _doubled(_mode_coefficients(modes), *start, schedule, first, cap)
     if ka.ndim:
         return ModeEndpoint(ka, schedule, u, v, norm_defect, endpoint_error, n_grid)
     return ModeEndpoint(

@@ -31,7 +31,7 @@ from ._kernels import (
     linear_fourier, nested_simpson, refine,
 )
 from .bath import integrate_abs
-from .ising import ChainParams, bogoliubov_pair, dispersion
+from .ising import ChainParams, bogoliubov_pair, dispersion, momentum_grid
 from .schedules import make_schedule
 
 CHANNEL_KINDS = ("uniform_x", "nonuniform_x", "single_site_z")
@@ -474,7 +474,7 @@ def total_error(channel, schedule, spectral_function, n_spins):
     phase-free bounds are certified to ``nested_simpson``'s tolerance; one
     that is not raises ``QuadratureError``.
     """
-    ChainParams(n_spins)
+    ka_positive = momentum_grid(ChainParams(n_spins))[n_spins // 2:]
     if channel.kind == "nonuniform_x":
         raise ValueError(
             "total_error supports uniform_x and single_site_z; the nonuniform "
@@ -482,7 +482,6 @@ def total_error(channel, schedule, spectral_function, n_spins):
         )
     lam = channel.coupling
     breakdown = {r: 0.0 for r in REGIMES}
-    ka_positive = (2 * np.arange(n_spins // 2) + 1) * np.pi / n_spins
     terms = _channel_terms(channel.kind, None, n_spins)
     mode_bound, _, ok = _phase_free_bounds(schedule, ka_positive, terms)
     if not ok.all():

@@ -673,24 +673,50 @@ def test_readme_names_every_config_key_with_its_default():
                 assert documented[key] == f"`{json.dumps(default)}`", (caption, key)
 
 
-_README_EXAMPLE_HEADERS = {
-    "spectrum": "n_spins,ka,g,energy",
-    "scaling": "n_spins,min_gap",
-    "response": "channel,n_spins,ka,kpa,omega,regime,method,re,im,modulus,quad_error,converged",
-}
+def _readme_headers():
+    """{table: CSV header} of the README's columns table."""
+    lines = _README.read_text().splitlines()
+    start = lines.index("| table | one row per | header |") + 2
+    rows = lines[start:start + next(j for j, row in enumerate(lines[start:]) if not row.startswith("|"))]
+    return {cells[0].strip("`"): cells[2].strip("`") for cells in (row.strip("| ").split(" | ") for row in rows)}
+
+
+# a small config of every table, by subcommand
+_SMALL_RUNS = [
+    ("spectrum", {"n_spins": 4, "g_grid": [0.5]}),
+    ("ed", {"model": "ising_ring", "n_list": [4], "g_grid": [0.5], "m": 2}),
+    ("sweep", {"n_spins": 4, "T_list": [2.0]}),
+    ("response", {"n_spins": 8, "T": 5.0, "channel": "uniform_x", "omega_grid": [0.5]}),
+    ("grover", {"n_list": [4], "T": 5.0}),
+    ("scaling", {"study": "gap_law", "n_list": [8, 16, 32, 64]}),
+    ("scaling", {"study": "near_gap_table", "n_list": [8, 16, 32, 64]}),
+    ("scaling", {"study": "mixed_gap", "n_list": [4, 6, 8, 10], "coarse_points": 5}),
+]
+
+
+def test_readme_names_every_csv_header(tmp_path):
+    headers, seen = _readme_headers(), []
+    for i, (subcommand, doc) in enumerate(_SMALL_RUNS):
+        out = tmp_path / f"out{i}"
+        assert cli.main([subcommand, "--config", write_config(tmp_path, f"{i}.json", doc), "--out", str(out)]) == 0
+        (csv_path,) = out.glob("*.csv")
+        seen.append(csv_path.stem)
+        assert csv_path.read_text().split("\n", 1)[0] == headers[csv_path.stem], csv_path.stem
+    assert seen == list(headers)
 
 
 def test_readme_example_configs_run(tmp_path):
     # the ```json blocks under "Example configs", up to the next section
     section = _README.read_text().split("Example configs", 1)[1].split("\n## ", 1)[0]
     docs = [json.loads(block.split("```", 1)[0]) for block in section.split("```json\n")[1:]]
-    assert [doc["experiment"] for doc in docs] == list(_README_EXAMPLE_HEADERS)
+    assert [doc["experiment"] for doc in docs] == ["spectrum", "scaling", "response"]
+    headers = _readme_headers()
     for i, doc in enumerate(docs):
         out = tmp_path / f"out{i}"
         assert cli.main([doc["experiment"], "--config", write_config(tmp_path, f"{i}.json", doc),
                          "--out", str(out)]) == 0
         (csv_path,) = out.glob("*.csv")
-        assert csv_path.read_text().split("\n", 1)[0] == _README_EXAMPLE_HEADERS[doc["experiment"]]
+        assert csv_path.read_text().split("\n", 1)[0] == headers[csv_path.stem]
 
 
 def test_threads_flag_accepted_and_ignored(tmp_path):

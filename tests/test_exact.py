@@ -184,7 +184,8 @@ def test_even_first_runs_span_at_most_the_tie_tolerance():
     # one of the same run only
     vals = np.array([0.0, 0.9e-12, 1.8e-12, 2.7e-12])
     labels = np.array([-1.0, 1.0, -1.0, 1.0])
-    assert exact._even_first(vals, labels).tolist() == [1, 0, 3, 2]
+    for m in range(1, 5):
+        assert exact._even_first(vals, labels, m).tolist() == [1, 0, 3, 2][:m]
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,7 +196,8 @@ def test_even_first_runs_span_at_most_the_tie_tolerance():
 )
 def test_even_first_matches_greedy_runs(gaps, odd, perm_seed):
     # the order against a level-by-level walk: a run starts at its lowest
-    # level and takes every level within _TIE_TOL above it
+    # level and takes every level within _TIE_TOL above it; every m keeps
+    # the first m of the whole order
     vals = 0.25 + np.cumsum(gaps)
     vals = vals[np.random.default_rng(perm_seed).permutation(vals.shape[0])]
     labels = np.where(odd[:vals.shape[0]], -1.0, 1.0)
@@ -206,7 +208,8 @@ def test_even_first_matches_greedy_runs(gaps, odd, perm_seed):
             count, lowest = count + 1, v
         run.append(count)
     want = order[np.lexsort((-labels[order], run))]
-    assert exact._even_first(vals, labels).tolist() == want.tolist()
+    for m in range(1, vals.shape[0] + 1):
+        assert exact._even_first(vals, labels, m).tolist() == want[:m].tolist()
 
 
 def test_block_solve_listed_levels_never_fall_beyond_the_tie_tolerance():
@@ -305,7 +308,7 @@ def test_block_solve_mixed_matches_both_reductions(n):
         odd = np.repeat(1.0 - g + g * walls, [min(math.comb(n, int(d)), m) for d in walls])
         want = np.concatenate([even, odd])
         want_labels = np.concatenate([np.ones(len(even)), -np.ones(len(odd))])
-        order = exact._even_first(want, want_labels)[:m]
+        order = exact._even_first(want, want_labels, m)
         assert_allclose(vals, want[order], rtol=0, atol=1e-12)
         assert np.array_equal(labels, want_labels[order])
         residuals = np.linalg.norm(h.apply(vecs) - vecs * vals, axis=0)

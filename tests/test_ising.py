@@ -260,7 +260,10 @@ def test_explicit_steps_keep_the_fixed_pair():
     # g = 0 (see test_bogoliubov_pair_is_exact_at_g_zero).  norm_defect
     # was re-recorded when each block's product became a pairwise tree: it is
     # the largest defect of the tree's nodes and of the state at the block
-    # ends, no longer of the state after every step (u, v did not move)
+    # ends, no longer of the state after every step (u, v did not move).
+    # endpoint_error was re-recorded when explicit steps joined the certified
+    # doubling: it is refine's |du| + |dv| over the norm of (u, v), which
+    # moves it by that norm's rounding (u, v and norm_defect did not move)
     sched = schedules.make_schedule("gap_adapted", 30.0, n_spins=16)
     ka = np.array([np.pi / 16, 3 * np.pi / 16, 7 * np.pi / 16])
     end = ising.integrate_bogoliubov(ka, sched, steps=2048)
@@ -272,8 +275,26 @@ def test_explicit_steps_keep_the_fixed_pair():
         (-0.26093567104220416+0.7220806930549418j)]
     assert end.norm_defect.tolist() == [1.7319479184152442e-14, 5.218048215738236e-15, 1.199040866595169e-14]
     assert end.endpoint_error.tolist() == [
-        1.4420573021244102e-09, 4.246397202849734e-09, 8.213796901823625e-09]
+        1.442057302124398e-09, 4.246397202849743e-09, 8.213796901823675e-09]
     assert end.n_grid.tolist() == [2048] * 3
+
+
+def test_explicit_steps_run_the_certified_doubling_on_two_grids():
+    # steps=s is the doubling of the certified rows on the grids s/2 and s:
+    # the endpoint of grid s, and refine's difference from grid s/2
+    sched = schedules.make_schedule("linear", 20.0)
+    ka = np.array([np.pi / 16, 7 * np.pi / 16, -2.5])
+    end = ising.integrate_bogoliubov(ka, sched, steps=64)
+    row = ising._mode_coefficients(ka), *ising.bogoliubov_pair(ka, 0.0, ising.dispersion(ka, 0.0))
+    u, v, defect = ising._propagate(*row, sched, 64)
+    u_half, v_half, _ = ising._propagate(*row, sched, 32)
+    assert (end.u.tolist(), end.v.tolist(), end.norm_defect.tolist()) == (u.tolist(), v.tolist(), defect.tolist())
+    assert end.n_grid.tolist() == [64] * 3
+    assert end.endpoint_error.tolist() == (
+        (np.abs(u - u_half) + np.abs(v - v_half)) / np.sqrt(np.abs(u) ** 2 + np.abs(v) ** 2)).tolist()
+    for steps in (14, 15, 17, 2047):
+        with pytest.raises(ValueError, match="steps must be even and at least 16"):
+            ising.integrate_bogoliubov(ka, sched, steps=steps)
 
 
 def test_certified_vector_ka_matches_scalar_calls_bitwise():

@@ -168,3 +168,36 @@ def test_benchmark_lookup_sites_stay(monkeypatch):
     grover.amplitude_omega(grover.GroverParams(n_qubits=4, coupling=0.01, schedule=sched), 0.5)
     # two grids of one block each per amplitude, the bitflip pair counting twice
     assert calls == ["qptsweep.response"] * 8 + ["qptsweep.grover"] * 2
+
+
+def _small_runs(phase):
+    """Runs of consecutive segments whose phase step is below _SMALL_PHASE."""
+    small = np.abs(np.diff(phase)) < _kernels._SMALL_PHASE
+    return int(small[0]) + int(np.count_nonzero(small[1:] & ~small[:-1]))
+
+
+def test_every_filon_block_has_at_most_two_runs_of_small_steps(monkeypatch):
+    # filon_integral slices each run of one segment form in a Python loop;
+    # every amplitude's phase rate is unimodal in t, so a block has at most
+    # two runs of small steps, at frequencies below, inside and above the band
+    runs = []
+    for module in (response, grover):
+        def recording(env, phase, dt, _inner=module.filon_integral):
+            runs.append(_small_runs(phase))
+            return _inner(env, phase, dt)
+
+        monkeypatch.setattr(module, "filon_integral", recording)
+    ka, kpa = np.pi / 64, 3 * np.pi / 64  # 2E_k spans [4 sin(ka/2), 4] = [0.098, 4]
+    for kind, n_spins in SCHEDULES:
+        sched = make(kind, n_spins, 500.0)
+        for omega in (-0.4, 0.05, 0.3, 1.0, 3.9, 4.5):
+            response.amplitude_direct_uniform(ka, omega, sched)
+            response.amplitude_direct_nonuniform(ka, kpa, omega, 64, sched)
+            response.amplitude_bitflip(ka, omega, sched)
+    # Grover's rate is gap + w, the gap spanning [1/16, 1] at N = 8: the
+    # benchmark's probes, and frequencies that cancel the gap
+    params = grover.GroverParams(n_qubits=8, coupling=0.01, schedule=make("linear", None, 500.0))
+    for omega in (0.25, 0.5, 1.0, 2.0, -0.03, -0.3, -0.9, -1.5):
+        grover.amplitude_omega(params, omega)
+    assert max(runs) == 2
+    assert runs.count(0) < len(runs)
