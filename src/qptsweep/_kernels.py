@@ -196,7 +196,9 @@ def stream_filon(total_time, n, freq, nodes, filon):
 
 def default_n0(total_time, phase_rate):
     """First grid of the doubling sequence: 16 intervals per cycle of a phase
-    advancing at ``phase_rate`` (a bound on |phase'|), and at least 4096."""
+    advancing at ``phase_rate`` (a bound on |phase'| over [0, total_time];
+    ``filon_refined`` passes the largest modulus of its phase rate's range),
+    and at least 4096."""
     cycles = total_time * phase_rate / (2.0 * np.pi)
     return int(max(4096, 16 * cycles))
 
@@ -235,9 +237,19 @@ def refine(eval_at, n0, rel_tol, n_max):
 
 def filon_refined(nodes, total_time, omega, rate_bound, filon, rel_tol, n_max):
     """int_0^T env e^{i(phase - w t)} dt at w = ``omega`` by ``refine`` over
-    ``stream_filon(..., nodes, filon)``, from ``default_n0`` at |w| +
-    ``rate_bound`` (a bound on the rate of ``nodes``): (value, error, converged)."""
-    n0 = default_n0(total_time, abs(omega) + rate_bound)
+    ``stream_filon(..., nodes, filon)``: (value, error, converged).
+
+    The premise: the rate of ``nodes`` lies in [0, ``rate_bound``] (2E_k in
+    [0, 4] for the Ising channels, the gap in (0, 1] for Grover's, none,
+    that is 0, for single_site_z's a1).  So the phase rate, rate - w, lies
+    in [-w, rate_bound - w], and the first grid is ``default_n0`` at its
+    largest modulus, max(|w|, |rate_bound - w|); for w <= 0 that is
+    |w| + rate_bound to the bit.  Filon integrates a linear phase exactly,
+    so its error comes from the phase's curvature, not from w (Iserles &
+    Norsett, Proc. R. Soc. A 461, 1383 (2005)), and 16 intervals per cycle
+    of the fastest phase over-resolve it; the doubling certifies the rest.
+    """
+    n0 = default_n0(total_time, max(abs(omega), abs(rate_bound - omega)))
     (value,), (err,), (ok,) = refine(
         lambda n, rows: np.array([stream_filon(total_time, n, -omega, nodes, filon)])[rows],
         n0, rel_tol, n_max)

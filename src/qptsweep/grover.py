@@ -68,8 +68,11 @@ def projector_element(g, dim):
 
 
 def amplitude_omega(params, omega, rel_tol=1e-4, n_max=2**21):
-    """int_0^T element e^{i(int gap + w t)} dt at w = ``omega`` (the gap is at
-    most 1), certified by ``filon_refined``: (value, error)."""
+    """int_0^T element e^{i(int gap + w t)} dt at w = ``omega``, certified by
+    ``filon_refined`` at -w: (value, error).  The gap, the rate of its nodes,
+    lies in (0, 1], so the phase rate gap + w lies in (w, 1 + w], and the
+    first grid resolves the larger of |w| and |1 + w| (1 + w at every w > 0,
+    as at the benchmark's probes)."""
 
     def nodes(t):
         return projector_element(np.asarray(params.schedule.g_of(t), dtype=float), params.dim)

@@ -155,7 +155,8 @@ _UNIFORM_TERM = _channel_terms("uniform_x", None, None)[0]
 
 def _filon_terms(terms, ka, schedule, omega, rel_tol, n_max):
     """``_channel_integrals`` at frequency ``omega`` by ``filon_refined``
-    (every phase rate is at most 2 ``_INITIAL_ENERGY``)."""
+    (every rate of the channel table, 2E_k or none, lies in [0, 2
+    ``_INITIAL_ENERGY``])."""
     return _channel_integrals(terms, ka, schedule, lambda nodes: filon_refined(
         nodes, schedule.T, omega, 2.0 * _INITIAL_ENERGY, filon_integral, rel_tol, n_max))
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from fixed_grid_oracle import composite_simpson, simpson_weights
-from qptsweep import _kernels, grover, response
+from qptsweep import _kernels, grover, ising, response, schedules
 from qptsweep.ising import _mode_coefficients
 from qptsweep._kernels import (
     _QUAD_BLOCK,
@@ -279,14 +279,75 @@ def test_simpson_weights_total_the_cumulative_rule(n_nodes):
     assert w.sum() == pytest.approx(0.37 * (n_nodes - 1), rel=1e-14)
 
 
-def test_default_n0_matches_both_former_rules():
-    # the response rule (rate |w| + 4) and the grover rule (rate |w| + 1)
+def test_default_n0_is_sixteen_intervals_per_cycle_and_at_least_4096():
+    # at the phase rates of the Ising channels (rate bound 4) and of Grover's
+    # (rate bound 1), for w <= 0 and w > 0
     for total_time in (50.0, 2000.0, 5000.0):
         for omega in (-0.4, 0.01, 1.0, 2.6):
-            cycles = total_time * (abs(omega) + 2.0 * 2.0) / (2.0 * np.pi)
-            assert default_n0(total_time, abs(omega) + 2.0 * 2.0) == int(max(4096, 16 * cycles))
-            cycles = total_time * (abs(omega) + 1.0) / (2.0 * np.pi)
-            assert default_n0(total_time, abs(omega) + 1.0) == int(max(4096, 16 * cycles))
+            for bound in (2.0 * 2.0, 1.0):
+                rate = max(abs(omega), abs(bound - omega))
+                cycles = total_time * rate / (2.0 * np.pi)
+                assert default_n0(total_time, rate) == int(max(4096, 16 * cycles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ka=st.floats(-np.pi, np.pi),
+    g=st.floats(0.0, 1.0),
+    dim=st.integers(2, 2**80),
+)
+@example(ka=np.pi, g=0.0, dim=2).via("the largest Ising rate, at g = 0")
+@example(ka=0.0, g=0.5, dim=2**80).via("a vanishing Ising rate and Grover's smallest gap")
+def test_every_phase_rate_lies_in_its_rate_bound(ka, g, dim):
+    # the premise of filon_refined's first grid: the Ising channels' rate 2E_k
+    # lies in [0, 2 _INITIAL_ENERGY], the bound response passes, and Grover's
+    # gap in (0, 1], the bound grover passes
+    assert 0.0 <= 2.0 * ising.dispersion(ka, g) <= 2.0 * response._INITIAL_ENERGY
+    assert 0.0 < grover.grover_gap(g, dim) <= 1.0
+
+
+def first_grids(monkeypatch, call):
+    """The first grid n0 of every ``refine`` run that ``call`` starts through
+    ``filon_refined``; those runs return a converged zero at once."""
+    seen = []
+
+    def capture(eval_at, n0, rel_tol, n_max):
+        assert eval_at.__qualname__.startswith("filon_refined.")
+        seen.append(n0)
+        return np.zeros(1, dtype=complex), np.zeros(1), np.ones(1, dtype=bool)
+
+    monkeypatch.setattr(_kernels, "refine", capture)
+    call()
+    return seen
+
+
+def assert_first_grid(n0, total_time, omega, bound):
+    # the largest modulus of the phase rate rate - w, rate in [0, bound]; for
+    # w <= 0 it is the triangle-inequality bound |w| + bound, to the bit
+    assert n0 == default_n0(total_time, max(abs(omega), abs(bound - omega)))
+    if omega <= 0.0:
+        assert n0 == default_n0(total_time, abs(omega) + bound)
+
+
+@pytest.mark.parametrize("omega", [-0.4, 0.0, 0.01, 1.0, 2.6, 5.0])
+@pytest.mark.parametrize("kind", response.CHANNEL_KINDS)
+def test_first_grid_resolves_the_largest_phase_rate_of_each_channel(monkeypatch, kind, omega):
+    sched = schedules.make_schedule("linear", 2000.0)
+    ka, kpa = np.pi / 128, 3 * np.pi / 128
+    grids = first_grids(monkeypatch, lambda: response.amplitudes_on_grid(
+        kind, ka, kpa, np.array([omega]), 128, sched))
+    assert len(grids) == len(response._channel_terms(kind, kpa, 128))
+    for n0 in grids:
+        assert_first_grid(n0, sched.T, omega, 2.0 * response._INITIAL_ENERGY)
+
+
+@pytest.mark.parametrize("omega0", [-2.0, -0.5, 0.25, 0.5, 1.0, 2.0])
+def test_first_grid_resolves_the_largest_phase_rate_of_grover(monkeypatch, omega0):
+    # grover integrates at -omega0: the benchmark's probes (omega0 > 0) keep
+    # the triangle-inequality grid, negative probes shrink it
+    params = grover.GroverParams(n_qubits=8, coupling=0.01, schedule=schedules.make_schedule("linear", 2000.0))
+    (n0,) = first_grids(monkeypatch, lambda: grover.amplitude_omega(params, omega0))
+    assert_first_grid(n0, params.schedule.T, -omega0, 1.0)
 
 
 def test_cumulative_simpson_quartic_accuracy():

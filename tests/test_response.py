@@ -41,6 +41,22 @@ def test_quadrature_self_consistency():
     assert abs(r1.value - r2.value) / abs(r2.value) < max(r1.quad_error, 1e-6)
 
 
+@pytest.mark.parametrize("ka", [np.pi / 256, 3 * np.pi / 256])
+def test_positive_frequency_rows_stay_within_their_certificates(ka):
+    # the benchmark's uniform_x rows at w > 0, whose first Filon grid
+    # resolves max(w, 4 - w) rather than w + 4: each value is within its
+    # quad_error of a fine reference (whose own error is far smaller;
+    # at pi/256, w = 0.2 it stops at n_max, 1.8e-8)
+    omegas = np.array([0.2, 0.8, 1.4, 2.0, 2.6])
+    sched = schedules.make_schedule("linear", 5000.0, n_spins=256)
+    values, errors, converged = response.amplitudes_on_grid("uniform_x", ka, ka, omegas, 256, sched, 2)
+    assert converged.all()
+    for omega, value, err in zip(omegas, values, errors):
+        ref = response.amplitude_direct_uniform(ka, omega, sched, rel_tol=1e-8, endpoint_order=2)
+        assert ref.quad_error < 1e-2 * err
+        assert abs(value - ref.value) <= err * abs(value)
+
+
 def test_saddle_points():
     gp, gm = response.saddle_points_uniform(2.0, 1e-6)
     assert gp == pytest.approx(0.75, abs=1e-6)
