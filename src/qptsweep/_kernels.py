@@ -206,16 +206,17 @@ def default_n0(total_time, phase_rate):
 def refine(eval_at, n0, rel_tol, n_max):
     """Grid-doubling driver; returns (values, error_estimates, converged) arrays.
 
-    ``eval_at(n, rows)`` returns the values on n intervals, n = n0, 2*n0, ...
-    while n < n_max, of the elements ``rows``: all (``slice(None)``) on the
-    first grid, then those still running, for each element stops on its own
-    and keeps the value and relative difference of the grid where it first
-    converged (its last ones, or inf when no doubling ran, if it never does).
+    ``eval_at(n, rows)`` returns the values on n intervals, n = min(n0, n_max)
+    first, then doubled while below n_max, of the elements ``rows``: all
+    (``slice(None)``) on the first grid, then those still running, for each
+    element stops on its own and keeps the value and relative difference of
+    the grid where it first converged (its last ones, or inf when no
+    doubling ran, if it never does).
     Axes after the first hold an element's components (say a state (u, v)),
     whose difference is the sum of their moduli, relative to their Euclidean
     norm.  A scalar quadrature is one element; its caller takes element 0.
     """
-    n = n0
+    n = min(n0, n_max)
     value = np.array(eval_at(n, slice(None)))
     parts = tuple(range(1, value.ndim))
     err = np.full(value.shape[:1], np.inf)
@@ -530,58 +531,54 @@ def nested_simpson(grid, integrand, count, n0):
     by ``refine`` on nested grids.
 
     ``grid(u)`` returns what every integrand needs at the nodes u (say g(t)
-    of a schedule), and ``integrand(rows, x)`` the values there of the
-    integrands ``rows``, shape (len(rows), len(x)).  The first grid has n0
-    intervals, rounded up to a multiple of 4.  Each integral is kept as three
-    sums, of its two end samples, of its interior samples and of its samples
-    at odd nodes, for the rule is h/3 (ends + 2 interior + 2 odd); grid 2n
-    samples only its new, odd nodes.  One agreement of two grids can be a
-    coincidence (Lyness, SIAM Rev. 25, 1983), so ``refine`` gets the pair
-    (S_n, S_n/2) of rules, S_n/2 on the first grid from its even nodes: an
-    integral stops, and reports S_2n, once S_2n - S_n and S_n - S_n/2 are
-    both below ``_NESTED_TOL`` relative (or the absolute floor of one that
-    vanishes), and is not sampled again.  Samples are taken in blocks of
-    about ``_NESTED_BLOCK`` values, long grids in blocks of nodes.  Returns
-    (values, errors, converged), arrays of length ``count``.
+    of a schedule), and ``integrand(rows, x)`` a new array of the values
+    there of the integrands ``rows``, shape (len(rows), len(x)).  The first
+    grid has n0 intervals, rounded up to a multiple of 4.  Simpson's rule is
+    Romberg's step on trapezoid sums, S_n = (4 T_n - T_n/2)/3 (Press et al.,
+    Numerical Recipes, 3rd ed., sec. 4.3), so each integral keeps its T_n
+    and S_n: on the first grid the sums at strides 1, 2 and 4, end samples
+    halved in place, give T_n, T_n/2 and T_n/4, and grid 2n samples only
+    its new, odd nodes.  One agreement of two grids can be a coincidence
+    (Lyness, SIAM Rev. 25, 1983), so ``refine`` gets the pair (S_n, S_n/2):
+    an integral stops, and reports S_2n, once S_2n - S_n and S_n - S_n/2
+    are both below ``_NESTED_TOL`` relative (or the absolute floor of one
+    that vanishes), and is not sampled again.  Samples are taken in blocks
+    of about ``_NESTED_BLOCK`` values, long grids in blocks of nodes.
+    Returns (values, errors, converged), arrays of length ``count``.
     """
-    ends = np.zeros(count)
-    interior = np.zeros(count)
-    odd = np.zeros(count)
-    rule = np.zeros(count)  # S_n of the last grid each integral was sampled on
+    trap = np.zeros(count)  # T_n of the last grid each integral was sampled on
+    rule = np.zeros(count)  # S_n of that grid
+    first_n = min(n0 + (-n0) % 4, _NESTED_N_MAX)  # refine starts at n_max at most
 
     def eval_at(n, rows):
-        first = isinstance(rows, slice)
+        first = n == first_n
         rows = np.arange(count)[rows]
         u = np.arange(n + 1) / n if first else np.arange(1, n, 2) / n
-        total = np.zeros(rows.shape[0])
-        if first:
-            ends[:] = 0.0
-            odd[:] = 0.0
-            half_odd = np.zeros(count)  # the odd nodes of grid n/2, 2 mod 4 here
-        # blocks start at nodes 0 mod 4, so u[start + 1::2] are odd nodes
+        sums = np.zeros((3, rows.shape[0]))  # at strides 1, 2 and 4
+        # blocks start at nodes 0 mod 4, so a block's strides 2 and 4 are on grids n/2, n/4
         for start in range(0, u.shape[0], _NESTED_BLOCK):
             x = grid(u[start:start + _NESTED_BLOCK])
             step = _NESTED_BLOCK // min(_NESTED_BLOCK, u.shape[0] - start)
             for a in range(0, rows.shape[0], step):
-                r = rows[a:a + step]
-                vals = integrand(r, x)
-                total[a:a + step] += vals.sum(axis=1)
+                vals = integrand(rows[a:a + step], x)
+                part = sums[:, a:a + step]
                 if first:
-                    odd[r] += vals[:, 1::2].sum(axis=1)
-                    half_odd[r] += vals[:, 2::4].sum(axis=1)
                     if start == 0:
-                        ends[r] += vals[:, 0]
+                        vals[:, 0] *= 0.5
                     if start + _NESTED_BLOCK >= u.shape[0]:
-                        ends[r] += vals[:, -1]
+                        vals[:, -1] *= 0.5
+                    part[1] += vals[:, ::2].sum(axis=1)
+                    part[2] += vals[:, ::4].sum(axis=1)
+                part[0] += vals.sum(axis=1)
         if first:
-            interior[:] = total - ends
-            half = (ends + 2.0 * (interior - odd) + 2.0 * half_odd) / (1.5 * n)
+            t_n, coarse, coarser = sums * (np.array([[1.0], [2.0], [4.0]]) / n)
+            half = (4.0 * coarse - coarser) / 3.0
         else:
-            half = rule[rows]
-            odd[rows] = total
-            interior[rows] += total
-        rule[rows] = (ends[rows] + 2.0 * interior[rows] + 2.0 * odd[rows]) / (3.0 * n)
+            coarse, half = trap[rows], rule[rows]
+            t_n = 0.5 * coarse + sums[0] / n
+        trap[rows] = t_n
+        rule[rows] = (4.0 * t_n - coarse) / 3.0
         return np.stack((rule[rows], half), axis=1)
 
-    values, errors, converged = refine(eval_at, n0 + (-n0) % 4, _NESTED_TOL, _NESTED_N_MAX)
+    values, errors, converged = refine(eval_at, first_n, _NESTED_TOL, _NESTED_N_MAX)
     return values[:, 0], errors, converged

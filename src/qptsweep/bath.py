@@ -101,24 +101,33 @@ def load_tabulated(samples):
     """SpectralFunction from (omega, f) samples; zero outside the range.
 
     ``samples`` is a sequence of pairs or the path (str) of a two-column
-    CSV (header row optional).
+    CSV (header row optional).  Every sample is finite, and every data row
+    of the CSV is exactly two numbers; the first row that is not raises a
+    ValueError naming its line.
     """
     if isinstance(samples, str):
         rows = []
         with open(samples, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
                 try:
-                    rows.append((float(row[0]), float(row[1])))
+                    values = [float(x) for x in row]
                 except ValueError:
-                    if rows:
-                        raise
-                    continue  # header row
+                    if not rows:
+                        continue  # header row
+                    values = []  # a later row that is not all numbers
+                if len(values) != 2 or not np.all(np.isfinite(values)):
+                    raise ValueError(
+                        f"{samples}: line {reader.line_num} is not two finite numbers (omega, f): {','.join(row)}")
+                rows.append(values)
         samples = rows
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("need at least two (omega, f) samples")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("omega and f samples must be finite")
     w, f = arr[:, 0], arr[:, 1]
     if np.any(np.diff(w) <= 0.0):
         raise ValueError("omega samples must be strictly ascending")

@@ -31,6 +31,7 @@ from ._kernels import (
     linear_fourier, nested_simpson, refine,
 )
 from .bath import integrate_abs
+from .fitting import _fit
 from .ising import ChainParams, bogoliubov_pair, dispersion, momentum_grid
 from .schedules import make_schedule
 
@@ -93,7 +94,7 @@ class RegimeBounds:
 
 def regime_bounds(ka):
     k2 = 2.0 * abs(ka)
-    lo = k2 / RHO
+    lo = min(k2 / RHO, _INITIAL_ENERGY)
     hi = min(RHO * k2, _INITIAL_ENERGY)
     return RegimeBounds(
         negative=(-np.inf, 0.0),
@@ -265,8 +266,8 @@ def suppression_rate_uniform(ka, omega, t_list):
             ka, omega, make_schedule("linear", float(T)), rel_tol=1e-6, endpoint_order=2
         )
         mods.append(res.modulus)
-    slope = np.polyfit(t_list, np.log(mods), 1)[0]
-    return float(-slope), np.asarray(mods)
+    mods = np.asarray(mods)
+    return -_fit(t_list, mods).exponent, mods
 
 
 def _saddle_discriminant(omega, ka):

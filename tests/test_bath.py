@@ -105,6 +105,8 @@ def test_tabulated_validation():
         bath.load_tabulated([(0.0, 0.0), (0.0, 1.0)])  # not ascending
     with pytest.raises(ValueError):
         bath.load_tabulated([(0.0, -1.0), (1.0, 0.0)])  # negative
+    with pytest.raises(ValueError, match="finite"):
+        bath.load_tabulated([(0.0, 1.0), (np.inf, 0.0)])
 
 
 def test_dirac_probe():

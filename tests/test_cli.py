@@ -161,6 +161,27 @@ def test_response_run(tmp_path):
     assert len(rows) == 3
 
 
+def test_response_beyond_the_finest_grid_exits_2_after_one_grid(tmp_path, monkeypatch):
+    # w = 1e7 at T = 5000 asks for a first grid of 1.3e11 intervals: refine
+    # starts, and stops, at n_max, and the row is written uncertified
+    grids = []
+
+    def counting(*args, _inner=_kernels.stream_filon):
+        assert args[1] <= 2**21
+        grids.append(args[1])
+        return _inner(*args)
+
+    monkeypatch.setattr(_kernels, "stream_filon", counting)
+    cfg = write_config(tmp_path, "c.json", {
+        "n_spins": 256, "T": 5000.0, "channel": "uniform_x", "omega_grid": [1e7],
+        "ka_list": [float(np.pi / 256)],
+    })
+    assert cli.main(["response", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert grids == [2**21]
+    (row,) = read_csv(tmp_path / "out" / "response.csv")[1:]
+    assert row[-2:] == ["inf", "0"]
+
+
 @pytest.mark.parametrize("channel", ["uniform_x", "nonuniform_x", "single_site_z"])
 def test_evenly_spaced_omega_grid_takes_the_all_omega_path(tmp_path, monkeypatch, channel):
     calls = []
@@ -558,6 +579,24 @@ def test_bad_physics_input_exits_1_with_one_line(tmp_path, capsys, subcommand, d
     assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table", [
+    "omega,f\n0.0,1.0\n1.0\n2.0,5.0\n",
+    "omega,f\n0.0,1.0\n1.0,3.0,4.0\n2.0,5.0\n",
+    "0.0,1.0\n0.5,2.0\n1.0,nan\n",
+    "0.0,1.0\n0.5,2.0\ninf,3.0\n",
+    "0.0,1.0\n0.5,2.0\n1.0,x\n",
+], ids=["one_column", "three_columns", "nan_sample", "infinite_sample", "text_sample"])
+def test_malformed_tabulated_bath_exits_1_with_one_line(tmp_path, capsys, table):
+    path = tmp_path / "f.csv"
+    path.write_text(table)
+    cfg = write_config(tmp_path, "c.json", {
+        "n_list": [4], "T": 20.0, "bath": {"kind": "tabulated", "path": str(path)}})
+    assert cli.main(["grover", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3 ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 

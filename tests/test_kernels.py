@@ -559,9 +559,12 @@ def test_refine_reports_nonconvergence_at_n_max():
     assert grids == [4, 8, 16, 32, 64]
     # the last value comes back, with its last relative difference as the error
     assert (value.tolist(), err.tolist()) == ([64.0], [(64.0 - 32.0) / 64.0])
-    # with no doubling there is no difference to report
+    # a first grid beyond n_max starts at n_max, with no doubling and so no
+    # difference to report
+    grids.clear()
     value, err, ok = refine(_one(f), 128, 1e-3, 64)
-    assert (value.tolist(), err.tolist(), ok.tolist()) == ([128.0], [math.inf], [False])
+    assert grids == [64]
+    assert (value.tolist(), err.tolist(), ok.tolist()) == ([64.0], [math.inf], [False])
 
 
 def test_refine_accepts_values_below_roundoff_floor():
@@ -652,6 +655,31 @@ def test_nested_simpson_is_composite_simpson_on_the_grid_it_stopped_on(monkeypat
         # the first grid (7 rounded up to 8 intervals) and one doubling at least
         assert n >= 16
     assert len(nodes[0]) < len(nodes[3])
+
+
+@pytest.mark.parametrize("block", [2**13, 16])
+@pytest.mark.parametrize("n0", [7, 64])
+def test_nested_simpson_gives_refine_the_simpson_pair_of_its_first_grid(monkeypatch, block, n0):
+    # Simpson's error on u^4 over [0, 1] is exactly 2h^4/15, so the first grid,
+    # n0 rounded up to n intervals, hands refine (S_n, S_n/2) =
+    # (1/5 + 2/(15 n^4), 1/5 + 32/(15 n^4)) for the integrand (r + 1) u^4
+    monkeypatch.setattr(_kernels, "_NESTED_BLOCK", block)
+    refine_alone = _kernels.refine
+    calls = []
+
+    def recording(eval_at, n0, rel_tol, n_max):
+        def recorded(n, rows):
+            calls.append((n, eval_at(n, rows)))
+            return calls[-1][1]
+
+        return refine_alone(recorded, n0, rel_tol, n_max)
+
+    monkeypatch.setattr(_kernels, "refine", recording)
+    nested_simpson(lambda u: u, lambda rows, u: (rows[:, None] + 1.0) * u**4, 3, n0)
+    n, pair = calls[0]
+    assert n == n0 + (-n0) % 4
+    want = np.array([[0.2 + 2.0 / (15.0 * n**4), 0.2 + 32.0 / (15.0 * n**4)]]) * np.arange(1.0, 4.0)[:, None]
+    assert_allclose(pair, want, rtol=1e-14, atol=0.0)
 
 
 def test_nested_simpson_floor_and_failure():

@@ -4,7 +4,7 @@ import pytest
 from constant_g import ConstantG
 from qptsweep import bath, response, schedules
 from qptsweep._kernels import cumulative_simpson_uniform
-from qptsweep.ising import dispersion
+from qptsweep.ising import ChainParams, dispersion, momentum_grid
 
 
 def linear(T):
@@ -22,11 +22,16 @@ def test_classify_regime():
 
 
 def test_regime_bounds_partition():
-    b = response.regime_bounds(np.pi / 16)
-    assert b.negative[1] == b.sub_gap[0] == 0.0
-    assert b.sub_gap[1] == b.near_gap[0]
-    assert b.near_gap[1] == b.intermediate[0]
-    assert b.intermediate[1] == 2.0
+    # every mode's windows tile (-inf, 2): none reversed, none past the
+    # initial energy (for |ka| > 3, 2|ka|/3 lies past 2)
+    for ka in momentum_grid(ChainParams(256)):
+        b = response.regime_bounds(ka)
+        windows = [b.negative, b.sub_gap, b.near_gap, b.intermediate]
+        assert all(lo <= hi for lo, hi in windows), (ka, windows)
+        assert b.negative[0] == -np.inf and b.negative[1] == b.sub_gap[0] == 0.0
+        assert b.sub_gap[1] == b.near_gap[0]
+        assert b.near_gap[1] == b.intermediate[0]
+        assert b.intermediate[1] == 2.0
 
 
 def test_amplitude_direct_t0_limit():
